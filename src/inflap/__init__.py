@@ -6,12 +6,12 @@ iteration, explicit radial sub/super-solutions, closed-form existence
 and non-existence thresholds, and post-hoc inequality checkers.
 """
 
-from .core import (BOUNDARY, EXTERIOR, INTERIOR, BoundaryTrace, GridDomain,
-                   RhsSpec, ScalarField, build_domain, eval_rhs, load_mask,
-                   oscillation, rhs_range, save_mask)
+from .core import (BOUNDARY, EXTERIOR, INTERIOR, SIGMA, BoundaryTrace,
+                   GridDomain, RhsSpec, ScalarField, build_domain, eval_rhs,
+                   load_mask, oscillation, rhs_range, save_mask)
 from .scheme import (SchemeParams, Stencil, apply_inf_lap, build_stencil,
                      inf_lap_field, residual_field)
-from .solver import (SIGMA, SolveOptions, SolveReport, local_update,
+from .solver import (SolveOptions, SolveReport, local_update,
                      perron_solve, probe_nonexistence, solve_dirichlet)
 from .radial import (MonotoneRhs1D, RadialProfile, build_profile, cone_field,
                      cumulative_H, exact_family, family_a, monotone_smooth,
@@ -26,11 +26,10 @@ from .verify import (CheckResult, check_apriori, check_comparison,
 
 __all__ = [
     "BOUNDARY", "EXTERIOR", "INTERIOR", "BoundaryTrace", "GridDomain",
-    "RhsSpec", "ScalarField", "build_domain", "eval_rhs", "load_mask",
-    "oscillation", "rhs_range", "save_mask",
+    "SIGMA", "RhsSpec", "ScalarField", "build_domain", "eval_rhs",
+    "load_mask", "oscillation", "rhs_range", "save_mask",
     "SchemeParams", "Stencil", "apply_inf_lap", "build_stencil",
     "inf_lap_field", "residual_field",
-    "SIGMA",
     "SIGMA3", "SolveOptions", "SolveReport", "local_update", "perron_solve",
     "probe_nonexistence", "solve_dirichlet",
     "MonotoneRhs1D", "RadialProfile", "build_profile", "cone_field",

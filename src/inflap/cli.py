@@ -193,7 +193,8 @@ def write_field(u, path):
 def _report_of(rep):
     return {"status": rep.status, "sweeps": rep.sweeps,
             "residual": rep.residual, "sup": rep.sup, "inf": rep.inf,
-            "monotone": rep.monotone, "clipped": rep.clipped}
+            "monotone": rep.monotone, "clipped": rep.clipped,
+            "bracket_failures": rep.bracket_failures}
 
 
 def _run_solve(cfg, out_dir, h_override):

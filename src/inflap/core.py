@@ -14,6 +14,9 @@ INTERIOR = 2
 
 SATURATE = 1e300
 
+# growth constant of the cone solution: Delta_inf (SIGMA |x|^(4/3)) = 1
+SIGMA = 3.0 ** (4.0 / 3.0) / 4.0
+
 
 class GridDomain:
     """Uniform grid with an interior/boundary/exterior node mask.
@@ -224,10 +227,13 @@ def load_mask(path):
         head = lines[1].split()
         N = int(head[0])
         h = float(head[1])
-        dims = tuple(int(x) for x in head[2:2 + N])
+        dims = tuple(int(x) for x in head[2:])
         origin = [float(x) for x in lines[2].split()]
     except (IndexError, ValueError) as exc:
         raise ValueError("malformed mask file header: %s" % exc)
+    if N < 1 or len(dims) != N:
+        raise ValueError("malformed mask file header %r: N=%d but %d dims "
+                         "fields" % (lines[1], N, len(dims)))
     body = "".join(lines[3:3 + dims[0]])
     count = int(np.prod(dims))
     if len(body) != count:
@@ -493,18 +499,6 @@ class RhsSpec:
         if sign is not None or monotone_in_t is not None:
             self._validate(probe_t, probe_points)
 
-    # coefficient evaluation at probe time uses the declared samples; when a
-    # coefficient is an array its raw sample values are the probe set.
-    def _coef_probe_values(self):
-        out = [np.array([1.0])]
-        for name, val in self.coefs.items():
-            if callable(val):
-                out.append(np.asarray(
-                    [val(np.zeros((1, 1)))], dtype=float).ravel())
-            else:
-                out.append(np.asarray(val, dtype=float).ravel())
-        return out
-
     def _validate(self, probe_t, probe_points):
         t = np.linspace(probe_t[0], probe_t[1], probe_points)
         coef_vals = {}
@@ -554,6 +548,27 @@ class RhsSpec:
                     % name)
         return out
 
+    def coef_grid(self, domain):
+        """Coefficient values on the grid: name -> float or grid array.
+
+        Resolve once per solve and pass the result (indexed like t) to
+        `eval_nodes`.
+        """
+        out = {}
+        for name, val in self.coefs.items():
+            if callable(val):
+                grids = domain.grid_coords()
+                pts = np.stack([g.ravel() for g in grids], axis=-1)
+                out[name] = np.asarray(val(pts), float).reshape(domain.dims)
+            elif np.isscalar(val):
+                out[name] = float(val)
+            else:
+                arr = np.asarray(val, dtype=float)
+                if arr.shape != domain.dims:
+                    raise ValueError("coefficient %r shape mismatch" % name)
+                out[name] = arr
+        return out
+
     def eval_grid(self, domain, t):
         """Vectorized evaluation on all grid nodes.
 
@@ -566,26 +581,35 @@ class RhsSpec:
         -------
         ndarray of f(x, t) over the grid (NaN where t is NaN).
         """
-        combo = {}
-        for name, val in self.coefs.items():
-            if callable(val):
-                grids = domain.grid_coords()
-                pts = np.stack([g.ravel() for g in grids], axis=-1)
-                combo[name] = np.asarray(val(pts), float).reshape(domain.dims)
-            elif np.isscalar(val):
-                combo[name] = float(val)
-            else:
-                arr = np.asarray(val, dtype=float)
-                if arr.shape != domain.dims:
-                    raise ValueError("coefficient %r shape mismatch" % name)
-                combo[name] = arr
-        y = _eval_tree(self.tree, combo, np.asarray(t, dtype=float))
+        return self.eval_nodes(t, self.coef_grid(domain))
+
+    def eval_nodes(self, t, coefs, dt=False):
+        """f(x, t) at nodes whose coefficient values are given.
+
+        Parameters
+        ----------
+        t : ndarray
+        coefs : dict
+            Coefficient name -> float or array indexed like t, e.g.
+            `coef_grid(domain)` or a selection of it.
+        dt : bool
+            Also return df/dt from the same tree walk.
+
+        Returns
+        -------
+        f, or the pair (f, df/dt).  Values beyond +/-1e300 are clamped,
+        with the saturation flag set; df/dt is 0 where f is clamped.
+        """
+        out = _eval_tree(self.tree, coefs, np.asarray(t, dtype=float), dt)
+        y, dy = out if dt else (out, None)
         y = np.asarray(y, dtype=float)
         big = np.abs(y) > SATURATE
         if big.any():
             self.saturated = True
             y = np.clip(y, -SATURATE, SATURATE)
-        return y
+            if dt:
+                dy = np.where(big, 0.0, dy)
+        return (y, dy) if dt else y
 
 
 def _coef_names(tree):
@@ -602,38 +626,63 @@ def _coef_names(tree):
     return names
 
 
-def _eval_tree(tree, combo, t):
+def _eval_tree(tree, combo, t, dt=False):
+    """f on the tree; with dt=True the pair (f, df/dt) from the same walk."""
     op = tree[0]
     if op == "const":
-        return np.broadcast_to(np.asarray(tree[1], float), np.shape(t)).copy() \
+        y = np.broadcast_to(np.asarray(tree[1], float), np.shape(t)).copy() \
             if np.shape(t) else tree[1]
+        return (y, 0.0 * y) if dt else y
     if op == "coef":
         val = combo[tree[1]]
-        return val * np.ones_like(t) if np.ndim(t) and np.ndim(val) == 0 \
+        y = val * np.ones_like(t) if np.ndim(t) and np.ndim(val) == 0 \
             else val + 0 * t
+        return (y, 0.0 * y) if dt else y
     if op == "t":
-        return t
+        return (t, np.ones_like(t)) if dt else t
     if op == "pow":
         g = tree[1]
-        with np.errstate(over="ignore"):
-            return np.sign(t) * np.abs(t) ** g
+        with np.errstate(over="ignore", divide="ignore"):
+            y = np.sign(t) * np.abs(t) ** g
+            return (y, g * np.abs(t) ** (g - 1.0)) if dt else y
     if op == "exp":
+        # flat (derivative 0) once saturated
         with np.errstate(over="ignore"):
-            return np.minimum(np.exp(np.minimum(t, 700.0)), SATURATE)
+            y = np.minimum(np.exp(np.minimum(t, 700.0)), SATURATE)
+        return (y, np.where(y < SATURATE, y, 0.0)) if dt else y
     if op == "cospow":
-        return (1.0 + np.cos(t)) ** tree[1]
+        g = tree[1]
+        c = 1.0 + np.cos(t)
+        y = c ** g
+        if not dt:
+            return y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return y, -g * c ** (g - 1.0) * np.sin(t)
     if op == "add":
-        return sum(_eval_tree(c, combo, t) for c in tree[1])
+        parts = [_eval_tree(c, combo, t, dt) for c in tree[1]]
+        if not dt:
+            return sum(parts)
+        return sum(p[0] for p in parts), sum(p[1] for p in parts)
     if op == "mul":
-        out = _eval_tree(tree[1][0], combo, t)
+        out = _eval_tree(tree[1][0], combo, t, dt)
         for c in tree[1][1:]:
-            out = out * _eval_tree(c, combo, t)
+            nxt = _eval_tree(c, combo, t, dt)
+            if dt:
+                (y, dy), (z, dz) = out, nxt
+                out = (y * z, dy * z + y * dz)
+            else:
+                out = out * nxt
         return out
     if op == "neg":
-        return -_eval_tree(tree[1], combo, t)
+        out = _eval_tree(tree[1], combo, t, dt)
+        return (-out[0], -out[1]) if dt else -out
     if op == "clip":
         C = tree[2]
-        return np.clip(_eval_tree(tree[1], combo, t), -C, C)
+        out = _eval_tree(tree[1], combo, t, dt)
+        y, dy = out if dt else (out, None)
+        yc = np.clip(y, -C, C)
+        # flat (derivative 0) where clipped
+        return (yc, np.where(np.abs(y) <= C, dy, 0.0)) if dt else yc
     raise ValueError("bad tree node %r" % (op,))
 
 

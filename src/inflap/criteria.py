@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .core import ScalarField, rhs_range
+from .core import SIGMA, ScalarField, rhs_range
 from .radial import cumulative_H, zeta, zeta_bounds
 
-SIGMA = 3.0 ** (4.0 / 3.0) / 4.0
 SIGMA3 = 81.0 / 64.0
 
 

@@ -21,9 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from .core import RhsSpec, ScalarField, _eval_tree, _parse_rhs
-
-SIGMA = 3.0 ** (4.0 / 3.0) / 4.0
+from .core import SIGMA, RhsSpec, ScalarField, _eval_tree, _parse_rhs
 
 # 8-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)

@@ -6,16 +6,22 @@ along the currently steepest pair.  Division by phat^2 is guarded by a
 scale-aware floor: p_floor^2 = (eps * |f|)^(2/3) / (2 sigma), so that a
 flat iterate grows by sigma |f|^(1/3) eps^(4/3) per step, the growth rate
 of the exact cone solution across one stencil arm, instead of exploding.
+For x-only f the update has a closed form; for t-dependent f it is found
+by a bracketed, safeguarded Newton solve (`_local_solve`).  Where the
+bracket search finds no sign change (the local blow-up mechanism) the
+update is the bracket edge, which the alarm check then catches; such
+nodes are counted in `SolveReport.bracket_failures`.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RhsSpec, ScalarField
+from .core import SIGMA, RhsSpec, ScalarField
 from .scheme import SchemeParams, Stencil, inf_lap_field, residual_field
 
-SIGMA = 3.0 ** (4.0 / 3.0) / 4.0
+# a local-solve step this small relative to 1 + |t| is rounding noise
+_STEP_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -45,6 +51,7 @@ class SolveReport:
     inf: float
     monotone: bool
     clipped: bool = False
+    bracket_failures: int = 0    # local solves that found no sign change
 
 
 def _depends_on_t(tree):
@@ -73,6 +80,58 @@ def _phat2_eff(phat, eps, fscale, delta_reg):
     return np.maximum(np.maximum(phat ** 2, floor), delta_reg)
 
 
+def _at(coefs, index):
+    """Coefficient values at a node selection (mask or index tuple)."""
+    return {k: v[index] if np.ndim(v) else v for k, v in coefs.items()}
+
+
+def _local_solve(g, lo, hi, t0):
+    """Safeguarded Newton solve of g(t) = 0, one equation per node.
+
+    `g(t)` gives g on the node array t and `g(t, dt=True)` the pair
+    (g, dg/dt).  The bracket [lo, hi] is first widened, by doubling
+    steps, until g(lo) <= 0 <= g(hi) (at most 60 tries).  Newton then
+    starts from t0 clipped into the bracket.  Each step shrinks the
+    bracket by the sign of g, and a step that leaves the bracket (its
+    ends count as inside) or is not finite becomes a bisection step.  A
+    node stops once its step is at rounding level relative to 1 + |t|,
+    after at most 100 steps.  A node where no sign change was found
+    (f outgrowing the linear term, the local blow-up mechanism) returns
+    the bracket edge on the side where g has the wrong sign, hi first.
+
+    Returns
+    -------
+    (t, failed) : ndarray roots and the mask of nodes without sign change
+    """
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        span = 1.0
+        for _ in range(60):
+            bad_lo = g(lo) > 0
+            bad_hi = g(hi) < 0
+            failed = bad_lo | bad_hi
+            if not failed.any():
+                break
+            span *= 2.0
+            lo = np.where(bad_lo, lo - span, lo)
+            hi = np.where(bad_hi, hi + span, hi)
+        edge = np.where(bad_hi, hi, lo)
+        t = np.clip(t0, lo, hi)
+        live = ~failed
+        for _ in range(100):
+            if not live.any():
+                break
+            gt, dg = g(t, dt=True)
+            up = gt > 0
+            hi = np.where(up, t, hi)
+            lo = np.where(up, lo, t)
+            tn = t - gt / dg
+            tn = np.where((tn >= lo) & (tn <= hi), tn, 0.5 * (lo + hi))
+            done = np.abs(tn - t) <= _STEP_TOL * (1.0 + np.abs(t))
+            t = np.where(live, tn, t)
+            live &= ~done
+    return np.where(failed, edge, t), failed
+
+
 class _Sweeper:
     """Vectorized colored Gauss-Seidel machinery shared by the solvers."""
 
@@ -94,10 +153,15 @@ class _Sweeper:
         if opts.order == "lexicographic":
             self.node_order = [tuple(ix) for ix in
                                np.argwhere(domain.interior)]
+        self.bracket_failures = 0
         if self.mode == "const":
             self.fx0 = f.eval_grid(domain, np.zeros(domain.dims))
+        else:
+            # coefficient values, resolved once per solve
+            self.coefs = f.coef_grid(domain)
 
     def _candidate(self, values, color):
+        """Candidate values at the nodes of one color, in mask order."""
         dom = self.domain
         st = self.stencil
         arm_p, arm_m, c0, csum, eps = st.pair_arrays(values)
@@ -118,50 +182,39 @@ class _Sweeper:
             fx = self.fx0
             p2 = _phat2_eff(phat, eps_s, fx, dreg)
             t = (A - eps_s ** 2 * fx / p2) / (2.0 * c0_s)
-        else:
-            t = self._bisect(values, color, A, phat, eps_s, c0_s, dreg)
+            return t[color]
+        vals = values[dom.nonexterior]
+        u0 = values[color]
+        t, failed = self._implicit(
+            u0, A[color], phat[color], eps_s[color], c0_s[color],
+            _at(self.coefs, color), np.full(u0.shape, vals.min() - 1.0),
+            np.full(u0.shape, vals.max() + 1.0))
+        self.bracket_failures += int(failed.sum())
         return t
 
-    def _bisect(self, values, color, A, phat, eps_s, c0_s, dreg):
-        """Vector bisection of the implicit local equation.
+    def _implicit(self, u0, A, phat, eps_s, c0_s, coefs, lo, hi):
+        """Implicit local update at a set of nodes (1-D arrays).
 
-        Solves 2 c0 t - A + eps^2 f(x, t) / p2 = 0 with the gradient
-        floor p2 frozen at the incoming value; at a Gauss-Seidel fixed
-        point the frozen floor equals the current one, so fp_residual
-        vanishes there.  When no sign change can be found (f outgrowing
-        the linear term, the local blow-up mechanism) the bisection runs
-        off to the bracket edge, which the alarm check then catches.
+        Solves 2 c0 t - A + eps^2 f(x, t) / p2 = 0 by `_local_solve`
+        from the bracket [lo, hi], warm-started at the current values u0,
+        with the gradient floor p2 frozen at the incoming value; at a
+        Gauss-Seidel fixed point the frozen floor equals the current one,
+        so fp_residual vanishes there.  Returns (t, failed) as
+        `_local_solve` does.
         """
-        dom = self.domain
-        with np.errstate(invalid="ignore"):
-            fx_old = self.f.eval_grid(dom, values)
-        p2 = _phat2_eff(phat, eps_s, fx_old, dreg)
+        f = self.f
+        p2 = _phat2_eff(phat, eps_s, f.eval_nodes(u0, coefs),
+                        self.stencil.params.delta_reg)
+        eps2 = eps_s ** 2
 
-        def g(t):
-            with np.errstate(invalid="ignore"):
-                ft = self.f.eval_grid(dom, t)
-            return 2.0 * c0_s * t - A + eps_s ** 2 * ft / p2
+        def g(t, dt=False):
+            if not dt:
+                return 2.0 * c0_s * t - A + eps2 * f.eval_nodes(t, coefs) / p2
+            ft, dft = f.eval_nodes(t, coefs, dt=True)
+            return 2.0 * c0_s * t - A + eps2 * ft / p2, \
+                2.0 * c0_s + eps2 * dft / p2
 
-        vals = values[dom.nonexterior]
-        lo = np.full(dom.dims, vals.min() - 1.0)
-        hi = np.full(dom.dims, vals.max() + 1.0)
-        span = 1.0
-        for _ in range(60):
-            with np.errstate(invalid="ignore"):
-                bad_lo = color & (g(lo) > 0)
-                bad_hi = color & (g(hi) < 0)
-            if not (bad_lo.any() or bad_hi.any()):
-                break
-            span *= 2.0
-            lo = np.where(bad_lo, lo - span, lo)
-            hi = np.where(bad_hi, hi + span, hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            with np.errstate(invalid="ignore"):
-                up = g(mid) > 0
-            hi = np.where(up, mid, hi)
-            lo = np.where(up, lo, mid)
-        return 0.5 * (lo + hi)
+        return _local_solve(g, lo, hi, u0)
 
     def fp_residual(self, values):
         """Sup-norm of the regularized residual S * phat2_eff - f.
@@ -192,7 +245,11 @@ class _Sweeper:
         return float(np.abs(res[dom.interior]).max())
 
     def _candidate_at(self, node, values):
-        """Scalar candidate value at one node (sequential sweep path)."""
+        """Scalar candidate value at one node (sequential sweep path).
+
+        Raises ValueError where the implicit local solve finds no sign
+        change.
+        """
         st = self.stencil
         best, bestA, bestEps, bestC0 = None, None, None, None
         for k, p in enumerate(st.pairs):
@@ -212,44 +269,22 @@ class _Sweeper:
             if best is None or abs(dc) > abs(best):
                 best, bestA = dc, ap + am - 2.0 * cs
                 bestEps, bestC0 = p.eps, c0
-        x = self.domain.coords(node)
         dreg = st.params.delta_reg
-        u0 = values[node]
-        from .core import eval_rhs
         if self.mode == "const":
-            fx = eval_rhs(self.f, x, u0)
+            fx = float(self.fx0[node])
             p2 = float(_phat2_eff(np.asarray(best), bestEps, fx, dreg))
             return (bestA - bestEps ** 2 * fx / p2) / (2.0 * bestC0)
-        fx0 = eval_rhs(self.f, x, u0)
-        p2 = float(_phat2_eff(np.asarray(best), bestEps, fx0, dreg))
-
-        def g(t):
-            return 2.0 * bestC0 * t - bestA \
-                + bestEps ** 2 * eval_rhs(self.f, x, t) / p2
-
-        lo, hi = u0 - 1.0, u0 + 1.0
-        span = 1.0
-        for _ in range(60):
-            if g(lo) <= 0 and g(hi) >= 0:
-                break
-            span *= 2.0
-            if g(lo) > 0:
-                lo -= span
-            if g(hi) < 0:
-                hi += span
-        else:
-            raise ValueError("bisection bracket failure in local update")
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if g(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        u0, one = values[node], lambda v: np.array([float(v)])
+        t, failed = self._implicit(
+            one(u0), one(bestA), one(best), one(bestEps), one(bestC0),
+            _at(self.coefs, node), one(u0 - 1.0), one(u0 + 1.0))
+        if failed[0]:
+            raise ValueError("bracket failure in local update")
+        return float(t[0])
 
     def half_sweep(self, values, color, only_up=False, cap=None):
         t = self._candidate(values, color)
-        new = values[color] + self.theta * (t[color] - values[color])
+        new = values[color] + self.theta * (t - values[color])
         if only_up:
             new = np.maximum(values[color], new)
         clipped = False
@@ -345,7 +380,7 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
             break
     u = ScalarField(d, vals)
     rep = SolveReport(status, sweeps, res_sup, u.sup(), u.inf(),
-                      monotone=False)
+                      monotone=False, bracket_failures=sw.bracket_failures)
     return u, rep
 
 
@@ -411,7 +446,8 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
     u = ScalarField(d, vals)
     rep = SolveReport(status, sweeps, res_sup, u.sup(), u.inf(),
                       monotone=monotone,
-                      clipped=clipped and status == "converged")
+                      clipped=clipped and status == "converged",
+                      bracket_failures=sw.bracket_failures)
     return u, rep
 
 

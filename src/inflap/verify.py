@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SIGMA = 3.0 ** (4.0 / 3.0) / 4.0
+from .core import SIGMA
 
 
 @dataclass

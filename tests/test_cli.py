@@ -102,6 +102,21 @@ class TestSolveAction:
         assert float(rep["solve"]["sup"]) > 0.1
 
 
+    def test_bracket_failures_reported(self, tmp_path):
+        # -1e4 e^t outgrows the linear term at all 25 interior nodes
+        cfg = {"problem": {"domain": BALL, "h": 0.125,
+                           "rhs": "(mul (const -1e4) (exp t))",
+                           "boundary": {"constant": 0.0}},
+               "solve": {"max_sweeps": 1}}
+        code, out = _run(tmp_path, "solve", cfg)
+        assert code == 1
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["solve"]["bracket_failures"] == 25
+        code, out = _run(tmp_path, "solve", self.CFG)
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["solve"]["bracket_failures"] == 0
+
+
 class TestPerronAndProbe:
     def test_perron_action(self, tmp_path):
         cfg = {"problem": {"domain": BALL, "h": 0.125, "rhs": "(const 1)",

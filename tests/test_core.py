@@ -69,6 +69,15 @@ class TestDomains:
         assert np.array_equal(d2.mask, ball2d.mask)
         assert np.allclose(d2.origin, ball2d.origin)
 
+    @pytest.mark.parametrize("head", ["2 0.25 5", "2 0.25 5 5 5"])
+    def test_mask_header_dims_count(self, tmp_path, head):
+        # the dims fields must number exactly N
+        path = tmp_path / "bad.mask"
+        path.write_text("GRIDMASK v1\n%s\n0 0\n" % head
+                        + "BBBBB\nBIIIB\nBIIIB\nBIIIB\nBBBBB\n")
+        with pytest.raises(ValueError, match="header '%s'" % head):
+            load_mask(path)
+
 
 class TestFieldsAndTraces:
     def test_constant_field(self, ball2d):
@@ -147,3 +156,67 @@ class TestRhsSpec:
         f = RhsSpec("(add (pow t 3) (neg (exp t)))")
         lo, hi, _ = rhs_range(f, (-5.0, 5.0))
         assert lo - 1e-9 <= eval_rhs(f, None, t) <= hi + 1e-9
+
+
+def _central_difference(f, coefs, t):
+    step = 1e-6 * (1.0 + np.abs(t))
+    return (f.eval_nodes(t + step, coefs)
+            - f.eval_nodes(t - step, coefs)) / (2.0 * step)
+
+
+class TestRhsDerivative:
+    """df/dt from RhsSpec.eval_nodes against central differences."""
+
+    T = np.array([-2.5, -1.3, -0.4, 0.05, 0.3, 1.1, 2.7])
+
+    @pytest.mark.parametrize("expr", [
+        "t", "(const 2.5)", "(pow t 3)", "(pow t 2)", "(pow t 1.5)",
+        "(exp t)", "(cospow 2)", "(cospow 1.5)", "(neg (exp t))",
+        "(add t (pow t 3) (const 1))",
+        "(mul (const -0.5) (exp t) (cospow 2))",
+    ])
+    def test_ops(self, expr):
+        f = RhsSpec(expr)
+        y, dy = f.eval_nodes(self.T, {}, dt=True)
+        assert np.array_equal(y, f.eval_nodes(self.T, {}))
+        np.testing.assert_allclose(dy, _central_difference(f, {}, self.T),
+                                   rtol=1e-6, atol=1e-8)
+
+    def test_coef_array(self):
+        f = RhsSpec("(mul (coef a) (pow t 3))", coefs={"a": 1.0})
+        coefs = {"a": np.linspace(-1.0, 2.0, self.T.size)}
+        _, dy = f.eval_nodes(self.T, coefs, dt=True)
+        np.testing.assert_allclose(dy, 3.0 * coefs["a"] * self.T ** 2)
+        np.testing.assert_allclose(
+            dy, _central_difference(f, coefs, self.T), rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("g", [3.0, 1.5])
+    def test_pow_through_zero(self, g):
+        # the odd power t|t|^(g-1) has slope g|t|^(g-1), 0 at t = 0
+        t = np.array([-1e-2, 0.0, 1e-2])
+        f = RhsSpec("(pow t %g)" % g)
+        _, dy = f.eval_nodes(t, {}, dt=True)
+        np.testing.assert_allclose(dy, g * np.abs(t) ** (g - 1.0))
+        # at 0 the difference quotient is step^(g-1) (step = 1e-6)
+        np.testing.assert_allclose(dy, _central_difference(f, {}, t),
+                                   rtol=1e-6, atol=1.01e-6 ** (g - 1.0))
+
+    def test_exp_saturation(self):
+        # past t = ln(1e300) the value is clamped and the slope is 0
+        f = RhsSpec("(exp t)")
+        t = np.array([650.0, 700.0, 750.0, 1e6])
+        y, dy = f.eval_nodes(t, {}, dt=True)
+        assert y[0] == pytest.approx(np.exp(650.0))
+        assert dy[0] == pytest.approx(np.exp(650.0))
+        assert (y[1:] == 1e300).all() and (dy[1:] == 0.0).all()
+        np.testing.assert_allclose(dy[1:], _central_difference(f, {}, t[1:]))
+
+    def test_clip_both_sides(self):
+        # 3t clipped to [-2, 2]: slope 3 inside, 0 beyond either side
+        f = RhsSpec("(clip (mul (const 3) t) 2)")
+        t = np.array([-1.5, -0.8, -0.2, 0.4, 0.9, 1.7])
+        y, dy = f.eval_nodes(t, {}, dt=True)
+        np.testing.assert_allclose(y, np.clip(3.0 * t, -2.0, 2.0))
+        np.testing.assert_array_equal(dy, [0.0, 0.0, 3.0, 3.0, 0.0, 0.0])
+        np.testing.assert_allclose(dy, _central_difference(f, {}, t),
+                                   atol=1e-8)

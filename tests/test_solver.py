@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from inflap import (
     BoundaryTrace,
@@ -17,6 +18,7 @@ from inflap import (
     residual_field,
     solve_dirichlet,
 )
+from inflap.solver import _local_solve
 
 
 class TestSolveDirichlet:
@@ -131,6 +133,139 @@ class TestLocalUpdate:
         bd_node = tuple(np.argwhere(ball2d.boundary)[0])
         with pytest.raises(ValueError):
             local_update(bd_node, u, RhsSpec("(const 0)"), s)
+
+
+class TestLocalSolve:
+    """The safeguarded Newton local solve behind the implicit update."""
+
+    @staticmethod
+    def _g(f, c0, A, k):
+        def g(t, dt=False):
+            if not dt:
+                return 2.0 * c0 * t - A + k * f.eval_nodes(t, {})
+            ft, dft = f.eval_nodes(t, {}, dt=True)
+            return 2.0 * c0 * t - A + k * ft, 2.0 * c0 + k * dft
+        return g
+
+    @pytest.mark.parametrize("expr", ["(exp t)", "(neg (exp t))"])
+    def test_matches_brentq(self, expr):
+        # g = 2 c0 t - A + k f(t): increasing for f = e^t, concave for
+        # f = -e^t, where the root sought is the lower one, below the
+        # maximum at t* = ln(2 c0 / k); some nodes need bracket expansion
+        rng = np.random.default_rng(11)
+        n = 40
+        c0 = rng.uniform(0.5, 1.0, n)
+        k = rng.uniform(0.01, 0.3, n)
+        concave = expr.startswith("(neg")
+        A = rng.uniform(-1.0, 0.0, n) if concave else rng.uniform(-3, 3, n)
+        f = RhsSpec(expr)
+        t, failed = _local_solve(self._g(f, c0, A, k), np.full(n, -0.5),
+                                 np.full(n, 0.5), rng.uniform(-0.5, 0.5, n))
+        assert not failed.any()
+        for i in range(n):
+            gi = lambda x: 2.0 * c0[i] * x - A[i] \
+                + k[i] * float(f.eval_nodes(x, {}))
+            top = np.log(2.0 * c0[i] / k[i]) if concave else 50.0
+            ref = brentq(gi, -50.0, top, xtol=1e-15, rtol=1e-15)
+            assert abs(t[i] - ref) <= 1e-12 * (1.0 + abs(ref))
+
+    def test_newton_cycle_is_broken(self):
+        # plain Newton on t^3 - 2t + 2 cycles 0 -> 1 -> 0; the shrinking
+        # bracket and the bisection fallback reach the root near -1.769
+        def g(t, dt=False):
+            val = t ** 3 - 2.0 * t + 2.0
+            return (val, 3.0 * t ** 2 - 2.0) if dt else val
+
+        t, failed = _local_solve(g, np.array([-3.0]), np.array([3.0]),
+                                 np.array([0.0]))
+        ref = brentq(lambda x: x ** 3 - 2.0 * x + 2.0, -3.0, 0.0,
+                     xtol=1e-15, rtol=1e-15)
+        assert not failed[0] and abs(t[0] - ref) <= 1e-14
+
+    def test_no_sign_change_returns_edge(self):
+        # node 0: g < 0 everywhere (concave, max below 0), so hi runs off;
+        # node 1: g > 0 everywhere, so lo runs off; node 2 is regular
+        def g(t, dt=False):
+            e = np.exp(np.minimum(t, 700.0))
+            val = np.array([2 * t[0] - 5 - e[0], 1 + e[1], t[2] - 0.25])
+            der = np.array([2 - e[0], e[1], 1.0])
+            return (val, der) if dt else val
+
+        t, failed = _local_solve(g, np.full(3, -1.0), np.full(3, 1.0),
+                                 np.zeros(3))
+        reach = 2.0 ** 61 - 2.0   # 60 doubling steps 2 + 4 + ... + 2^60
+        assert failed.tolist() == [True, True, False]
+        assert t[0] == 1.0 + reach and t[1] == -1.0 - reach
+        assert t[2] == 0.25
+
+    def test_bracket_failures_counted(self, small_ball8):
+        # f = -1e4 e^t outgrows the linear term at every node: the update
+        # is the bracket edge there, counted per node and sweep; the
+        # scalar path raises instead
+        d = small_ball8
+        f = RhsSpec("(mul (const -1e4) (exp t))")
+        b = BoundaryTrace.constant(d, 0.0)
+        _, rep = solve_dirichlet(d, f, b, SolveOptions(max_sweeps=2))
+        assert rep.bracket_failures == 2 * int(d.interior.sum())
+        assert rep.sup > 1e18
+        _, rep = solve_dirichlet(d, RhsSpec("(neg (exp t))"), b,
+                                 SolveOptions(max_sweeps=2))
+        assert rep.bracket_failures == 0
+        node = tuple(np.argwhere(d.interior)[0])
+        with pytest.raises(ValueError, match="bracket failure"):
+            local_update(node, ScalarField.constant(d, 0.0), f,
+                         Stencil(d, SchemeParams()))
+
+
+class TestSeedValues:
+    """Implicit local updates agree with the earlier fixed 60 + 100-step
+    bisection to within 1e-12; reference figures recorded from it."""
+
+    # every 7th interior node, the sum, and the sum weighted by node rank
+    LOCAL = {
+        "(neg (exp t))": ([0.08553117637077734, 0.13685708804814467,
+                           0.3486405272492906, 0.24922413400725196],
+                          4.9755841045977505, 71.23246688527733),
+        "(exp t)": ([-0.05119824446115227, -0.0022036894839613866,
+                     -0.0866286944177721, 0.10491971790855228],
+                    0.27225042843151753, 11.350520632186777),
+    }
+    LEX = {
+        "(neg (exp t))": ([0.08166334240633578, 0.12953382053119653,
+                           0.05098918773187, 0.17473637998308017],
+                          2.9822268215503804, 39.636300822226325),
+        "(exp t)": ([-0.07408031031001085, -0.14493348489171975,
+                     -0.12127837606546205, -0.04464384630240052],
+                    -2.7364624254116015, -28.946155122396473),
+    }
+
+    @staticmethod
+    def _agree(v, ref):
+        every7, total, weighted = ref
+        n = len(v)
+        assert np.abs(v[::7] - every7).max() <= 1e-12
+        assert abs(v.sum() - total) <= 1e-12 * n
+        assert abs((v * np.arange(n)).sum() - weighted) <= 1e-12 * n * n
+
+    @pytest.mark.parametrize("expr", sorted(LOCAL))
+    def test_local_update(self, small_ball8, expr):
+        d = small_ball8
+        s = Stencil(d, SchemeParams())
+        u = ScalarField.from_function(
+            d, lambda p: 0.3 * p[:, 0] - 0.2 * p[:, 1] ** 2 + 0.1)
+        f = RhsSpec(expr)
+        v = np.array([local_update(tuple(n), u, f, s)
+                      for n in np.argwhere(d.interior)])
+        self._agree(v, self.LOCAL[expr])
+
+    @pytest.mark.parametrize("expr", sorted(LEX))
+    def test_lexicographic(self, small_ball8, expr):
+        d = small_ball8
+        b = BoundaryTrace.from_function(d, lambda p: 0.1 * (p[:, 0] - p[:, 1]))
+        u, _ = solve_dirichlet(d, RhsSpec(expr), b,
+                               SolveOptions(order="lexicographic",
+                                            max_sweeps=3))
+        self._agree(u.values[d.interior], self.LEX[expr])
 
 
 class TestPerron:
