@@ -90,11 +90,14 @@ def _local_solve(g, lo, hi, t0):
 
     `g(t)` gives g on the node array t and `g(t, dt=True)` the pair
     (g, dg/dt).  The bracket [lo, hi] is first widened, by doubling
-    steps, until g(lo) <= 0 <= g(hi) (at most 60 tries).  Newton then
+    steps, until g(lo) <= 0 <= g(hi) (at most 60 widenings).  Newton then
     starts from t0 clipped into the bracket.  Each step shrinks the
     bracket by the sign of g, and a step that leaves the bracket (its
-    ends count as inside) or is not finite becomes a bisection step.  A
-    node stops once its step is at rounding level relative to 1 + |t|,
+    ends count as inside), is not finite or comes from a slope that is
+    not finite becomes a bisection step.  A step shorter than the
+    rounding level h = 4 eps (1 + |t|) is lengthened to h, so that near
+    a root the bracket closes; a node stops, at the step from its last
+    point, once g vanishes there or the bracket is at most 2 h wide, and
     after at most 100 steps.  A node where no sign change was found
     (f outgrowing the linear term, the local blow-up mechanism) returns
     the bracket edge on the side where g has the wrong sign, hi first.
@@ -105,11 +108,12 @@ def _local_solve(g, lo, hi, t0):
     """
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         span = 1.0
-        for _ in range(60):
+        # 60 widenings, each followed by a check
+        for k in range(61):
             bad_lo = g(lo) > 0
             bad_hi = g(hi) < 0
             failed = bad_lo | bad_hi
-            if not failed.any():
+            if k == 60 or not failed.any():
                 break
             span *= 2.0
             lo = np.where(bad_lo, lo - span, lo)
@@ -124,9 +128,20 @@ def _local_solve(g, lo, hi, t0):
             up = gt > 0
             hi = np.where(up, t, hi)
             lo = np.where(up, lo, t)
-            tn = t - gt / dg
+            # off an exact root, an infinite or zero slope (e.g. (pow t g),
+            # g < 1, at t = 0) gives no Newton step: bisect instead
+            step = np.where(gt == 0, 0.0, gt / dg)
+            newton = np.isfinite(step) & (np.isfinite(dg) | (gt == 0))
+            tn = np.where(newton, t - step, np.nan)
             tn = np.where((tn >= lo) & (tn <= hi), tn, 0.5 * (lo + hi))
-            done = np.abs(tn - t) <= _STEP_TOL * (1.0 + np.abs(t))
+            h = _STEP_TOL * (1.0 + np.abs(t))
+            done = (gt == 0) | (hi - lo <= 2.0 * h)
+            # a step below rounding level is no proof of a root (a huge
+            # slope far from it gives one too): step h toward the root,
+            # which closes the bracket if the root is that near; t is a
+            # bracket end and the other end is over 2 h away
+            short = ~done & (np.abs(tn - t) < h)
+            tn = np.where(short, np.where(up, t - h, t + h), tn)
             t = np.where(live, tn, t)
             live &= ~done
     return np.where(failed, edge, t), failed

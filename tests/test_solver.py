@@ -169,6 +169,43 @@ class TestLocalSolve:
             ref = brentq(gi, -50.0, top, xtol=1e-15, rtol=1e-15)
             assert abs(t[i] - ref) <= 1e-12 * (1.0 + abs(ref))
 
+    @pytest.mark.parametrize("expr,t0", [
+        ("(add (const 1) (pow t 0.5))", 0.0),
+        ("(add (const 1) (pow t 0.5))", -1e-300),
+        ("(cospow 0.5)", np.pi),
+    ])
+    def test_infinite_slope_start(self, expr, t0):
+        # df/dt is infinite at t0 (|t|^(g-1) at 0, (1 + cos t)^(g-1) at
+        # pi), so the Newton step there is 0; the solve must bisect on,
+        # not stop at t0 where g != 0
+        rng = np.random.default_rng(5)
+        n = 12
+        c0 = rng.uniform(0.5, 1.0, n)
+        k = rng.uniform(0.2, 1.0, n)
+        A = rng.uniform(-1.0, 1.0, n) + 2.0 * c0 * t0
+        f = RhsSpec(expr)
+        g = self._g(f, c0, A, k)
+        t, failed = _local_solve(g, np.full(n, t0 - 1.0),
+                                 np.full(n, t0 + 1.0), np.full(n, t0))
+        assert not failed.any()
+        for i in range(n):
+            gi = lambda x: 2.0 * c0[i] * x - A[i] \
+                + k[i] * float(f.eval_nodes(x, {}))
+            ref = brentq(gi, t0 - 10.0, t0 + 10.0, xtol=1e-15, rtol=1e-15)
+            assert abs(t[i] - ref) <= 1e-12 * (1.0 + abs(ref))
+
+    def test_sign_change_on_last_widening(self):
+        # the root 1.5 * 2^60 enters the bracket only with the 60th
+        # widening (hi = 2^61 - 1); it is found, not reported as failed
+        root = 1.5 * 2.0 ** 60
+
+        def g(t, dt=False):
+            return (t - root, np.ones_like(t)) if dt else t - root
+
+        t, failed = _local_solve(g, np.array([-1.0]), np.array([1.0]),
+                                 np.array([0.0]))
+        assert not failed[0] and t[0] == root
+
     def test_newton_cycle_is_broken(self):
         # plain Newton on t^3 - 2t + 2 cycles 0 -> 1 -> 0; the shrinking
         # bracket and the bisection fallback reach the root near -1.769
@@ -197,6 +234,16 @@ class TestLocalSolve:
         assert failed.tolist() == [True, True, False]
         assert t[0] == 1.0 + reach and t[1] == -1.0 - reach
         assert t[2] == 0.25
+
+    def test_zero_start_converges(self, small_ball8):
+        # zero boundary data starts every node at t = 0, where the slope
+        # of (pow t 0.5) is infinite; the solve still converges
+        d = small_ball8
+        f = RhsSpec("(add (const 1) (pow t 0.5))")
+        b = BoundaryTrace.constant(d, 0.0)
+        u, rep = solve_dirichlet(d, f, b, SolveOptions(max_sweeps=2000))
+        assert rep.status == "converged" and rep.bracket_failures == 0
+        assert u.values[d.interior].max() < 0.0
 
     def test_bracket_failures_counted(self, small_ball8):
         # f = -1e4 e^t outgrows the linear term at every node: the update
