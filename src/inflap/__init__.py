@@ -14,9 +14,8 @@ from .scheme import (SchemeParams, Stencil, apply_inf_lap, build_stencil,
 from .solver import (SolveOptions, SolveReport, local_update,
                      perron_solve, probe_nonexistence, solve_dirichlet)
 from .radial import (MonotoneRhs1D, RadialProfile, build_profile, cone_field,
-                     cumulative_H, exact_family, family_a, monotone_smooth,
-                     ode_residual, power_subsolution, save_profile, zeta,
-                     zeta_bounds)
+                     cumulative_H, exact_family, family_a, ode_residual,
+                     power_subsolution, save_profile, zeta, zeta_bounds)
 from .criteria import (SIGMA3, CriteriaReport, GrowthClass, apriori_box, c_eta,
                        cubic_smallness, dd3_check, diam_threshold,
                        eigen_bracket, growth_class, nonexistence_radius)
@@ -33,9 +32,8 @@ __all__ = [
     "SIGMA3", "SolveOptions", "SolveReport", "local_update", "perron_solve",
     "probe_nonexistence", "solve_dirichlet",
     "MonotoneRhs1D", "RadialProfile", "build_profile", "cone_field",
-    "cumulative_H", "exact_family", "family_a", "monotone_smooth",
-    "ode_residual", "power_subsolution", "save_profile", "zeta",
-    "zeta_bounds",
+    "cumulative_H", "exact_family", "family_a", "ode_residual",
+    "power_subsolution", "save_profile", "zeta", "zeta_bounds",
     "CriteriaReport", "GrowthClass", "apriori_box", "c_eta",
     "cubic_smallness", "dd3_check", "diam_threshold", "eigen_bracket",
     "growth_class", "nonexistence_radius",

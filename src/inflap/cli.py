@@ -1,8 +1,8 @@
 """Command-line entry point: config parsing, runs, and export.
 
-Usage: inflap <action> --config <path> [--out <dir>] [--h <spacing>]
-[--seed <int>], with action one of solve, perron, probe, radial, family,
-criteria, verify.  Configs are JSON; unknown keys are rejected.  Reports
+Usage: inflap <action> --config <path> [--out <dir>] [--h <spacing>],
+with action one of solve, perron, probe, radial, family, criteria,
+verify.  Configs are JSON; unknown keys are rejected.  Reports
 are JSON with sorted keys and %.12e floats so identical configs give
 byte-identical output; fields export as CSV with one `x...,value` row
 per non-exterior node.
@@ -412,10 +412,7 @@ def main(argv=None):
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=".")
     ap.add_argument("--h", type=float, default=None)
-    ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args(argv)
-    if args.seed is not None:
-        np.random.seed(args.seed)
     try:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())

@@ -55,15 +55,6 @@ class MonotoneRhs1D:
         return _eval_tree(self.tree, {}, np.asarray(t, dtype=float))
 
 
-def monotone_smooth(m):
-    """Continuity envelope preprocessing.
-
-    The expression grammar only produces continuous h, so the averaged
-    envelope would be the identity here; returned unchanged.
-    """
-    return m
-
-
 def cumulative_H(m, t):
     """H(t) = int_ell^t h(s) ds by adaptive quadrature (rel tol 1e-10)."""
     t = float(t)
@@ -85,14 +76,28 @@ def _tail_Q(m, a, tau):
     return val
 
 
+def _prefactor(p):
+    """The admissible prefactors: 1.0 and 1/sqrt(2), the latter to 4 ulp.
+
+    JSON's 0.7071067811865476 (np.sqrt(0.5)) is one ulp above
+    1/np.sqrt(2.0); it is returned as that canonical value.
+    """
+    root = 1.0 / np.sqrt(2.0)
+    if isinstance(p, (int, float, np.integer, np.floating)):
+        if p == 1:
+            return 1.0
+        if abs(p - root) <= 4 * np.spacing(root):
+            return root
+    raise ValueError("prefactor must be 1 or 1/sqrt(2)")
+
+
 def zeta(m, a, prefactor):
     """zeta(a) = prefactor * int_ell^a (H(a) - H(t))^(-1/4) dt.
 
     Plain adaptive quadrature away from t = a; the substitution
     t = a - tau^4 on the last subinterval kills the singularity.
     """
-    if prefactor not in (1, 1.0, 1.0 / np.sqrt(2.0)):
-        raise ValueError("prefactor must be 1 or 1/sqrt(2)")
+    prefactor = _prefactor(prefactor)
     if a <= m.ell:
         raise ValueError("zeta needs a > ell")
     span = a - m.ell
@@ -210,8 +215,7 @@ def build_profile(m, a, prefactor, n=2000):
     """
     if a <= m.ell:
         raise ValueError("build_profile needs a > ell")
-    if prefactor not in (1, 1.0, 1.0 / np.sqrt(2.0)):
-        raise ValueError("prefactor must be 1 or 1/sqrt(2)")
+    prefactor = _prefactor(prefactor)
     tau, r = _profile_tables(m, a, prefactor, n)
     phi = a - tau ** 4
     # orient with r increasing from the vertex; pin the endpoints exactly

@@ -17,6 +17,17 @@ Two stencil modes:
   curvature error the averaging would otherwise add to the second
   difference.  All weights positive, so monotonicity is preserved; the
   worst angular gap between directions is halved.
+
+Evaluation gathers.  The stencil lays each pair out as J read slots
+(plus-arm nodes, minus-arm nodes, then the two nodes of each correction
+entry, shorter patterns padded with weight 0).  `Stencil.gather` turns a
+node set into one (J, K, n) table of flat indices into values.ravel()
+with a NaN slot (the arms of a pair cut off at that node) and a 0 slot
+(padding, and the corrections of a cut-off pair) appended, and
+`Stencil.pair_arrays` reads a table in one fancy-index gather, touching
+only the requested nodes.  `_select` picks the steepest pair from the
+gathered arms for every caller: the solver's local update and residual,
+`inf_lap_field` and `apply_inf_lap`.
 """
 
 from dataclasses import dataclass, field
@@ -121,89 +132,125 @@ def _build_pairs(params, N, h):
     return pairs
 
 
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """Gather indices of every pair at a fixed node set (`Stencil.gather`).
+
+    flat holds the nodes' indices into values.ravel().  idx[j, k, i]
+    indexes values.ravel() with a NaN slot and a 0 slot appended: slot j
+    of pair k at node i, in the layout of `Stencil`.
+    """
+    flat: np.ndarray     # (n,)
+    idx: np.ndarray      # (J, K, n)
+
+    def part(self, i):
+        """The table of the i-th node alone (a view, nothing rebuilt)."""
+        return _Table(self.flat[i:i + 1], self.idx[:, :, i:i + 1])
+
+
 class Stencil:
     """Per-domain direction pairs with boundary-truncation availability.
 
     A pair survives at a node only when every node it reads (both arm
     patterns and the correction pattern) is non-exterior.  The axis pairs
     always survive at interior nodes; a node with fewer than N surviving
-    pairs raises a degenerate-stencil error.
+    pairs raises a degenerate-stencil error.  `interior` is the gather
+    table of the interior nodes (see the module docstring).
     """
 
     def __init__(self, domain, params):
         self.domain = domain
         self.params = params
         self.pairs = _build_pairs(params, domain.N, domain.h)
-        self.pad = max(params.w, 1) if not params.refined else params.w + 1
-        ok_pad = np.zeros(tuple(d + 2 * self.pad for d in domain.dims),
-                          dtype=bool)
-        core = tuple(slice(self.pad, self.pad + d) for d in domain.dims)
-        ok_pad[core] = domain.mask != EXTERIOR
-        self._ok_pad = ok_pad
-        avail = []
-        for p in self.pairs:
-            ok = np.ones(domain.dims, dtype=bool)
-            reads = [off for off, _ in p.plus] + [off for off, _ in p.minus]
-            for off, _ in p.corr:
-                reads.append(off)
-                reads.append(tuple(-c for c in off))
-            for off in reads:
-                ok &= self._shift_bool(off)
-            avail.append(ok)
-        self.avail = np.stack(avail, axis=0)
+        K, M = len(self.pairs), domain.mask.size
+        pad = params.w + 1 if params.refined else params.w
+        ok_pad = np.zeros(tuple(d + 2 * pad for d in domain.dims), dtype=bool)
+        ok_pad[tuple(slice(pad, pad + d) for d in domain.dims)] = \
+            domain.mask != EXTERIOR
+        P = max(len(p.plus) for p in self.pairs)
+        J = 2 * P + 2 * max(len(p.corr) for p in self.pairs)
+        strides = np.cumprod((1,) + domain.dims[:0:-1])[::-1]
+        delta = np.zeros((J, K), dtype=np.intp)
+        wts = np.zeros((J, K))
+        used = np.zeros((J, K), dtype=bool)
+        self.avail = np.ones((K,) + domain.dims, dtype=bool)
+        self._c0 = np.ones(K)
+        for k, p in enumerate(self.pairs):
+            corr = []
+            for off, wt in p.corr:
+                corr += [(off, wt), (tuple(-o for o in off), wt)]
+                self._c0[k] -= 2 * wt
+            for j0, pattern in ((0, p.plus), (P, p.minus), (2 * P, corr)):
+                for j, (off, wt) in enumerate(pattern, j0):
+                    delta[j, k], wts[j, k] = np.dot(off, strides), wt
+                    used[j, k] = True
+                    self.avail[k] &= ok_pad[tuple(
+                        slice(pad + o, pad + o + d)
+                        for o, d in zip(off, domain.dims))]
         counts = self.avail[:, domain.interior].sum(axis=0)
         if counts.size and counts.min() < domain.N:
             raise ValueError("degenerate stencil: an interior node kept "
                              "fewer than N direction pairs")
+        # arm slots of an unavailable pair read the NaN slot; correction
+        # slots and padding read the 0 slot
+        fill = np.where(used, M, M + 1)
+        fill[2 * P:] = M + 1
+        self._P, self._J = P, J
+        self._delta, self._wts, self._fill, self._used = delta, wts, fill, used
+        self._eps = np.array([p.eps for p in self.pairs])
+        self._tail = np.array([np.nan, 0.0])
+        self.interior = self.gather(domain.interior)
 
-    def _shift_bool(self, off):
-        sl = tuple(slice(self.pad + o, self.pad + o + d)
-                   for o, d in zip(off, self.domain.dims))
-        return self._ok_pad[sl]
+    def gather(self, nodes):
+        """Gather table of a node set, for `pair_arrays`.
 
-    def _padded(self, vals):
-        out = np.full(tuple(d + 2 * self.pad for d in self.domain.dims),
-                      np.nan)
-        core = tuple(slice(self.pad, self.pad + d) for d in self.domain.dims)
-        out[core] = vals
-        return out
+        `nodes` is a boolean mask over the grid, an index tuple as
+        np.nonzero gives, or one node's index tuple.  Build a table once
+        per node set and pass it to every `pair_arrays` call on that set.
+        """
+        if isinstance(nodes, np.ndarray) and nodes.dtype == bool:
+            nodes = np.nonzero(nodes)
+        flat = np.ravel_multi_index(tuple(np.atleast_1d(c) for c in nodes),
+                                    self.domain.dims)
+        ok = self.avail.reshape(len(self.pairs), -1)[:, flat]
+        idx = np.where(self._used[:, :, None] & ok,
+                       flat + self._delta[:, :, None], self._fill[:, :, None])
+        return _Table(flat, idx)
 
-    def _shift(self, padded, off):
-        sl = tuple(slice(self.pad + o, self.pad + o + d)
-                   for o, d in zip(off, self.domain.dims))
-        return padded[sl]
+    def pair_arrays(self, values, nodes):
+        """Arm values and corrected center per pair at a node set.
 
-    def pair_arrays(self, values):
-        """Arm values and corrected center per pair, vectorized.
+        Parameters
+        ----------
+        values : array of shape domain.dims
+        nodes : a table from `gather`, or anything `gather` accepts
 
         Returns
         -------
-        arm_p, arm_m : (K, dims) arrays, NaN where the pair is unavailable
+        arm_p, arm_m : (K, n) arrays, NaN where the pair is unavailable
         c0 : (K,) center weight after correction
-        csum : (K, dims) correction contribution from neighbor values
+        csum : (K, n) correction contribution from neighbor values, 0
+            where the pair is unavailable
         eps : (K,) physical arm lengths
+
+        Columns follow the order of the node set (np.nonzero order for a
+        mask).
         """
-        padded = self._padded(values)
-        K = len(self.pairs)
-        shp = (K,) + self.domain.dims
-        arm_p = np.full(shp, np.nan)
-        arm_m = np.full(shp, np.nan)
-        csum = np.zeros(shp)
-        c0 = np.ones(K)
-        eps = np.array([p.eps for p in self.pairs])
-        for k, p in enumerate(self.pairs):
-            ap = sum(wt * self._shift(padded, off) for off, wt in p.plus)
-            am = sum(wt * self._shift(padded, off) for off, wt in p.minus)
-            for off, wt in p.corr:
-                neg = tuple(-c for c in off)
-                csum[k] += wt * (self._shift(padded, off)
-                                 + self._shift(padded, neg))
-                c0[k] -= 2 * wt
-            ok = self.avail[k]
-            arm_p[k] = np.where(ok, ap, np.nan)
-            arm_m[k] = np.where(ok, am, np.nan)
-            csum[k] = np.where(ok, csum[k], 0.0)
-        return arm_p, arm_m, c0, csum, eps
+        tab = nodes if isinstance(nodes, _Table) else self.gather(nodes)
+        if values.shape != self.domain.dims:
+            raise ValueError("values must have the shape of the grid")
+        g = np.concatenate((values.ravel(), self._tail))[tab.idx]
+        g *= self._wts[:, :, None]
+        P = self._P
+        # slot by slot in pattern order: the sums of a per-node loop
+        arm_p, arm_m = g[0], g[P]
+        for j in range(1, P):
+            arm_p = arm_p + g[j]
+            arm_m = arm_m + g[P + j]
+        csum = np.zeros(arm_p.shape)
+        for j in range(2 * P, self._J, 2):
+            csum = csum + (g[j] + g[j + 1])
+        return arm_p, arm_m, self._c0, csum, self._eps
 
 
 def build_stencil(domain, w=2, params=None):
@@ -214,13 +261,35 @@ def build_stencil(domain, w=2, params=None):
 
 
 def _select(arm_p, arm_m, eps):
-    """Steepest-pair selection by largest centered quotient magnitude."""
+    """Steepest pair per node, by largest centered quotient magnitude.
+
+    Takes (K, n) arm arrays; ties go to the lowest k, the
+    lexicographically smallest offset, and an unavailable (NaN) pair is
+    never picked over an available one.  Returns (k, pick, phat): the
+    pair index per node, the flat indices that pick each node's steepest
+    entry out of a C-ordered (K, n) array (`a.take(pick)`), and the
+    steepest centered quotient.
+    """
     with np.errstate(invalid="ignore"):
-        dc = (arm_p - arm_m) / (2.0 * eps.reshape((-1,) + (1,) * (arm_p.ndim - 1)))
-    score = np.abs(dc)
-    score = np.where(np.isnan(score), -np.inf, score)
-    ksel = np.argmax(score, axis=0)
-    return dc, ksel
+        dc = (arm_p - arm_m) / (2.0 * eps[:, None])
+    # fmax maps NaN to -1, below every |dc|
+    k = np.argmax(np.fmax(np.abs(dc), -1.0), axis=0)
+    pick = k * k.size + np.arange(k.size)
+    return k, pick, dc.take(pick)
+
+
+def _steepest(values, stencil, table):
+    """(S, phat, eps) along the steepest pair at the nodes of a table.
+
+    S is the corrected second difference, phat the centered slope and eps
+    the arm length of the pair `_select` picks.
+    """
+    arm_p, arm_m, c0, csum, eps = stencil.pair_arrays(values, table)
+    k, pick, phat = _select(arm_p, arm_m, eps)
+    u0c = c0[k] * values.take(table.flat) + csum.take(pick)
+    with np.errstate(invalid="ignore"):
+        S = (arm_p.take(pick) + arm_m.take(pick) - 2.0 * u0c) / eps[k] ** 2
+    return S, phat, eps[k]
 
 
 def inf_lap_field(values, stencil):
@@ -229,18 +298,10 @@ def inf_lap_field(values, stencil):
     Returns an array with the operator value at interior nodes and NaN
     elsewhere.
     """
-    dom = stencil.domain
-    arm_p, arm_m, c0, csum, eps = stencil.pair_arrays(values)
-    dc, ksel = _select(arm_p, arm_m, eps)
-    idx = np.expand_dims(ksel, 0)
-    sel = lambda a: np.take_along_axis(a, idx, axis=0)[0]
-    shape1 = (-1,) + (1,) * dom.N
-    u0c = c0.reshape(shape1) * values + csum
-    with np.errstate(invalid="ignore"):
-        S = (arm_p + arm_m - 2.0 * u0c) / eps.reshape(shape1) ** 2
-    phat = sel(dc)
-    out = sel(S) * phat ** 2
-    return np.where(dom.interior, out, np.nan)
+    S, phat, _ = _steepest(values, stencil, stencil.interior)
+    out = np.full(stencil.domain.dims, np.nan)
+    out.put(stencil.interior.flat, S * phat ** 2)
+    return out
 
 
 def apply_inf_lap(u, node, s, p=None):
@@ -256,8 +317,8 @@ def apply_inf_lap(u, node, s, p=None):
     node = tuple(node)
     if u.domain.mask[node] != 2:
         raise ValueError("apply_inf_lap needs an interior node")
-    vals = inf_lap_field(u.values, s)
-    return float(vals[node])
+    S, phat, _ = _steepest(u.values, s, s.gather(node))
+    return float(S[0] * phat[0] ** 2)
 
 
 def residual_field(u, f, s, p=None):

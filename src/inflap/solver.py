@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import SIGMA, RhsSpec, ScalarField
-from .scheme import SchemeParams, Stencil, inf_lap_field, residual_field
+from .scheme import SchemeParams, Stencil, _select, _steepest
 
 # a local-solve step this small relative to 1 + |t| is rounding noise
 _STEP_TOL = 4.0 * np.finfo(float).eps
@@ -80,9 +80,9 @@ def _phat2_eff(phat, eps, fscale, delta_reg):
     return np.maximum(np.maximum(phat ** 2, floor), delta_reg)
 
 
-def _at(coefs, index):
-    """Coefficient values at a node selection (mask or index tuple)."""
-    return {k: v[index] if np.ndim(v) else v for k, v in coefs.items()}
+def _at(coefs, flat):
+    """Coefficient values at the nodes with flat grid indices `flat`."""
+    return {k: v.take(flat) if np.ndim(v) else v for k, v in coefs.items()}
 
 
 def _local_solve(g, lo, hi, t0):
@@ -148,26 +148,33 @@ def _local_solve(g, lo, hi, t0):
 
 
 class _Sweeper:
-    """Vectorized colored Gauss-Seidel machinery shared by the solvers."""
+    """Vectorized colored Gauss-Seidel machinery shared by the solvers.
+
+    `tables` holds the gather tables of the update groups in sweep order:
+    the two colors, or one per node in lexicographic order.  Implicit
+    solves bracket at the iterate's range +- 1 and count failures, or in
+    lexicographic order at u0 +- 1 and raise on failure.
+    """
 
     def __init__(self, domain, f, stencil, opts):
         self.domain = domain
         self.f = f
         self.stencil = stencil
-        self.opts = opts
         self.mode = _mode_of(f)
         # undamped colored sweeps can enter a period-2 cycle when f
         # depends on t (the frozen slope couples neighboring updates),
         # so t-dependent modes default to averaging damping
         self.theta = opts.damping if opts.damping is not None \
             else (1.0 if self.mode == "const" else 0.5)
-        idx = np.indices(domain.dims).sum(axis=0)
-        self.colors = [domain.interior & (idx % 2 == 0),
-                       domain.interior & (idx % 2 == 1)]
-        self.node_order = None
-        if opts.order == "lexicographic":
-            self.node_order = [tuple(ix) for ix in
-                               np.argwhere(domain.interior)]
+        self.interior = stencil.interior
+        self.sequential = opts.order == "lexicographic"
+        if self.sequential:
+            self.tables = [self.interior.part(i)
+                           for i in range(self.interior.flat.size)]
+        else:
+            parity = np.indices(domain.dims).sum(axis=0) % 2
+            self.tables = [stencil.gather(domain.interior & (parity == c))
+                           for c in (0, 1)]
         self.bracket_failures = 0
         if self.mode == "const":
             self.fx0 = f.eval_grid(domain, np.zeros(domain.dims))
@@ -175,35 +182,28 @@ class _Sweeper:
             # coefficient values, resolved once per solve
             self.coefs = f.coef_grid(domain)
 
-    def _candidate(self, values, color):
-        """Candidate values at the nodes of one color, in mask order."""
-        dom = self.domain
+    def _candidate(self, values, tab):
+        """Candidate values at the nodes of a gather table, in its order."""
         st = self.stencil
-        arm_p, arm_m, c0, csum, eps = st.pair_arrays(values)
-        shape1 = (-1,) + (1,) * dom.N
-        with np.errstate(invalid="ignore"):
-            dc = (arm_p - arm_m) / (2.0 * eps.reshape(shape1))
-        score = np.where(np.isnan(dc), -np.inf, np.abs(dc))
-        ksel = np.argmax(score, axis=0)
-        take = lambda a: np.take_along_axis(
-            a, np.expand_dims(ksel, 0), axis=0)[0]
-        A = take(arm_p) + take(arm_m) - 2.0 * take(csum)
-        phat = take(dc)
-        eps_s = eps[ksel]
-        c0_s = c0[ksel]
-        dreg = st.params.delta_reg
-
+        arm_p, arm_m, c0, csum, eps = st.pair_arrays(values, tab)
+        k, pick, phat = _select(arm_p, arm_m, eps)
+        A = arm_p.take(pick) + arm_m.take(pick) - 2.0 * csum.take(pick)
+        eps_s, c0_s = eps[k], c0[k]
         if self.mode == "const":
-            fx = self.fx0
-            p2 = _phat2_eff(phat, eps_s, fx, dreg)
-            t = (A - eps_s ** 2 * fx / p2) / (2.0 * c0_s)
-            return t[color]
-        vals = values[dom.nonexterior]
-        u0 = values[color]
-        t, failed = self._implicit(
-            u0, A[color], phat[color], eps_s[color], c0_s[color],
-            _at(self.coefs, color), np.full(u0.shape, vals.min() - 1.0),
-            np.full(u0.shape, vals.max() + 1.0))
+            fx = self.fx0.take(tab.flat)
+            p2 = _phat2_eff(phat, eps_s, fx, st.params.delta_reg)
+            return (A - eps_s ** 2 * fx / p2) / (2.0 * c0_s)
+        u0 = values.take(tab.flat)
+        if self.sequential:
+            lo, hi = u0 - 1.0, u0 + 1.0
+        else:
+            vals = values[self.domain.nonexterior]
+            lo = np.full(u0.shape, vals.min() - 1.0)
+            hi = np.full(u0.shape, vals.max() + 1.0)
+        t, failed = self._implicit(u0, A, phat, eps_s, c0_s,
+                                   _at(self.coefs, tab.flat), lo, hi)
+        if self.sequential and failed.any():
+            raise ValueError("bracket failure in local update")
         self.bracket_failures += int(failed.sum())
         return t
 
@@ -239,95 +239,33 @@ class _Sweeper:
         where the discrete gradient degenerates (e.g. interior extrema,
         where the raw S * phat^2 residual cannot go below |f|).
         """
-        dom = self.domain
-        st = self.stencil
-        arm_p, arm_m, c0, csum, eps = st.pair_arrays(values)
-        shape1 = (-1,) + (1,) * dom.N
+        S, phat, eps_s = _steepest(values, self.stencil, self.interior)
         with np.errstate(invalid="ignore"):
-            dc = (arm_p - arm_m) / (2.0 * eps.reshape(shape1))
-        score = np.where(np.isnan(dc), -np.inf, np.abs(dc))
-        ksel = np.argmax(score, axis=0)
-        take = lambda a: np.take_along_axis(
-            a, np.expand_dims(ksel, 0), axis=0)[0]
-        u0c = c0[ksel] * values + take(csum)
-        eps_s = eps[ksel]
-        with np.errstate(invalid="ignore"):
-            S = (take(arm_p) + take(arm_m) - 2.0 * u0c) / eps_s ** 2
             fx = self.fx0 if self.mode == "const" \
-                else self.f.eval_grid(dom, values)
-        p2 = _phat2_eff(take(dc), eps_s, fx, st.params.delta_reg)
-        res = S * p2 - fx
-        return float(np.abs(res[dom.interior]).max())
+                else self.f.eval_grid(self.domain, values)
+        fx = fx.take(self.interior.flat)
+        p2 = _phat2_eff(phat, eps_s, fx, self.stencil.params.delta_reg)
+        return float(np.abs(S * p2 - fx).max())
 
-    def _candidate_at(self, node, values):
-        """Scalar candidate value at one node (sequential sweep path).
-
-        Raises ValueError where the implicit local solve finds no sign
-        change.
-        """
-        st = self.stencil
-        best, bestA, bestEps, bestC0 = None, None, None, None
-        for k, p in enumerate(st.pairs):
-            if not st.avail[k][node]:
-                continue
-            ap = sum(wt * values[tuple(n + o for n, o in zip(node, off))]
-                     for off, wt in p.plus)
-            am = sum(wt * values[tuple(n + o for n, o in zip(node, off))]
-                     for off, wt in p.minus)
-            cs, c0 = 0.0, 1.0
-            for off, wt in p.corr:
-                up = tuple(n + o for n, o in zip(node, off))
-                dn = tuple(n - o for n, o in zip(node, off))
-                cs += wt * (values[up] + values[dn])
-                c0 -= 2.0 * wt
-            dc = (ap - am) / (2.0 * p.eps)
-            if best is None or abs(dc) > abs(best):
-                best, bestA = dc, ap + am - 2.0 * cs
-                bestEps, bestC0 = p.eps, c0
-        dreg = st.params.delta_reg
-        if self.mode == "const":
-            fx = float(self.fx0[node])
-            p2 = float(_phat2_eff(np.asarray(best), bestEps, fx, dreg))
-            return (bestA - bestEps ** 2 * fx / p2) / (2.0 * bestC0)
-        u0, one = values[node], lambda v: np.array([float(v)])
-        t, failed = self._implicit(
-            one(u0), one(bestA), one(best), one(bestEps), one(bestC0),
-            _at(self.coefs, node), one(u0 - 1.0), one(u0 + 1.0))
-        if failed[0]:
-            raise ValueError("bracket failure in local update")
-        return float(t[0])
-
-    def half_sweep(self, values, color, only_up=False, cap=None):
-        t = self._candidate(values, color)
-        new = values[color] + self.theta * (t - values[color])
+    def half_sweep(self, values, tab, only_up=False, cap=None):
+        t = self._candidate(values, tab)
+        old = values.take(tab.flat)
+        new = old + self.theta * (t - old)
         if only_up:
-            new = np.maximum(values[color], new)
+            new = np.maximum(old, new)
         clipped = False
         if cap is not None:
-            capped = np.minimum(new, cap[color])
-            clipped = bool((new > cap[color] + 1e-12).any())
-            new = capped
-        values[color] = new
+            top = cap.take(tab.flat)
+            clipped = bool((new > top + 1e-12).any())
+            new = np.minimum(new, top)
+        values.put(tab.flat, new)
         return clipped
 
     def full_sweep(self, values, only_up=False, cap=None):
-        """One sweep; colored vectorized path or sequential lexicographic."""
+        """One sweep: each update group of `tables` in turn."""
         clipped = False
-        if self.node_order is None:
-            for color in self.colors:
-                clipped |= self.half_sweep(values, color,
-                                           only_up=only_up, cap=cap)
-            return clipped
-        for node in self.node_order:
-            t = self._candidate_at(node, values)
-            new = values[node] + self.theta * (t - values[node])
-            if only_up:
-                new = max(values[node], new)
-            if cap is not None:
-                if new > cap[node] + 1e-12:
-                    clipped = True
-                new = min(new, cap[node])
-            values[node] = new
+        for tab in self.tables:
+            clipped |= self.half_sweep(values, tab, only_up=only_up, cap=cap)
         return clipped
 
 
@@ -341,9 +279,9 @@ def local_update(node, u, f, s, p=None):
     node = tuple(node)
     if u.domain.mask[node] != 2:
         raise ValueError("local_update needs an interior node")
-    opts = SolveOptions(damping=1.0)
+    opts = SolveOptions(damping=1.0, order="lexicographic")
     sw = _Sweeper(u.domain, f, s, opts)
-    return float(sw._candidate_at(node, u.values))
+    return float(sw._candidate(u.values, s.gather(node))[0])
 
 
 def _init_harmonic(domain, b, stencil, opts, tol):

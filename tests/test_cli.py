@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from inflap import MonotoneRhs1D, build_profile
 from inflap.cli import ConfigError, main, parse_config
 
 
@@ -163,6 +164,20 @@ class TestRadialAction:
         assert lines[1] == "r,phi"
         rep = json.loads((out / "report.json").read_text())
         assert float(rep["profile"]["ode_residual"]) < 1e-3
+
+    def test_json_inverse_sqrt2_prefactor(self, tmp_path):
+        # json.dumps(np.sqrt(0.5)) gives this value, one ulp above
+        # 1/np.sqrt(2.0); it must read as the 1/sqrt(2) prefactor
+        cfg = {"radial": {"m": "(exp t)", "ell": 0.0, "a": 1.0,
+                          "prefactor": 0.7071067811865476, "n": 400}}
+        code, out = _run(tmp_path, "radial", cfg)
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())["profile"]
+        ref = build_profile(MonotoneRhs1D("(exp t)", 0.0), 1.0,
+                            1.0 / np.sqrt(2.0), n=400)
+        assert float(rep["prefactor"]) == pytest.approx(ref.prefactor,
+                                                        rel=1e-12)
+        assert float(rep["R"]) == pytest.approx(ref.R, rel=1e-11)
 
 
 class TestFamilyAction:

@@ -60,6 +60,19 @@ class TestZeta:
             zeta(m, -1.0, 1.0)
         with pytest.raises(ValueError):
             zeta(m, 1.0, 0.7)
+        with pytest.raises(ValueError):
+            zeta(m, 1.0, "1")
+
+    def test_prefactor_within_ulps(self):
+        # np.sqrt(0.5) is one ulp above 1/np.sqrt(2.0): same prefactor
+        m = MonotoneRhs1D("(exp t)", 0.0)
+        root = 1.0 / np.sqrt(2.0)
+        assert zeta(m, 1.0, np.sqrt(0.5)) == zeta(m, 1.0, root)
+        assert zeta(m, 1.0, np.int64(1)) == zeta(m, 1.0, 1.0)
+        prof = build_profile(m, 1.0, float(np.sqrt(0.5)), n=200)
+        assert prof.prefactor == root
+        with pytest.raises(ValueError):
+            zeta(m, 1.0, root + 1e-9)
 
     def test_bounds_sandwich_zeta(self):
         # the closed-form sandwich at t = ell must bracket the integral

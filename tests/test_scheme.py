@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from inflap import (GridDomain, INTERIOR, BOUNDARY, RhsSpec, ScalarField,
-                    SchemeParams, Stencil, apply_inf_lap, build_domain,
-                    build_stencil, cone_field, inf_lap_field, residual_field)
+from inflap import (EXTERIOR, GridDomain, INTERIOR, BOUNDARY, RhsSpec,
+                    ScalarField, SchemeParams, Stencil, apply_inf_lap,
+                    build_domain, build_stencil, cone_field, inf_lap_field,
+                    residual_field)
 
 SIGMA = 3.0 ** (4.0 / 3.0) / 4.0
 
@@ -123,3 +124,86 @@ class TestStencilStructure:
     def test_bad_params(self):
         with pytest.raises(ValueError):
             SchemeParams(w=0)
+
+
+def _reference_pair_arrays(st, values):
+    """Full-grid (K, dims) pair arrays by a loop over nodes and patterns.
+
+    A pair is available where every node it reads lies on the grid and is
+    not exterior; elsewhere its arms are NaN and its correction sum is 0.
+    """
+    d = st.domain
+    K = len(st.pairs)
+    arm_p = np.full((K,) + d.dims, np.nan)
+    arm_m = np.full((K,) + d.dims, np.nan)
+    csum = np.zeros((K,) + d.dims)
+    for k, p in enumerate(st.pairs):
+        reads = [off for off, _ in p.plus + p.minus]
+        reads += [s * np.array(off) for off, _ in p.corr for s in (1, -1)]
+        for node in np.ndindex(d.dims):
+            at = [tuple(int(n + o) for n, o in zip(node, off))
+                  for off in reads]
+            if not all(all(0 <= c < m for c, m in zip(q, d.dims))
+                       and d.mask[q] != EXTERIOR for q in at):
+                continue
+            val = lambda off: values[tuple(n + o for n, o in zip(node, off))]
+            arm_p[k][node] = sum(wt * val(off) for off, wt in p.plus)
+            arm_m[k][node] = sum(wt * val(off) for off, wt in p.minus)
+            csum[k][node] = sum(wt * (val(off) + val(tuple(-o for o in off)))
+                                for off, wt in p.corr)
+    return arm_p, arm_m, csum
+
+
+def _ball(N, h):
+    return build_domain({"kind": "ball", "center": [0.0] * N, "R": 1.0}, h)
+
+
+class TestGatheredKernel:
+    CASES = {"2d-integer": (2, 1.0 / 8, SchemeParams()),
+             "2d-refined": (2, 1.0 / 8, SchemeParams(refined=True)),
+             "2d-w3": (2, 1.0 / 8, SchemeParams(w=3)),
+             "3d-integer": (3, 0.25, SchemeParams()),
+             "3d-refined": (3, 0.25, SchemeParams(w=1, refined=True))}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_grid_reference(self, case, rng):
+        N, h, params = self.CASES[case]
+        d = _ball(N, h)
+        st = Stencil(d, params)
+        vals = np.where(d.nonexterior, rng.standard_normal(d.dims), np.nan)
+        ref_p, ref_m, ref_c = _reference_pair_arrays(st, vals)
+        ne = np.nonzero(d.nonexterior)
+        order = rng.permutation(ne[0].size)
+        some = tuple(c[order[:25]] for c in ne)
+        node = tuple(int(c[order[0]]) for c in ne)
+        for nodes, at in ((d.nonexterior, ne), (st.gather(some), some),
+                          (node, tuple(np.array([c]) for c in node))):
+            arm_p, arm_m, c0, csum, eps = st.pair_arrays(vals, nodes)
+            np.testing.assert_array_equal(arm_p, ref_p[(slice(None),) + at])
+            np.testing.assert_array_equal(arm_m, ref_m[(slice(None),) + at])
+            np.testing.assert_array_equal(csum, ref_c[(slice(None),) + at])
+        assert np.array_equal(c0, [1.0 - 2 * sum(w for _, w in p.corr)
+                                   for p in st.pairs])
+        assert np.array_equal(eps, [p.eps for p in st.pairs])
+        # truncated pairs at interior nodes: NaN arms, zero correction
+        arm_p, arm_m, _, csum, _ = st.pair_arrays(vals, d.interior)
+        cut = ~st.avail[:, d.interior]
+        assert cut.any()
+        assert np.isnan(arm_p[cut]).all() and np.isnan(arm_m[cut]).all()
+        assert (csum[cut] == 0.0).all()
+        assert not np.isnan(arm_p[~cut]).any()
+
+    @pytest.mark.parametrize("params", [SchemeParams(),
+                                        SchemeParams(refined=True)])
+    def test_apply_matches_field(self, coarse_ball, params, rng):
+        st = Stencil(coarse_ball, params)
+        vals = np.where(coarse_ball.nonexterior,
+                        rng.standard_normal(coarse_ball.dims), np.nan)
+        lap = inf_lap_field(vals, st)
+        u = ScalarField(coarse_ball, vals)
+        for node in np.argwhere(coarse_ball.interior):
+            assert apply_inf_lap(u, node, st) == lap[tuple(node)]
+
+    def test_shape_checked(self, coarse_ball, stencil):
+        with pytest.raises(ValueError):
+            stencil.pair_arrays(np.zeros(3), coarse_ball.interior)
