@@ -742,8 +742,8 @@ def _t_range(trees, combo, lo, hi, n=4097):
     if k1 - k0 < 64:
         cands.extend(np.pi * k for k in range(k0, k1 + 1))
     cands.append(0.0) if lo <= 0.0 <= hi else None
-    t = np.unique(np.clip(np.concatenate(
-        [np.linspace(lo, hi, n), np.asarray(cands, float)]), lo, hi))
+    t = np.clip(np.concatenate(
+        [np.linspace(lo, hi, n), np.asarray(cands, float)]), lo, hi)
     y = np.ones_like(t)
     for tree in trees:
         y = y * _eval_tree(tree, combo, t)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import SIGMA, ScalarField, rhs_range
-from .radial import cumulative_H, zeta, zeta_bounds
+from .radial import _H_table, _profile_tables
 
 SIGMA3 = 81.0 / 64.0
 
@@ -80,26 +80,33 @@ def nonexistence_radius(m, a_min=1e-6, a_max=1e6, n_scan=120):
     """M_f / sqrt(2): above this in-radius only constants can solve.
 
     M_f = sup over a > ell of zeta(a) (prefactor 1), probed on a log grid
-    in a - ell.  The closed-form upper bound (4/3)((a-ell)^4 / H(a))^(1/4)
-    screens the grid cheaply and certifies the tail: when it is still
-    rising at the far end of the probe window the sup may sit at infinity
-    and +inf is returned (criterion inapplicable).
+    in a - ell.  H(a) at every grid point comes from one composite Gauss
+    table (`radial._H_table`), and the closed-form upper bound
+    (4/3)((a-ell)^4 / H(a))^(1/4) (that of `zeta_bounds`) screens the
+    grid and certifies the tail: when it is still rising at the far end
+    of the probe window the sup may sit at infinity and +inf is returned
+    (criterion inapplicable).  zeta is then evaluated at the 12 grid
+    points with the largest bounds, as the R of the Gauss tables that
+    `build_profile` uses (400 graded segments).
     """
     avals = m.ell + np.geomspace(a_min, a_max, n_scan)
-    uppers = np.array([zeta_bounds(m, a, m.ell)[1] for a in avals])
+    if (m(avals) <= 0).any():
+        raise ValueError("h(a) = 0: lower bound undefined")
+    s = avals - m.ell
+    uppers = (4.0 / 3.0) * (s ** 4 / _H_table(m, s)) ** 0.25
     tail = uppers[-8:]
-    slope = np.diff(np.log(tail))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.diff(np.log(tail))
     at_edge = uppers[-1] >= uppers.max() * (1.0 - 1e-9)
     if at_edge and (slope > 1e-4).all():
         return np.inf
-    order = np.argsort(uppers)[::-1]
-    best = 0.0
-    for i in order[:12]:
-        best = max(best, zeta(m, float(avals[i]), 1))
-    return best / np.sqrt(2.0)
+    top = np.argsort(uppers)[::-1][:12]
+    M_f = max(_profile_tables(m, float(a), 1.0, 400)[1][-1]
+              for a in avals[top])
+    return M_f / np.sqrt(2.0)
 
 
-def _h1(f, t, domain, t_hi=1e3, n=256):
+def _h1(f, t, domain, t_hi=1e3):
     """inf over Omega x [t, t_hi] of f."""
     lo, _, _ = rhs_range(f, (t, t_hi), domain)
     return lo

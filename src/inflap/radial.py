@@ -207,6 +207,25 @@ def _profile_tables(m, a, prefactor, n):
     return edges, r_edges
 
 
+def _H_table(m, s):
+    """H(ell + s) at increasing offsets s > 0 by one composite Gauss sum.
+
+    The pieces are [0, s_0], then each [s_(i-1), s_i] split into 4 equal
+    parts, with 8 Gauss-Legendre nodes per piece; h is evaluated once on
+    all nodes and the piece integrals are summed cumulatively.  On the
+    nonexistence scan a piece is about 5 % of s wide: for e^t the table
+    agrees with adaptive quadrature to 1e-14 up to s = 60 but not beyond
+    s = 100, where the screening bound of e^t is far below its maximum.
+    """
+    inner = s[:-1, None] + np.diff(s)[:, None] * (np.arange(4) / 4.0)
+    edges = np.concatenate([[0.0], inner.ravel(), s[-1:]])
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)[:, None]
+    half = 0.5 * (hi - lo)[:, None]
+    seg = (half * _GL_W * m(m.ell + mid + half * _GL_X)).sum(axis=1)
+    return np.cumsum(seg)[::4]
+
+
 def build_profile(m, a, prefactor, n=2000):
     """Build the radial profile for h = m, top value a, bottom value ell.
 

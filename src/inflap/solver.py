@@ -152,8 +152,8 @@ class _Sweeper:
 
     `tables` holds the gather tables of the update groups in sweep order:
     the two colors, or one per node in lexicographic order.  Implicit
-    solves bracket at the iterate's range +- 1 and count failures, or in
-    lexicographic order at u0 +- 1 and raise on failure.
+    solves bracket at the iterate's range +- 1, or in lexicographic order
+    at u0 +- 1, and count failures in both orders.
     """
 
     def __init__(self, domain, f, stencil, opts):
@@ -202,8 +202,6 @@ class _Sweeper:
             hi = np.full(u0.shape, vals.max() + 1.0)
         t, failed = self._implicit(u0, A, phat, eps_s, c0_s,
                                    _at(self.coefs, tab.flat), lo, hi)
-        if self.sequential and failed.any():
-            raise ValueError("bracket failure in local update")
         self.bracket_failures += int(failed.sum())
         return t
 
@@ -281,7 +279,10 @@ def local_update(node, u, f, s, p=None):
         raise ValueError("local_update needs an interior node")
     opts = SolveOptions(damping=1.0, order="lexicographic")
     sw = _Sweeper(u.domain, f, s, opts)
-    return float(sw._candidate(u.values, s.gather(node))[0])
+    t = float(sw._candidate(u.values, s.gather(node))[0])
+    if sw.bracket_failures:
+        raise ValueError("bracket failure in local update")
+    return t
 
 
 def _init_harmonic(domain, b, stencil, opts, tol):

@@ -142,6 +142,20 @@ class TestPerronAndProbe:
         rep = json.loads((out / "report.json").read_text())
         assert rep["solve"]["status"] == "diverged_past_alarm"
 
+    def test_probe_lexicographic_exit_three(self, tmp_path):
+        cfg = {"problem": {"domain": {"kind": "ball",
+                                      "center": [0.0, 0.0], "R": 3.0},
+                           "h": 0.25, "rhs": "(neg (exp t))",
+                           "rhs_monotone": "nonincreasing",
+                           "boundary": {"constant": 0.0}},
+               "solve": {"alarm_bound": 20.0, "max_sweeps": 2000,
+                         "order": "lexicographic"}}
+        code, out = _run(tmp_path, "probe", cfg)
+        assert code == 3
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["solve"]["status"] == "diverged_past_alarm"
+        assert rep["solve"]["bracket_failures"] > 0
+
     def test_probe_needs_alarm(self, tmp_path):
         cfg = {"problem": {"domain": BALL, "h": 0.125,
                            "rhs": "(const -1)",

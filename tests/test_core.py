@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from inflap import (BOUNDARY, EXTERIOR, INTERIOR, BoundaryTrace, GridDomain,
                     RhsSpec, ScalarField, build_domain, eval_rhs, load_mask,
                     oscillation, rhs_range, save_mask)
+from inflap.core import _eval_tree, _split_separable, _t_range
 
 
 class TestDomains:
@@ -156,6 +157,35 @@ class TestRhsSpec:
         f = RhsSpec("(add (pow t 3) (neg (exp t)))")
         lo, hi, _ = rhs_range(f, (-5.0, 5.0))
         assert lo - 1e-9 <= eval_rhs(f, None, t) <= hi + 1e-9
+
+
+def _t_range_reference(trees, lo, hi, n=4097):
+    """min/max of the factor product over the sorted, deduplicated sample
+    set: the grid, both ends, multiples of pi and 0 inside [lo, hi]."""
+    cands = [lo, hi] + [np.pi * k for k in range(int(np.ceil(lo / np.pi)),
+                                                int(np.floor(hi / np.pi)) + 1)]
+    if lo <= 0.0 <= hi:
+        cands.append(0.0)
+    t = np.unique(np.clip(np.concatenate([np.linspace(lo, hi, n), cands]),
+                          lo, hi))
+    y = np.ones_like(t)
+    for tree in trees:
+        y = y * _eval_tree(tree, {}, t)
+    return y.min(), y.max()
+
+
+class TestTRange:
+    @pytest.mark.parametrize("expr, lo, hi", [
+        ("(mul (pow t 3) (cospow 2))", -10.0, 10.0),
+        ("(mul t (cospow 1))", 0.0, 3.0 * np.pi),
+        ("(cospow 3)", -np.pi, 2.0 * np.pi),
+        ("(neg (mul (exp t) (cospow 2)))", -0.5, 7.0),
+        ("(pow t 2)", -3.0, 2.0),
+        ("(pow t 0.5)", 0.0, 0.0),
+        ("(exp t)", 1.0, 1.0 + 1e-9)])
+    def test_matches_sorted_unique_samples(self, expr, lo, hi):
+        trees = _split_separable(RhsSpec(expr).tree)[1]
+        assert _t_range(trees, {}, lo, hi) == _t_range_reference(trees, lo, hi)
 
 
 def _central_difference(f, coefs, t):

@@ -18,6 +18,8 @@ from inflap import (
     eigen_bracket,
     growth_class,
     nonexistence_radius,
+    zeta,
+    zeta_bounds,
 )
 
 
@@ -87,6 +89,36 @@ class TestNonexistenceRadius:
         assert np.isfinite(nonexistence_radius(m7))
         m2 = MonotoneRhs1D("(pow t 2)", 0.0)
         assert np.isinf(nonexistence_radius(m2))
+
+
+def _reference_radius(m, a_min=1e-6, a_max=1e6, n_scan=120):
+    """The nonexistence scan by adaptive quadrature: `zeta_bounds` screens
+    the grid, `zeta` is evaluated at the 12 largest bounds."""
+    avals = m.ell + np.geomspace(a_min, a_max, n_scan)
+    uppers = np.array([zeta_bounds(m, a, m.ell)[1] for a in avals])
+    slope = np.diff(np.log(uppers[-8:]))
+    if uppers[-1] >= uppers.max() * (1.0 - 1e-9) and (slope > 1e-4).all():
+        return np.inf
+    top = np.argsort(uppers)[::-1][:12]
+    return max(zeta(m, float(avals[i]), 1) for i in top) / np.sqrt(2.0)
+
+
+class TestNonexistenceRadiusReference:
+    @pytest.mark.parametrize("ell", [0.0, 0.5])
+    @pytest.mark.parametrize("expr", ["(exp t)", "(pow t 7)", "(pow t 3.5)",
+                                      "(pow t 4)", "(add (const 1) (exp t))"])
+    def test_matches_adaptive_scan(self, expr, ell):
+        m = MonotoneRhs1D(expr, ell)
+        got = nonexistence_radius(m)
+        assert np.isfinite(got)
+        assert got == pytest.approx(_reference_radius(m), rel=1e-9)
+
+    @pytest.mark.parametrize("ell", [0.0, 0.5])
+    @pytest.mark.parametrize("expr", ["(const 1)", "t", "(pow t 2)"])
+    def test_subcubic_stays_infinite(self, expr, ell):
+        m = MonotoneRhs1D(expr, ell)
+        assert np.isinf(_reference_radius(m))
+        assert np.isinf(nonexistence_radius(m))
 
 
 class TestDd3Check:

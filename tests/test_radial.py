@@ -9,6 +9,7 @@ from inflap import (
     build_domain,
     build_profile,
     cone_field,
+    cumulative_H,
     exact_family,
     family_a,
     ode_residual,
@@ -17,7 +18,7 @@ from inflap import (
     zeta,
     zeta_bounds,
 )
-from inflap.radial import RadialProfile
+from inflap.radial import RadialProfile, _H_table
 
 
 class TestMonotoneRhs1D:
@@ -88,6 +89,28 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta_bounds(m, 1.0, 2.0)
         assert zeta_bounds(m, 1.0, 1.0) == (0.0, 0.0)
+
+
+class TestHTable:
+    """The composite Gauss H table at the nonexistence scan points against
+    adaptive quadrature.  Its pieces are about 5 % of s wide, so e^t is
+    compared where a piece spans a few units of t (s <= 60), and t^3.5
+    only away from ell = 0, where its non-smooth endpoint limits 8-point
+    Gauss on the first piece to about 1e-8."""
+
+    @pytest.mark.parametrize("expr, ell, s_max", [
+        ("(exp t)", 0.0, 60.0), ("(exp t)", 0.5, 60.0),
+        ("(add (const 1) (exp t))", 0.5, 60.0), ("(pow t 3.5)", 0.5, 1e6),
+        ("(pow t 7)", 0.0, 1e6), ("(pow t 4)", 0.5, 1e6),
+        ("(const 1)", 0.0, 1e6), ("t", 0.5, 1e6)])
+    def test_matches_cumulative_H(self, expr, ell, s_max):
+        m = MonotoneRhs1D(expr, ell)
+        a = ell + np.geomspace(1e-6, 1e6, 120)
+        s = a - ell
+        H = _H_table(m, s)
+        keep = s <= s_max
+        ref = np.array([cumulative_H(m, v) for v in a[keep]])
+        np.testing.assert_allclose(H[keep], ref, rtol=1e-10, atol=0.0)
 
 
 class TestProfile:

@@ -395,3 +395,18 @@ class TestProbe:
                                               max_sweeps=2000))
         assert rep.status == "diverged_past_alarm"
         assert rep.sup > 20.0
+
+    def test_lexicographic_failure_alarms(self):
+        # bracket failures are counted in lexicographic order too, so the
+        # run ends past the alarm as it does in red-black order
+        d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 3.0},
+                         0.25)
+        b = BoundaryTrace.constant(d, 0.0)
+        f = RhsSpec("(neg (exp t))", monotone_in_t="nonincreasing")
+        for order in ("red-black", "lexicographic"):
+            rep = probe_nonexistence(d, f, b,
+                                     SolveOptions(alarm_bound=20.0,
+                                                  max_sweeps=2000,
+                                                  order=order))
+            assert rep.status == "diverged_past_alarm"
+            assert rep.sweeps == 1 and rep.bracket_failures > 0
