@@ -9,15 +9,16 @@ per non-exterior node.
 """
 
 import argparse
+import ast
 import json
+import operator
 import os
 import sys
 
 import numpy as np
 
-from .core import (BoundaryTrace, RhsSpec, ScalarField, build_domain,
-                   oscillation, rhs_range)
-from .scheme import SchemeParams, Stencil, residual_field
+from .core import BoundaryTrace, RhsSpec, ScalarField, build_domain, rhs_range
+from .scheme import SchemeParams
 from .solver import (SolveOptions, perron_solve, probe_nonexistence,
                      solve_dirichlet)
 from . import criteria as crit
@@ -96,17 +97,61 @@ def _build_problem(cfg, h_override):
     return d, f, b
 
 
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
+_UNOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
 def _coord_fn(expr, N):
-    """Compile a coordinate expression (names x0..x{N-1}, r, numpy as np)."""
-    code = compile(expr, "<boundary>", "eval")
+    """A coordinate expression as a function of the points (..., N).
+
+    The expression is parsed with `ast` and evaluated node by node, with
+    Python's operators, over a whitelist: numbers, the names x0..x{N-1}
+    and r = |x|, + - * / ** and unary +-, np.pi, np.e and calls
+    np.<f>(...) where np.<f> is a numpy ufunc.  Anything else is a
+    ConfigError; nothing is passed to eval.
+    """
+    try:
+        tree = ast.parse(expr, mode="eval").body
+    except (SyntaxError, TypeError) as e:
+        raise ConfigError("boundary expression %r: %s" % (expr, e))
 
     def fn(pts):
-        names = {"np": np, "__builtins__": {}}
-        for j in range(N):
-            names["x%d" % j] = pts[..., j]
+        names = {"x%d" % j: pts[..., j] for j in range(N)}
         names["r"] = np.linalg.norm(pts, axis=-1)
-        return np.broadcast_to(eval(code, names), pts.shape[:-1]).astype(float)
+        try:
+            val = _coord_eval(tree, names)
+        except (ArithmeticError, TypeError) as e:
+            raise ConfigError("boundary expression %r: %s" % (expr, e))
+        return np.broadcast_to(val, pts.shape[:-1]).astype(float)
     return fn
+
+
+def _coord_eval(node, names):
+    """Value of one whitelisted node of a boundary expression."""
+    def is_np(n):
+        return isinstance(n, ast.Name) and n.id == "np"
+
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_coord_eval(node.left, names),
+                                      _coord_eval(node.right, names))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNOPS:
+        return _UNOPS[type(node.op)](_coord_eval(node.operand, names))
+    if isinstance(node, ast.Attribute) and is_np(node.value) \
+            and node.attr in ("pi", "e"):
+        return getattr(np, node.attr)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and is_np(node.func.value) and not node.keywords \
+            and isinstance(getattr(np, node.func.attr, None), np.ufunc):
+        return getattr(np, node.func.attr)(
+            *[_coord_eval(a, names) for a in node.args])
+    raise ConfigError("boundary expression: %r is not allowed"
+                      % ast.unparse(node))
 
 
 def _scheme_params(cfg):
@@ -280,7 +325,7 @@ def _run_criteria(cfg, out_dir, h_override):
         out_r, in_r = exact
     rep = crit.CriteriaReport(ell=b.ell, L=b.L)
     for eta in copt.get("eta_list", [0.1, 1.0, 3.0, 10.0]):
-        val, _ = crit.c_eta(f, b.ell, b.L, eta, d)
+        val = crit.c_eta(f, b.ell, b.L, eta, d)
         rep.c_eta_table.append((float(eta), float(val)))
     rep.diam_threshold = crit.diam_threshold(f, b.ell, b.L, d)
     rep.diam_actual = 2.0 * out_r
@@ -313,8 +358,7 @@ def _run_criteria(cfg, out_dir, h_override):
         rep.dd3 = crit.dd3_check(f, b.ell, d)
     hr = copt.get("h_range")
     if hr is None:
-        lo, hi, _ = rhs_range(f, (b.ell, b.L), d)
-        hr = (lo, hi)
+        hr = rhs_range(f, (b.ell, b.L), d)
     rep.apriori_box = crit.apriori_box(hr[0], hr[1], b, out_r)
     gc = crit.growth_class(f, b.ell, b.L, out_r, d)
     rep.growth = gc
@@ -373,8 +417,7 @@ def _run_verify(cfg, out_dir, h_override):
             out_r = exact[0] if exact is not None else d.radii()[0]
             hr = extra.get("h_range")
             if hr is None:
-                lo, hi, _ = rhs_range(f, (b.ell, b.L), d)
-                hr = (lo, hi)
+                hr = rhs_range(f, (b.ell, b.L), d)
             box = crit.apriori_box(hr[0], hr[1], b, out_r)
             res = ver.check_apriori(u, box, tol_check)
         else:

@@ -332,135 +332,97 @@ def oscillation(b):
 
 # -- right-hand sides -------------------------------------------------------
 
-def _tokenize(text):
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _parse_expr(tokens, pos):
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of rhs expression")
-    tok = tokens[pos]
-    if tok == "(":
-        if pos + 1 >= len(tokens):
-            raise ValueError("unexpected end of rhs expression")
-        op = tokens[pos + 1]
-        pos += 2
-        args = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            node, pos = _parse_expr(tokens, pos)
-            args.append(node)
-        if pos >= len(tokens):
-            raise ValueError("missing ) in rhs expression")
-        return _make_node(op, args), pos + 1
-    if tok == ")":
-        raise ValueError("unexpected ) in rhs expression")
-    if tok == "t":
-        return ("t",), pos + 1
-    try:
-        return ("const", float(tok)), pos + 1
-    except ValueError:
-        raise ValueError("unknown rhs token: %r" % tok)
-
-
-def _make_node(op, args):
-    def need(n):
-        if len(args) != n:
-            raise ValueError("%s expects %d arguments, got %d"
-                             % (op, n, len(args)))
-
-    if op == "const":
-        need(1)
-        return ("const", _const_of(args[0]))
-    if op == "coef":
-        need(1)
-        if args[0][0] != "t":
-            # coefficient names parse as bare atoms; 'a' arrives as a
-            # failed float, so re-tokenize is not possible here.  Accept a
-            # const node only if it was really a name stored earlier.
-            pass
-        return ("coef", args[0][1] if args[0][0] == "name" else args[0])
-    if op == "pow":
-        need(2)
-        if args[0] != ("t",):
-            raise ValueError("pow expects the t variable first")
-        return ("pow", _const_of(args[1]))
-    if op == "exp":
-        need(1)
-        if args[0] != ("t",):
-            raise ValueError("exp expects the t variable")
-        return ("exp",)
-    if op == "cospow":
-        need(1)
-        return ("cospow", _const_of(args[0]))
-    if op == "add":
-        if len(args) < 2:
-            raise ValueError("add expects at least 2 arguments")
-        return ("add", args)
-    if op == "mul":
-        if len(args) < 2:
-            raise ValueError("mul expects at least 2 arguments")
-        return ("mul", args)
-    if op == "neg":
-        need(1)
-        return ("neg", args[0])
-    if op == "clip":
-        need(2)
-        return ("clip", args[0], _const_of(args[1]))
-    raise ValueError("unknown rhs operator: %r" % op)
-
-
-def _const_of(node):
-    if node[0] != "const":
-        raise ValueError("expected a numeric literal")
-    return node[1]
+# operator -> argument kinds: e an expression, t the variable t, n a
+# numeric literal, c a coefficient name; add and mul take 2 or more e
+_ARITY = {"const": "n", "coef": "c", "pow": "tn", "exp": "t", "cospow": "n",
+          "neg": "e", "clip": "en", "add": "ee", "mul": "ee"}
 
 
 def _parse_rhs(text):
-    tokens = _tokenize(text)
-    # coefficient names are bare identifiers; patch them before parsing
-    fixed = []
-    for i, tok in enumerate(tokens):
-        if tok not in ("(", ")", "t") and not _is_number(tok) \
-                and tok not in ("const", "coef", "pow", "exp", "cospow",
-                                "add", "mul", "neg", "clip"):
-            fixed.append(("name", tok))
-        else:
-            fixed.append(tok)
-    tree, pos = _parse_expr_patched(fixed, 0)
-    if pos != len(fixed):
+    """The tuple tree of a prefix rhs expression (grammar: `RhsSpec`)."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    tree, pos = _parse_arg(tokens, 0, "e", "rhs")
+    if pos != len(tokens):
         raise ValueError("trailing tokens in rhs expression")
     return tree
 
 
-def _is_number(tok):
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
+def _parse_arg(tokens, pos, kind, op):
+    """Argument of `kind` (as in _ARITY) to `op` at tokens[pos].
 
-
-def _parse_expr_patched(tokens, pos):
-    tok = tokens[pos] if pos < len(tokens) else None
-    if isinstance(tok, tuple) and tok[0] == "name":
-        return ("name", tok[1]), pos + 1
+    Returns (value, next position): the tree, or the number for kind n
+    and the name for kind c.
+    """
+    if pos >= len(tokens):
+        raise ValueError("unexpected end of rhs expression")
+    tok = tokens[pos]
+    if tok == ")":
+        raise ValueError("unexpected ) in rhs expression")
     if tok == "(":
-        op = tokens[pos + 1] if pos + 1 < len(tokens) else None
-        if isinstance(op, tuple):
-            raise ValueError("unknown rhs operator: %r" % (op[1],))
-        pos += 2
-        args = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            node, pos = _parse_expr_patched(tokens, pos)
-            args.append(node)
-        if pos >= len(tokens):
-            raise ValueError("missing ) in rhs expression")
-        if op == "coef":
-            if len(args) != 1 or args[0][0] != "name":
-                raise ValueError("coef expects a coefficient name")
-            return ("coef", args[0][1]), pos + 1
-        return _make_node(op, args), pos + 1
-    return _parse_expr(tokens, pos)
+        tree, pos = _parse_call(tokens, pos + 1)
+    elif tok == "t":
+        tree, pos = ("t",), pos + 1
+    else:
+        try:
+            tree = ("const", float(tok))
+        except ValueError:
+            tree = ("name", tok)
+        else:
+            if not np.isfinite(tree[1]):
+                raise ValueError("non-finite literal %r in rhs expression"
+                                 % tok)
+        pos += 1
+    if kind == "c":
+        if tree[0] != "name" or tree[1] in _ARITY:
+            raise ValueError("coef expects a coefficient name")
+        return tree[1], pos
+    if tree[0] == "name":
+        raise ValueError("bare name %r in rhs expression; write (coef %s) "
+                         "for a coefficient" % (tok, tok))
+    if kind == "t" and tree != ("t",):
+        raise ValueError("%s expects the t variable" % op)
+    if kind == "n":
+        if tree[0] != "const":
+            raise ValueError("%s expects a numeric literal" % op)
+        return tree[1], pos
+    return tree, pos
+
+
+def _parse_call(tokens, pos):
+    """(op args...) from just after its ( : (tree, position after its ))."""
+    if pos >= len(tokens):
+        raise ValueError("unexpected end of rhs expression")
+    op = tokens[pos]
+    if op not in _ARITY:
+        raise ValueError("unknown rhs operator: %r" % op)
+    kinds = _ARITY[op]
+    pos += 1
+    args = []
+    while pos < len(tokens) and tokens[pos] != ")":
+        kind = kinds[len(args)] if len(args) < len(kinds) else "e"
+        arg, pos = _parse_arg(tokens, pos, kind, op)
+        args.append(arg)
+    if pos >= len(tokens):
+        raise ValueError("unexpected end of rhs expression")
+    if op in ("add", "mul"):
+        if len(args) < 2:
+            raise ValueError("%s expects at least 2 arguments, got %d"
+                             % (op, len(args)))
+        return (op, args), pos + 1
+    if len(args) != len(kinds):
+        raise ValueError("%s expects %d arguments, got %d"
+                         % (op, len(kinds), len(args)))
+    return (op,) + tuple(a for a, k in zip(args, kinds) if k != "t"), pos + 1
+
+
+def _nodes(tree):
+    """Every node of an rhs tree, parents before children."""
+    yield tree
+    if tree[0] in ("add", "mul"):
+        for child in tree[1]:
+            yield from _nodes(child)
+    elif tree[0] in ("neg", "clip"):
+        yield from _nodes(tree[1])
 
 
 class RhsSpec:
@@ -469,16 +431,27 @@ class RhsSpec:
     Parameters
     ----------
     expression : str
-        Prefix expression over {(const c), (coef name), t, (pow t g),
-        (exp t), (cospow g), (add ...), (mul ...), (neg ...), (clip e C)}.
+        Prefix expression over {t, c, (const c), (coef name), (pow t g),
+        (exp t), (cospow g), (add e e ...), (mul e e ...), (neg e),
+        (clip e C)}, where c, g and C are finite numeric literals.
         (pow t g) means the odd power t|t|^(g-1); (cospow g) means
-        (1 + cos t)^g.
+        (1 + cos t)^g.  A bare name is an error, found when parsing.
     coefs : dict, optional
         Coefficient name -> scalar, callable(points) or grid-shaped array.
     sign : {"nonneg", "nonpos", "mixed"}, optional
     monotone_in_t : {"nondecreasing", "nonincreasing", "none"}, optional
         Declared attributes are validated on a probe lattice; a declared
         but violated attribute raises ValueError.
+
+    Attributes
+    ----------
+    tree : tuple
+        The parsed expression.
+    coef_names : set of str
+        Names of the (coef name) nodes; f depends on x iff it is nonempty.
+    depends_on_t : bool
+        Whether the tree has a t, pow, exp or cospow node.  The solver
+        takes the closed-form local update when it is False.
     """
 
     def __init__(self, expression, coefs=None, sign=None, monotone_in_t=None,
@@ -493,7 +466,11 @@ class RhsSpec:
                              "'nonincreasing', or 'none'")
         self.monotone_in_t = monotone_in_t
         self.saturated = False
-        for name in _coef_names(self.tree):
+        self.coef_names = {n[1] for n in _nodes(self.tree) if n[0] == "coef"}
+        self.depends_on_t = any(n[0] in ("t", "pow", "exp", "cospow")
+                                for n in _nodes(self.tree))
+        self._separable = _split_separable(self.tree)
+        for name in sorted(self.coef_names):
             if name not in self.coefs:
                 raise ValueError("missing coefficient samples for %r" % name)
         if sign is not None or monotone_in_t is not None:
@@ -531,7 +508,7 @@ class RhsSpec:
                                  "found an increase")
 
     def depends_on_x(self):
-        return len(_coef_names(self.tree)) > 0
+        return bool(self.coef_names)
 
     def coef_value_at(self, x):
         """Resolve coefficient values at a point (dict name -> float)."""
@@ -610,20 +587,6 @@ class RhsSpec:
             if dt:
                 dy = np.where(big, 0.0, dy)
         return (y, dy) if dt else y
-
-
-def _coef_names(tree):
-    names = set()
-    if tree[0] == "coef":
-        names.add(tree[1])
-    elif tree[0] in ("add", "mul"):
-        for c in tree[1]:
-            names |= _coef_names(c)
-    elif tree[0] == "neg":
-        names |= _coef_names(tree[1])
-    elif tree[0] == "clip":
-        names |= _coef_names(tree[1])
-    return names
 
 
 def _eval_tree(tree, combo, t, dt=False):
@@ -705,29 +668,18 @@ def _split_separable(tree):
     Returns (coef_tree_list, t_tree_list) where the full f is the product
     of all listed factors, each depending on x only or on t only.
     """
-    factors = [tree]
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for fct in factors:
-            if fct[0] == "mul":
-                out.extend(fct[1])
-                changed = True
-            elif fct[0] == "neg":
-                out.append(("const", -1.0))
-                out.append(fct[1])
-                changed = True
-            else:
-                out.append(fct)
-        factors = out
     xp, tp = [], []
-    for fct in factors:
-        names = _coef_names(fct)
-        if names:
-            if fct[0] not in ("coef",):
-                return None
+    todo = [tree]
+    while todo:
+        fct = todo.pop()
+        if fct[0] == "mul":
+            todo.extend(reversed(fct[1]))
+        elif fct[0] == "neg":
+            todo.extend([fct[1], ("const", -1.0)])
+        elif fct[0] == "coef":
             xp.append(fct)
+        elif any(n[0] == "coef" for n in _nodes(fct)):
+            return None
         else:
             tp.append(fct)
     return xp, tp
@@ -763,17 +715,18 @@ def rhs_range(f, interval, domain=None):
 
     Returns
     -------
-    (inf, sup, tag)
-        tag is "exact" for separable specs (product of an x-only factor and
-        t-only factors, ranges combined by interval arithmetic), otherwise
-        "estimate" from a sampled probe lattice.
+    (inf, sup)
+        For separable specs (a product of x-only and t-only factors) the
+        factor ranges combined by interval arithmetic, each t-only range
+        sampled at 4097 points plus the ends, 0 and the multiples of pi;
+        otherwise sampled on a probe lattice.  Both are estimates: the
+        t-samples can miss an interior extremum.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
         raise ValueError("rhs_range needs a bounded interval")
-    split = _split_separable(f.tree)
-    if split is not None:
-        xp, tp = split
+    if f._separable is not None:
+        xp, tp = f._separable
         glo, ghi = _t_range(tp, {}, lo, hi)
         alo, ahi = 1.0, 1.0
         for cf in xp:
@@ -796,7 +749,7 @@ def rhs_range(f, interval, domain=None):
                      ahi * arr.min(), ahi * arr.max()]
             alo, ahi = min(prods), max(prods)
         prods = [alo * glo, alo * ghi, ahi * glo, ahi * ghi]
-        return (min(prods), max(prods), "exact")
+        return min(prods), max(prods)
     # non-separable: sampled estimate over a probe lattice
     t = np.linspace(lo, hi, 513)
     if domain is not None and f.depends_on_x():
@@ -805,6 +758,6 @@ def rhs_range(f, interval, domain=None):
             y = f.eval_grid(domain, tv)[domain.nonexterior]
             best_lo = min(best_lo, float(y.min()))
             best_hi = max(best_hi, float(y.max()))
-        return (best_lo, best_hi, "estimate")
+        return best_lo, best_hi
     y = _eval_tree(f.tree, {}, t)
-    return (float(np.min(y)), float(np.max(y)), "estimate")
+    return float(np.min(y)), float(np.max(y))

@@ -22,17 +22,15 @@ def c_eta(f, ell, L, eta, domain=None):
     max{(sup of f+ on Omega x [ell-eta, ell])^(1/3),
         (-inf of f- on Omega x [L, L+eta])^(1/3)}.
 
-    Returns (value, tag); tag is `estimate` when a sampled range was used.
+    The ranges come from `rhs_range`.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    lo1, hi1, tag1 = rhs_range(f, (ell - eta, ell), domain)
-    lo2, hi2, tag2 = rhs_range(f, (L, L + eta), domain)
+    _, hi1 = rhs_range(f, (ell - eta, ell), domain)
+    lo2, _ = rhs_range(f, (L, L + eta), domain)
     sup_plus = max(hi1, 0.0)
     inf_minus = min(lo2, 0.0)
-    val = max(sup_plus ** (1.0 / 3.0), (-inf_minus) ** (1.0 / 3.0))
-    tag = "estimate" if "estimate" in (tag1, tag2) else "exact"
-    return val, tag
+    return max(sup_plus ** (1.0 / 3.0), (-inf_minus) ** (1.0 / 3.0))
 
 
 def diam_threshold(f, ell, L, domain=None, eta_max=1e3):
@@ -43,7 +41,7 @@ def diam_threshold(f, ell, L, domain=None, eta_max=1e3):
     """
     def g(log_eta):
         eta = np.exp(log_eta)
-        C, _ = c_eta(f, ell, L, eta, domain)
+        C = c_eta(f, ell, L, eta, domain)
         if C == 0.0:
             return np.inf
         return (eta / (SIGMA * C)) ** 0.75
@@ -108,14 +106,12 @@ def nonexistence_radius(m, a_min=1e-6, a_max=1e6, n_scan=120):
 
 def _h1(f, t, domain, t_hi=1e3):
     """inf over Omega x [t, t_hi] of f."""
-    lo, _, _ = rhs_range(f, (t, t_hi), domain)
-    return lo
+    return rhs_range(f, (t, t_hi), domain)[0]
 
 
 def _h2(f, ell, t, domain):
     """sup over Omega x [ell, t] of f."""
-    _, hi, _ = rhs_range(f, (ell, t), domain)
-    return hi
+    return rhs_range(f, (ell, t), domain)[1]
 
 
 def dd3_check(f, ell, domain=None):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from .core import SIGMA, RhsSpec, ScalarField, _eval_tree, _parse_rhs
+from .core import SIGMA, ScalarField, _eval_tree, _nodes, _parse_rhs
 
 # 8-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
@@ -33,13 +33,17 @@ class MonotoneRhs1D:
     Parameters
     ----------
     expression : str
-        t-only expression in the RhsSpec grammar.
+        t-only expression in the RhsSpec grammar; a (coef name) node
+        raises ValueError.
     ell : float
     """
 
     def __init__(self, expression, ell, probe_span=100.0, probe_points=2048):
         self.expression = expression
         self.tree = _parse_rhs(expression)
+        if any(n[0] == "coef" for n in _nodes(self.tree)):
+            raise ValueError("h must not depend on x: %r has a coefficient"
+                             % expression)
         self.ell = float(ell)
         t = self.ell + np.geomspace(1e-9, probe_span, probe_points)
         y = self(t)

@@ -30,13 +30,13 @@ gathered arms for every caller: the solver's local update and residual,
 `inf_lap_field` and `apply_inf_lap`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 import itertools
 
 import numpy as np
 
-from .core import EXTERIOR, ScalarField, eval_rhs
+from .core import EXTERIOR, ScalarField
 
 
 @dataclass(frozen=True)

@@ -54,27 +54,6 @@ class SolveReport:
     bracket_failures: int = 0    # local solves that found no sign change
 
 
-def _depends_on_t(tree):
-    op = tree[0]
-    if op in ("t", "pow", "exp", "cospow"):
-        return True
-    if op in ("add", "mul"):
-        return any(_depends_on_t(c) for c in tree[1])
-    if op in ("neg",):
-        return _depends_on_t(tree[1])
-    if op == "clip":
-        return _depends_on_t(tree[1])
-    return False
-
-
-def _mode_of(f):
-    if not _depends_on_t(f.tree):
-        return "const"
-    if f.monotone_in_t == "nondecreasing":
-        return "monotone"
-    return "implicit"
-
-
 def _phat2_eff(phat, eps, fscale, delta_reg):
     floor = (eps * np.abs(fscale)) ** (2.0 / 3.0) / (2.0 * SIGMA)
     return np.maximum(np.maximum(phat ** 2, floor), delta_reg)
@@ -160,12 +139,11 @@ class _Sweeper:
         self.domain = domain
         self.f = f
         self.stencil = stencil
-        self.mode = _mode_of(f)
         # undamped colored sweeps can enter a period-2 cycle when f
         # depends on t (the frozen slope couples neighboring updates),
-        # so t-dependent modes default to averaging damping
+        # so a t-dependent f defaults to averaging damping
         self.theta = opts.damping if opts.damping is not None \
-            else (1.0 if self.mode == "const" else 0.5)
+            else (0.5 if f.depends_on_t else 1.0)
         self.interior = stencil.interior
         self.sequential = opts.order == "lexicographic"
         if self.sequential:
@@ -176,7 +154,7 @@ class _Sweeper:
             self.tables = [stencil.gather(domain.interior & (parity == c))
                            for c in (0, 1)]
         self.bracket_failures = 0
-        if self.mode == "const":
+        if not f.depends_on_t:
             self.fx0 = f.eval_grid(domain, np.zeros(domain.dims))
         else:
             # coefficient values, resolved once per solve
@@ -189,7 +167,7 @@ class _Sweeper:
         k, pick, phat = _select(arm_p, arm_m, eps)
         A = arm_p.take(pick) + arm_m.take(pick) - 2.0 * csum.take(pick)
         eps_s, c0_s = eps[k], c0[k]
-        if self.mode == "const":
+        if not self.f.depends_on_t:
             fx = self.fx0.take(tab.flat)
             p2 = _phat2_eff(phat, eps_s, fx, st.params.delta_reg)
             return (A - eps_s ** 2 * fx / p2) / (2.0 * c0_s)
@@ -239,8 +217,8 @@ class _Sweeper:
         """
         S, phat, eps_s = _steepest(values, self.stencil, self.interior)
         with np.errstate(invalid="ignore"):
-            fx = self.fx0 if self.mode == "const" \
-                else self.f.eval_grid(self.domain, values)
+            fx = self.f.eval_grid(self.domain, values) \
+                if self.f.depends_on_t else self.fx0
         fx = fx.take(self.interior.flat)
         p2 = _phat2_eff(phat, eps_s, fx, self.stencil.params.delta_reg)
         return float(np.abs(S * p2 - fx).max())

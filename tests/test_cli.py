@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from inflap import MonotoneRhs1D, build_profile
-from inflap.cli import ConfigError, main, parse_config
+from inflap.cli import ConfigError, _coord_fn, main, parse_config
 
 
 BALL = {"kind": "ball", "center": [0.0, 0.0], "R": 0.5}
@@ -102,6 +102,32 @@ class TestSolveAction:
         rep = json.loads((out / "report.json").read_text())
         assert float(rep["solve"]["sup"]) > 0.1
 
+    @pytest.mark.parametrize("expr, ref", [
+        ("x0 - x1", lambda x0, x1, r: x0 - x1),
+        ("np.sin(np.pi * x0) + r", lambda x0, x1, r: np.sin(np.pi * x0) + r),
+        ("-2 * x1 ** 2 / 3", lambda x0, x1, r: -2 * x1 ** 2 / 3),
+        ("np.hypot(x0, +np.e)", lambda x0, x1, r: np.hypot(x0, np.e)),
+    ])
+    def test_boundary_expression_matches_numpy(self, expr, ref):
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (40, 2))
+        got = _coord_fn(expr, 2)(pts)
+        want = ref(pts[:, 0], pts[:, 1], np.linalg.norm(pts, axis=-1))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__mro__[1].__subclasses__()",
+        "__import__('os').getcwd()", "x2", "np.where(x0 > 0, 1, 2)",
+        "np.add(x0, x1, out=x0)", "x0 if x1 else 1", "np.pi.real", "'1'",
+        "x0 +", "1 / 0"])
+    def test_boundary_expression_outside_whitelist(self, tmp_path, capsys,
+                                                   expr):
+        cfg = {"problem": {"domain": BALL, "h": 0.125, "rhs": "(const 0)",
+                           "boundary": {"expression": expr}}}
+        code, _ = _run(tmp_path, "solve", cfg)
+        assert code == 1
+        assert "boundary expression" in capsys.readouterr().err
+        with pytest.raises(ConfigError):
+            _coord_fn(expr, 2)(np.zeros((3, 2)))
 
     def test_bracket_failures_reported(self, tmp_path):
         # -1e4 e^t outgrows the linear term at all 25 interior nodes
@@ -227,6 +253,22 @@ class TestCriteriaAction:
         # unit diameter sits below the 1.0152 threshold
         assert verdicts["diameter-threshold-existence"] == "applies"
         assert rep["eigen"] is not None
+
+    def test_coefficient_in_m_skips_radius(self, tmp_path):
+        # h = m(t) must be t-only; a (coef a) leaves the radius verdict out
+        # instead of ending in a KeyError traceback
+        cfg = {"problem": {"domain": BALL, "h": 0.25,
+                           "rhs": "(neg (exp t))",
+                           "rhs_monotone": "nonincreasing",
+                           "boundary": {"constant": 0.0}},
+               "criteria": {"eta_list": [1.0],
+                            "m": "(mul (coef a) (exp t))"}}
+        code, out = _run(tmp_path, "criteria", cfg)
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())["criteria"]
+        assert rep["nonexistence_radius"] is None
+        assert "nonexistence-radius" not in {
+            v["theorem"] for v in rep["verdicts"]}
 
 
 class TestVerifyAction:

@@ -33,20 +33,19 @@ class TestConstants:
 class TestConeAmplitude:
     def test_constant_rhs_exact(self):
         # f == -8 contributes only through the negative part: C = 2
-        val, tag = c_eta(RhsSpec("(const -8)"), 0.0, 0.0, 1.0)
+        val = c_eta(RhsSpec("(const -8)"), 0.0, 0.0, 1.0)
         assert val == pytest.approx(2.0, rel=1e-12)
-        assert tag == "exact"
 
     def test_positive_and_negative_parts(self):
         # f == 27 > 0 enters through the sup on the lower band
-        val, _ = c_eta(RhsSpec("(const 27)"), 0.0, 0.0, 1.0)
+        val = c_eta(RhsSpec("(const 27)"), 0.0, 0.0, 1.0)
         assert val == pytest.approx(3.0, rel=1e-12)
 
     def test_zero_for_benign_sign(self):
         # f = t is negative below ell = 0 and positive above L = 0, so
         # neither band contributes
-        val, _ = c_eta(RhsSpec("t", monotone_in_t="nondecreasing"),
-                       0.0, 0.0, 1.0)
+        val = c_eta(RhsSpec("t", monotone_in_t="nondecreasing"),
+                    0.0, 0.0, 1.0)
         assert val == 0.0
 
     def test_negative_eta_rejected(self):

@@ -27,6 +27,11 @@ class TestMonotoneRhs1D:
         assert m(0.0) == pytest.approx(1.0)
         assert m(1.0) == pytest.approx(np.e)
 
+    def test_rejects_coefficient(self):
+        # h is t-only; a (coef a) used to raise KeyError when evaluated
+        with pytest.raises(ValueError, match="coefficient"):
+            MonotoneRhs1D("(mul (coef a) (exp t))", 0.0)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             MonotoneRhs1D("(const -1)", 0.0)
