@@ -353,8 +353,8 @@ def _run_criteria(cfg, out_dir, h_override):
                 "status": status,
                 "details": "in-radius %s vs radius %s"
                 % (_fmt(in_r), "inf" if np.isinf(M_f) else _fmt(M_f))})
-        except ValueError:
-            pass
+        except ValueError as e:
+            rep.nonexistence_radius_skipped = str(e)
         rep.dd3 = crit.dd3_check(f, b.ell, d)
     hr = copt.get("h_range")
     if hr is None:

@@ -300,6 +300,7 @@ class CriteriaReport:
     diam_actual: float = None
     M_f: float = None
     nonexistence_radius: float = None
+    nonexistence_radius_skipped: str = None   # why it was not computed
     in_radius_actual: float = None
     dd3: tuple = None
     growth: GrowthClass = None
@@ -332,6 +333,7 @@ class CriteriaReport:
             "diam_actual": self.diam_actual,
             "M_f": ext(self.M_f),
             "nonexistence_radius": ext(self.nonexistence_radius),
+            "nonexistence_radius_skipped": self.nonexistence_radius_skipped,
             "in_radius_actual": self.in_radius_actual,
             "dd3": list(self.dd3) if self.dd3 else None,
             "growth": gc,

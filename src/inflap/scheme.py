@@ -143,9 +143,9 @@ class _Table:
     flat: np.ndarray     # (n,)
     idx: np.ndarray      # (J, K, n)
 
-    def part(self, i):
-        """The table of the i-th node alone (a view, nothing rebuilt)."""
-        return _Table(self.flat[i:i + 1], self.idx[:, :, i:i + 1])
+    def part(self, lo, hi):
+        """The table of nodes lo..hi-1 (views, nothing rebuilt)."""
+        return _Table(self.flat[lo:hi], self.idx[:, :, lo:hi])
 
 
 class Stencil:
@@ -273,7 +273,7 @@ def _select(arm_p, arm_m, eps):
     with np.errstate(invalid="ignore"):
         dc = (arm_p - arm_m) / (2.0 * eps[:, None])
     # fmax maps NaN to -1, below every |dc|
-    k = np.argmax(np.fmax(np.abs(dc), -1.0), axis=0)
+    k = np.fmax(np.abs(dc), -1.0).argmax(axis=0)
     pick = k * k.size + np.arange(k.size)
     return k, pick, dc.take(pick)
 

@@ -11,14 +11,25 @@ by a bracketed, safeguarded Newton solve (`_local_solve`).  Where the
 bracket search finds no sign change (the local blow-up mechanism) the
 update is the bracket edge, which the alarm check then catches; such
 nodes are counted in `SolveReport.bracket_failures`.
+
+A sweep updates its groups in turn (the two colors, or each node in
+lexicographic order), and each update and the residual need the same
+steepest-pair data: one `Stencil.pair_arrays` gather and one
+`scheme._select`.  The groups sit end to end in one gather table, which
+the residual reads whole; the values do not change between the residual
+and the next sweep's first group, so that group takes its slice of the
+residual's data instead of gathering again, and a sweep costs two kernel
+passes instead of three.  For x-only f the slope floor is a table over
+pairs and nodes, worked out once per solve.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import SIGMA, RhsSpec, ScalarField
-from .scheme import SchemeParams, Stencil, _select, _steepest
+from .scheme import SchemeParams, Stencil, _select
 
 # a local-solve step this small relative to 1 + |t| is rounding noise
 _STEP_TOL = 4.0 * np.finfo(float).eps
@@ -40,6 +51,14 @@ class SolveOptions:
             raise ValueError("tol must be positive")
         if self.order not in ("red-black", "lexicographic"):
             raise ValueError("unknown sweep order %r" % self.order)
+        # damping 0 never moves the iterate, and outside (0, 2) the
+        # relaxation amplifies the update instead of converging; the
+        # chained comparisons are also false for NaN
+        if self.damping is not None and not 0 < self.damping < 2:
+            raise ValueError("damping must be in (0, 2)")
+        if self.alarm_bound is not None \
+                and not 0 < self.alarm_bound < np.inf:
+            raise ValueError("alarm_bound must be finite and positive")
 
 
 @dataclass
@@ -52,11 +71,6 @@ class SolveReport:
     monotone: bool
     clipped: bool = False
     bracket_failures: int = 0    # local solves that found no sign change
-
-
-def _phat2_eff(phat, eps, fscale, delta_reg):
-    floor = (eps * np.abs(fscale)) ** (2.0 / 3.0) / (2.0 * SIGMA)
-    return np.maximum(np.maximum(phat ** 2, floor), delta_reg)
 
 
 def _at(coefs, flat):
@@ -126,17 +140,43 @@ def _local_solve(g, lo, hi, t0):
     return np.where(failed, edge, t), failed
 
 
+class _Group(NamedTuple):
+    """One update group: its gather table and what stays fixed per solve.
+
+    For x-only f, fx is f at the group's nodes and floor the (K, n) table
+    of slope floors max((eps_k |f|)^(2/3) / (2 sigma), delta_reg), which
+    the steepest pair picks from; for t-dependent f, coefs holds the
+    coefficient values at the nodes.
+    """
+    tab: object
+    fx: np.ndarray = None
+    floor: np.ndarray = None
+    coefs: dict = None
+
+
+def _floor(eps, fx, delta_reg):
+    """Slope floor max(p_floor^2, delta_reg), where p_floor^2 is
+    (eps |f|)^(2/3) / (2 sigma)."""
+    return np.maximum((eps * np.abs(fx)) ** (2.0 / 3.0) / (2.0 * SIGMA),
+                      delta_reg)
+
+
 class _Sweeper:
     """Vectorized colored Gauss-Seidel machinery shared by the solvers.
 
-    `tables` holds the gather tables of the update groups in sweep order:
-    the two colors, or one per node in lexicographic order.  Implicit
-    solves bracket at the iterate's range +- 1, or in lexicographic order
-    at u0 +- 1, and count failures in both orders.
+    One gather table covers the interior with the update groups laid end
+    to end in sweep order: color 0 then color 1, or in lexicographic
+    order one group per node, in grid order.  `groups` are slices of it,
+    and `fp_residual` reads the whole table in one `pair_arrays` pass.
+    Values do not change between that residual and the next sweep's
+    first group, so the residual hands over its steepest-pair data for
+    the prefix that group covers (`full_sweep(values, head)`), and a
+    sweep after the first costs two gathers, the second group's and the
+    residual's.  Implicit solves bracket at the iterate's range +- 1, or
+    in lexicographic order at u0 +- 1, and count failures in both orders.
     """
 
     def __init__(self, domain, f, stencil, opts):
-        self.domain = domain
         self.f = f
         self.stencil = stencil
         # undamped colored sweeps can enter a period-2 cycle when f
@@ -144,58 +184,89 @@ class _Sweeper:
         # so a t-dependent f defaults to averaging damping
         self.theta = opts.damping if opts.damping is not None \
             else (0.5 if f.depends_on_t else 1.0)
-        self.interior = stencil.interior
         self.sequential = opts.order == "lexicographic"
         if self.sequential:
-            self.tables = [self.interior.part(i)
-                           for i in range(self.interior.flat.size)]
+            table = stencil.interior
+            cuts = range(table.flat.size + 1)
         else:
             parity = np.indices(domain.dims).sum(axis=0) % 2
-            self.tables = [stencil.gather(domain.interior & (parity == c))
-                           for c in (0, 1)]
+            colors = [np.nonzero(domain.interior & (parity == c))
+                      for c in (0, 1)]
+            table = stencil.gather(tuple(np.concatenate(c)
+                                         for c in zip(*colors)))
+            cuts = (0, colors[0][0].size, table.flat.size)
         self.bracket_failures = 0
-        if not f.depends_on_t:
-            self.fx0 = f.eval_grid(domain, np.zeros(domain.dims))
-        else:
+        self.ne_flat = np.flatnonzero(domain.nonexterior)
+        if f.depends_on_t:
             # coefficient values, resolved once per solve
-            self.coefs = f.coef_grid(domain)
+            self.all = _Group(table, coefs=_at(f.coef_grid(domain),
+                                               table.flat))
+        else:
+            fx = f.eval_grid(domain, np.zeros(domain.dims)).take(table.flat)
+            eps = np.array([p.eps for p in stencil.pairs])
+            self.all = _Group(table, fx=fx, floor=_floor(
+                eps[:, None], fx, stencil.params.delta_reg))
+        self.groups = [self._part(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
-    def _candidate(self, values, tab):
-        """Candidate values at the nodes of a gather table, in its order."""
-        st = self.stencil
-        arm_p, arm_m, c0, csum, eps = st.pair_arrays(values, tab)
+    def _part(self, a, b):
+        """The group of the table's nodes a..b-1."""
+        g = self.all
+        if g.coefs is not None:
+            return _Group(g.tab.part(a, b), coefs={
+                k: v[a:b] if np.ndim(v) else v for k, v in g.coefs.items()})
+        return _Group(g.tab.part(a, b), fx=g.fx[a:b],
+                      floor=np.ascontiguousarray(g.floor[:, a:b]))
+
+    def _steep(self, values, grp):
+        """Steepest-pair data at a group's nodes, in its order.
+
+        Returns the tuple (u, apm, cs, eps, c0, p2, fx) of node arrays:
+        the values, the sum of the two arm values and the correction sum
+        along the pair `_select` picks, its arm length and center weight,
+        the floored squared slope and f at the values.
+        """
+        arm_p, arm_m, c0, csum, eps = self.stencil.pair_arrays(values,
+                                                               grp.tab)
         k, pick, phat = _select(arm_p, arm_m, eps)
-        A = arm_p.take(pick) + arm_m.take(pick) - 2.0 * csum.take(pick)
-        eps_s, c0_s = eps[k], c0[k]
+        u = values.take(grp.tab.flat)
+        eps_s = eps[k]
+        if self.f.depends_on_t:
+            with np.errstate(invalid="ignore"):
+                fx = self.f.eval_nodes(u, grp.coefs)
+            floor = _floor(eps_s, fx, self.stencil.params.delta_reg)
+        else:
+            fx, floor = grp.fx, grp.floor.take(pick)
+        p2 = np.maximum(phat ** 2, floor)
+        return (u, arm_p.take(pick) + arm_m.take(pick), csum.take(pick),
+                eps_s, c0[k], p2, fx)
+
+    def _candidate(self, values, grp, data):
+        """Candidate values at a group's nodes from its `_steep` data."""
+        u0, apm, cs, eps_s, c0_s, p2, fx = data
+        A = apm - 2.0 * cs
         if not self.f.depends_on_t:
-            fx = self.fx0.take(tab.flat)
-            p2 = _phat2_eff(phat, eps_s, fx, st.params.delta_reg)
             return (A - eps_s ** 2 * fx / p2) / (2.0 * c0_s)
-        u0 = values.take(tab.flat)
         if self.sequential:
             lo, hi = u0 - 1.0, u0 + 1.0
         else:
-            vals = values[self.domain.nonexterior]
+            vals = values.take(self.ne_flat)
             lo = np.full(u0.shape, vals.min() - 1.0)
             hi = np.full(u0.shape, vals.max() + 1.0)
-        t, failed = self._implicit(u0, A, phat, eps_s, c0_s,
-                                   _at(self.coefs, tab.flat), lo, hi)
+        t, failed = self._implicit(u0, A, p2, eps_s, c0_s, grp.coefs, lo, hi)
         self.bracket_failures += int(failed.sum())
         return t
 
-    def _implicit(self, u0, A, phat, eps_s, c0_s, coefs, lo, hi):
+    def _implicit(self, u0, A, p2, eps_s, c0_s, coefs, lo, hi):
         """Implicit local update at a set of nodes (1-D arrays).
 
         Solves 2 c0 t - A + eps^2 f(x, t) / p2 = 0 by `_local_solve`
         from the bracket [lo, hi], warm-started at the current values u0,
-        with the gradient floor p2 frozen at the incoming value; at a
+        with the gradient floor in p2 frozen at the incoming value; at a
         Gauss-Seidel fixed point the frozen floor equals the current one,
         so fp_residual vanishes there.  Returns (t, failed) as
         `_local_solve` does.
         """
         f = self.f
-        p2 = _phat2_eff(phat, eps_s, f.eval_nodes(u0, coefs),
-                        self.stencil.params.delta_reg)
         eps2 = eps_s ** 2
 
         def g(t, dt=False):
@@ -214,34 +285,46 @@ class _Sweeper:
         solves; it vanishes at the Gauss-Seidel fixed point even at nodes
         where the discrete gradient degenerates (e.g. interior extrema,
         where the raw S * phat^2 residual cannot go below |f|).
-        """
-        S, phat, eps_s = _steepest(values, self.stencil, self.interior)
-        with np.errstate(invalid="ignore"):
-            fx = self.f.eval_grid(self.domain, values) \
-                if self.f.depends_on_t else self.fx0
-        fx = fx.take(self.interior.flat)
-        p2 = _phat2_eff(phat, eps_s, fx, self.stencil.params.delta_reg)
-        return float(np.abs(S * p2 - fx).max())
 
-    def half_sweep(self, values, tab, only_up=False, cap=None):
-        t = self._candidate(values, tab)
-        old = values.take(tab.flat)
+        Returns (residual, head): head is the steepest-pair data of the
+        first update group, for the next `full_sweep` on these values.
+        """
+        data = self._steep(values, self.all)
+        u, apm, cs, eps_s, c0_s, p2, fx = data
+        with np.errstate(invalid="ignore"):
+            S = (apm - 2.0 * (c0_s * u + cs)) / eps_s ** 2
+        n = self.groups[0].tab.flat.size
+        return float(np.abs(S * p2 - fx).max()), tuple(a[:n] for a in data)
+
+    def half_sweep(self, values, grp, data=None, only_up=False, cap=None):
+        """Update one group; `data` is its `_steep` data at these values,
+        gathered here when not given."""
+        if data is None:
+            data = self._steep(values, grp)
+        old = data[0]
+        t = self._candidate(values, grp, data)
         new = old + self.theta * (t - old)
         if only_up:
             new = np.maximum(old, new)
         clipped = False
         if cap is not None:
-            top = cap.take(tab.flat)
+            top = cap.take(grp.tab.flat)
             clipped = bool((new > top + 1e-12).any())
             new = np.minimum(new, top)
-        values.put(tab.flat, new)
+        values.put(grp.tab.flat, new)
         return clipped
 
-    def full_sweep(self, values, only_up=False, cap=None):
-        """One sweep: each update group of `tables` in turn."""
+    def full_sweep(self, values, head=None, only_up=False, cap=None):
+        """One sweep: each update group in turn.
+
+        `head` is what `fp_residual` returned for these same values, and
+        the first group updates from it without gathering again.
+        """
         clipped = False
-        for tab in self.tables:
-            clipped |= self.half_sweep(values, tab, only_up=only_up, cap=cap)
+        for grp in self.groups:
+            clipped |= self.half_sweep(values, grp, head, only_up=only_up,
+                                       cap=cap)
+            head = None
         return clipped
 
 
@@ -257,7 +340,10 @@ def local_update(node, u, f, s, p=None):
         raise ValueError("local_update needs an interior node")
     opts = SolveOptions(damping=1.0, order="lexicographic")
     sw = _Sweeper(u.domain, f, s, opts)
-    t = float(sw._candidate(u.values, s.gather(node))[0])
+    # one group per interior node, in grid order
+    grp = sw.groups[int(np.searchsorted(
+        sw.all.tab.flat, np.ravel_multi_index(node, u.domain.dims)))]
+    t = float(sw._candidate(u.values, grp, sw._steep(u.values, grp))[0])
     if sw.bracket_failures:
         raise ValueError("bracket failure in local update")
     return t
@@ -269,9 +355,11 @@ def _init_harmonic(domain, b, stencil, opts, tol):
     vals[domain.boundary] = b.values[domain.boundary]
     vals[domain.interior] = 0.5 * (b.ell + b.L)
     sw = _Sweeper(domain, f0, stencil, replace(opts, damping=1.0))
+    head = None
     for _ in range(opts.max_sweeps):
-        sw.full_sweep(vals)
-        if sw.fp_residual(vals) <= tol:
+        sw.full_sweep(vals, head)
+        res, head = sw.fp_residual(vals)
+        if res <= tol:
             break
     return vals
 
@@ -299,10 +387,10 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
     sw = _Sweeper(d, f, stencil, opts)
     status = "max_sweeps_reached"
     sweeps = opts.max_sweeps
-    res_sup = np.inf
+    res_sup, head = np.inf, None
     for it in range(1, opts.max_sweeps + 1):
-        sw.full_sweep(vals)
-        res_sup = sw.fp_residual(vals)
+        sw.full_sweep(vals, head)
+        res_sup, head = sw.fp_residual(vals)
         if opts.alarm_bound is not None \
                 and np.abs(vals[d.nonexterior]).max() > opts.alarm_bound:
             status, sweeps = "diverged_past_alarm", it
@@ -344,7 +432,7 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
     sw = _Sweeper(d, f, stencil, opts)
     status = "max_sweeps_reached"
     sweeps = opts.max_sweeps
-    res_sup = np.inf
+    res_sup, head = np.inf, None
     clipped = False
     monotone = True
     # Phase 1 realizes the sup-over-sub-solutions construction as a pure
@@ -357,11 +445,11 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
     for it in range(1, opts.max_sweeps + 1):
         prev = vals.copy()
         if ascent:
-            clipped = sw.full_sweep(vals, only_up=True, cap=cap)
+            clipped = sw.full_sweep(vals, head, only_up=True, cap=cap)
             if (vals[ne] < prev[ne] - 1e-12).any():
                 raise ValueError("Perron iterate decreased (internal error)")
         else:
-            clipped = sw.full_sweep(vals, cap=cap)
+            clipped = sw.full_sweep(vals, head, cap=cap)
             np.maximum(vals, floor_vals, out=vals)
             if (vals[ne] < prev[ne] - 1e-12).any():
                 monotone = False
@@ -369,7 +457,9 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
                 and vals[d.interior].max() > opts.alarm_bound:
             status, sweeps = "diverged_past_alarm", it
             break
-        res_sup = sw.fp_residual(vals)
+        # after the clamp to the floor, so head holds the values the
+        # next sweep starts from
+        res_sup, head = sw.fp_residual(vals)
         if res_sup <= tol:
             status, sweeps = "converged", it
             break

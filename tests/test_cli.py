@@ -182,6 +182,17 @@ class TestPerronAndProbe:
         assert rep["solve"]["status"] == "diverged_past_alarm"
         assert rep["solve"]["bracket_failures"] > 0
 
+    @pytest.mark.parametrize("solve", [{"damping": 0}, {"damping": -0.5},
+                                       {"alarm_bound": -1}])
+    def test_bad_iteration_settings_exit_one(self, tmp_path, capsys, solve):
+        cfg = {"problem": {"domain": BALL, "h": 0.25, "rhs": "(const -1)",
+                           "boundary": {"constant": 0.0}},
+               "solve": dict(solve, max_sweeps=50)}
+        code, out = _run(tmp_path, "solve", cfg)
+        assert code == 1
+        assert next(iter(solve)) in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_probe_needs_alarm(self, tmp_path):
         cfg = {"problem": {"domain": BALL, "h": 0.125,
                            "rhs": "(const -1)",
@@ -269,6 +280,28 @@ class TestCriteriaAction:
         assert rep["nonexistence_radius"] is None
         assert "nonexistence-radius" not in {
             v["theorem"] for v in rep["verdicts"]}
+        # the report says why
+        assert "has a coefficient" in rep["nonexistence_radius_skipped"]
+
+    @pytest.mark.parametrize("m, skipped", [
+        ("(exp t)", None), (None, "h must be nonnegative")])
+    def test_radius_skip_reason(self, tmp_path, m, skipped):
+        # without m the rhs -e^t itself is tried, and it is negative
+        cfg = {"problem": {"domain": BALL, "h": 0.25,
+                           "rhs": "(neg (exp t))",
+                           "rhs_monotone": "nonincreasing",
+                           "boundary": {"constant": 0.0}},
+               "criteria": dict({"eta_list": [1.0]},
+                                **({"m": m} if m else {}))}
+        code, out = _run(tmp_path, "criteria", cfg)
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())["criteria"]
+        if skipped is None:
+            assert rep["nonexistence_radius_skipped"] is None
+            assert 1.179 < float(rep["nonexistence_radius"]) < 1.180
+        else:
+            assert skipped in rep["nonexistence_radius_skipped"]
+            assert rep["nonexistence_radius"] is None
 
 
 class TestVerifyAction:

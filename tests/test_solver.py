@@ -109,6 +109,44 @@ class TestSolveDirichlet:
         with pytest.raises(ValueError):
             SolveOptions(order="diagonal")
 
+    # damping 0 ran to max_sweeps with residual 1, a negative one
+    # overflowed, and alarm_bound -1 ended every solve after one sweep
+    @pytest.mark.parametrize("damping", [0.0, -0.5, 2.0, 2.5, np.nan,
+                                         np.inf, -np.inf])
+    def test_bad_damping(self, damping):
+        with pytest.raises(ValueError, match="damping"):
+            SolveOptions(damping=damping)
+
+    @pytest.mark.parametrize("alarm", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_alarm_bound(self, alarm):
+        with pytest.raises(ValueError, match="alarm_bound"):
+            SolveOptions(alarm_bound=alarm)
+
+    @pytest.mark.parametrize("damping", [1e-3, 0.5, 1.0, 1.9])
+    def test_damping_in_range_accepted(self, damping):
+        assert SolveOptions(damping=damping, alarm_bound=1e-3).damping \
+            == damping
+
+    def test_callable_coefficient_resolved_once(self, small_ball8):
+        # the residual used to resolve the coefficient again every sweep
+        calls = []
+
+        def a(pts):
+            calls.append(len(pts))
+            return 1.0 + pts[:, 0] ** 2
+
+        f = RhsSpec("(mul (coef a) (neg (exp t)))", coefs={"a": a})
+        b = BoundaryTrace.constant(small_ball8, 0.0)
+        counts, sweeps = [], []
+        for tol in (1e-3, 1e-9):
+            calls.clear()
+            _, rep = solve_dirichlet(small_ball8, f, b, SolveOptions(tol=tol))
+            assert rep.status == "converged"
+            counts.append(len(calls))
+            sweeps.append(rep.sweeps)
+        assert sweeps[0] < sweeps[1]
+        assert counts == [1, 1]
+
 
 class TestLocalUpdate:
     def test_closed_form_literal(self):
