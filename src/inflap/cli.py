@@ -239,7 +239,8 @@ def _report_of(rep):
     return {"status": rep.status, "sweeps": rep.sweeps,
             "residual": rep.residual, "sup": rep.sup, "inf": rep.inf,
             "monotone": rep.monotone, "clipped": rep.clipped,
-            "bracket_failures": rep.bracket_failures}
+            "bracket_failures": rep.bracket_failures,
+            "newton_steps": rep.newton_steps}
 
 
 def _run_solve(cfg, out_dir, h_override):

@@ -441,7 +441,9 @@ class RhsSpec:
     sign : {"nonneg", "nonpos", "mixed"}, optional
     monotone_in_t : {"nondecreasing", "nonincreasing", "none"}, optional
         Declared attributes are validated on a probe lattice; a declared
-        but violated attribute raises ValueError.
+        but violated attribute raises ValueError.  A callable coefficient
+        has no points to probe until a domain is known, so with one the
+        check runs in `coef_grid`, on the domain's non-exterior nodes.
 
     Attributes
     ----------
@@ -473,20 +475,25 @@ class RhsSpec:
         for name in sorted(self.coef_names):
             if name not in self.coefs:
                 raise ValueError("missing coefficient samples for %r" % name)
+        self._probe_t = None
         if sign is not None or monotone_in_t is not None:
-            self._validate(probe_t, probe_points)
+            self._probe_t = np.linspace(probe_t[0], probe_t[1], probe_points)
+            if not any(callable(v) for v in self.coefs.values()):
+                self._validate(self.coefs)
 
-    def _validate(self, probe_t, probe_points):
-        t = np.linspace(probe_t[0], probe_t[1], probe_points)
+    def _validate(self, samples):
+        """Check the declared attributes on the probe lattice.
+
+        `samples` maps each coefficient to its values (scalar or array);
+        t runs over the probe range, and each coefficient over its finite
+        extremes and up to about 16 more of its values.
+        """
+        t = self._probe_t
         coef_vals = {}
-        for name, val in self.coefs.items():
-            if callable(val):
-                coef_vals[name] = np.asarray(
-                    val(np.zeros((1, len(self.coefs)))), dtype=float).ravel()
-            else:
-                arr = np.asarray(val, dtype=float).ravel()
-                arr = arr[np.isfinite(arr)]
-                coef_vals[name] = arr if arr.size else np.array([0.0])
+        for name, val in samples.items():
+            arr = np.asarray(val, dtype=float).ravel()
+            arr = arr[np.isfinite(arr)]
+            coef_vals[name] = arr if arr.size else np.array([0.0])
         combos = [{}]
         for name, vals in coef_vals.items():
             sub = np.unique(np.concatenate(
@@ -544,6 +551,11 @@ class RhsSpec:
                 if arr.shape != domain.dims:
                     raise ValueError("coefficient %r shape mismatch" % name)
                 out[name] = arr
+        if self._probe_t is not None \
+                and any(callable(v) for v in self.coefs.values()):
+            ne = domain.nonexterior
+            self._validate({name: out[name][ne] if callable(val) else val
+                            for name, val in self.coefs.items()})
         return out
 
     def eval_grid(self, domain, t):

@@ -1,4 +1,4 @@
-"""Gauss-Seidel Dirichlet solver and Perron-style monotone iteration.
+"""Dirichlet solvers (Gauss-Seidel, and Newton in 1-D) and Perron iteration.
 
 The local update solves the scalar equation S(t) * phat^2 = f(x, t) at one
 node, with phat frozen from the current iterate and S the second difference
@@ -21,18 +21,35 @@ and the next sweep's first group, so that group takes its slice of the
 residual's data instead of gathering again, and a sweep costs two kernel
 passes instead of three.  For x-only f the slope floor is a table over
 pairs and nodes, worked out once per solve.
+
+In 1-D with an x-only f there is one direction pair, and the residual
+F = S * p2 - f is piecewise smooth in the values with a tridiagonal
+Jacobian (`_Sweeper.newton_system`, from the same steepest-pair data).
+There `solve_dirichlet`, its f == 0 start included, runs damped Newton
+(`_newton`): one banded solve and an Armijo backtracking on ||F||_2 per
+step, a few sweeps where the line search fails, and plain sweeps for the
+rest of the budget after _NEWTON_ROUNDS rounds.  Gauss-Seidel needs a
+sweep count growing as n^2 there.  Every other solve sweeps.
 """
 
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import LinAlgError, solve_banded
 
 from .core import SIGMA, RhsSpec, ScalarField
 from .scheme import SchemeParams, Stencil, _select
 
 # a local-solve step this small relative to 1 + |t| is rounding noise
 _STEP_TOL = 4.0 * np.finfo(float).eps
+# 1-D Newton: tridiagonal solves before the Gauss-Seidel handoff, sweeps
+# after a failed line search, the Armijo constant on ||F||^2 and the
+# shortest step the backtracking tries
+_NEWTON_ROUNDS = 50
+_FALLBACK_SWEEPS = 20
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0 ** -20
 
 
 @dataclass
@@ -71,6 +88,17 @@ class SolveReport:
     monotone: bool
     clipped: bool = False
     bracket_failures: int = 0    # local solves that found no sign change
+    newton_steps: int = 0        # 1-D Newton steps, the harmonic start's too
+
+
+def _residual(data):
+    """(S, F) from `_Sweeper._steep` data: the second difference along
+    the steepest pair and F = S * p2 - f, the quantity the local update
+    zeroes."""
+    u, apm, cs, eps_s, c0_s, p2, fx, _ = data
+    with np.errstate(invalid="ignore"):
+        S = (apm - 2.0 * (c0_s * u + cs)) / eps_s ** 2
+    return S, S * p2 - fx
 
 
 def _at(coefs, flat):
@@ -220,10 +248,11 @@ class _Sweeper:
     def _steep(self, values, grp):
         """Steepest-pair data at a group's nodes, in its order.
 
-        Returns the tuple (u, apm, cs, eps, c0, p2, fx) of node arrays:
-        the values, the sum of the two arm values and the correction sum
-        along the pair `_select` picks, its arm length and center weight,
-        the floored squared slope and f at the values.
+        Returns the tuple (u, apm, cs, eps, c0, p2, fx, phat) of node
+        arrays: the values, the sum of the two arm values and the
+        correction sum along the pair `_select` picks, its arm length and
+        center weight, the floored squared slope, f at the values and the
+        signed centered slope.
         """
         arm_p, arm_m, c0, csum, eps = self.stencil.pair_arrays(values,
                                                                grp.tab)
@@ -238,11 +267,11 @@ class _Sweeper:
             fx, floor = grp.fx, grp.floor.take(pick)
         p2 = np.maximum(phat ** 2, floor)
         return (u, arm_p.take(pick) + arm_m.take(pick), csum.take(pick),
-                eps_s, c0[k], p2, fx)
+                eps_s, c0[k], p2, fx, phat)
 
     def _candidate(self, values, grp, data):
         """Candidate values at a group's nodes from its `_steep` data."""
-        u0, apm, cs, eps_s, c0_s, p2, fx = data
+        u0, apm, cs, eps_s, c0_s, p2, fx, _ = data
         A = apm - 2.0 * cs
         if not self.f.depends_on_t:
             return (A - eps_s ** 2 * fx / p2) / (2.0 * c0_s)
@@ -290,11 +319,33 @@ class _Sweeper:
         first update group, for the next `full_sweep` on these values.
         """
         data = self._steep(values, self.all)
-        u, apm, cs, eps_s, c0_s, p2, fx = data
-        with np.errstate(invalid="ignore"):
-            S = (apm - 2.0 * (c0_s * u + cs)) / eps_s ** 2
         n = self.groups[0].tab.flat.size
-        return float(np.abs(S * p2 - fx).max()), tuple(a[:n] for a in data)
+        return float(np.abs(_residual(data)[1]).max()), \
+            tuple(a[:n] for a in data)
+
+    def newton_system(self, values, order, link):
+        """F = S * p2 - f and its tridiagonal Jacobian, in grid order (1-D).
+
+        `order` sorts the table's nodes into grid order (the table lists
+        color 0 first), and link[j] says whether sorted nodes j and j + 1
+        are grid neighbours.  With the one pair's plus arm at the next
+        node, dF_i/du_i = -2 c0 p2 / eps^2 and dF_i/du_(i+-1) =
+        p2 / eps^2 +- S phat / eps, without the S phat term where the
+        floor binds; boundary neighbours drop out.
+
+        Returns (F, ab), ab in the layout of `solve_banded((1, 1), ...)`.
+        """
+        data = tuple(a[order] for a in self._steep(values, self.all))
+        _, _, _, eps_s, c0_s, p2, _, phat = data
+        S, F = _residual(data)
+        arm = p2 / eps_s ** 2
+        with np.errstate(invalid="ignore"):
+            slope = np.where(phat ** 2 < p2, 0.0, S * phat / eps_s)
+        ab = np.zeros((3, F.size))
+        ab[0, 1:] = np.where(link, (arm + slope)[:-1], 0.0)
+        ab[1] = -2.0 * c0_s * arm
+        ab[2, :-1] = np.where(link, (arm - slope)[1:], 0.0)
+        return F, ab
 
     def half_sweep(self, values, grp, data=None, only_up=False, cap=None):
         """Update one group; `data` is its `_steep` data at these values,
@@ -349,26 +400,110 @@ def local_update(node, u, f, s, p=None):
     return t
 
 
-def _init_harmonic(domain, b, stencil, opts, tol):
-    f0 = RhsSpec("(const 0)")
-    vals = np.full(domain.dims, np.nan)
-    vals[domain.boundary] = b.values[domain.boundary]
-    vals[domain.interior] = 0.5 * (b.ell + b.L)
-    sw = _Sweeper(domain, f0, stencil, replace(opts, damping=1.0))
-    head = None
-    for _ in range(opts.max_sweeps):
+def _gauss_seidel(sw, vals, tol, budget, alarm):
+    """Up to `budget` sweeps, each followed by the residual.
+
+    Stops at the first residual <= tol, or once the iterate's sup passes
+    `alarm` (None for no alarm).  Returns (status, sweeps, residual).
+    """
+    res, head = np.inf, None
+    for it in range(1, budget + 1):
         sw.full_sweep(vals, head)
         res, head = sw.fp_residual(vals)
+        if alarm is not None and np.abs(vals.take(sw.ne_flat)).max() > alarm:
+            return "diverged_past_alarm", it, res
         if res <= tol:
+            return "converged", it, res
+    return "max_sweeps_reached", budget, res
+
+
+def _newton(sw, vals, tol, budget, alarm):
+    """Damped Newton on the 1-D system F(u) = 0 of an x-only f.
+
+    F is the residual `fp_residual` bounds, so a converged Newton solve
+    carries the same certificate as a Gauss-Seidel one.  Each round takes
+    one `_newton_step`; where it finds no step, up to _FALLBACK_SWEEPS
+    Gauss-Seidel sweeps move the iterate instead.  Newton steps plus
+    sweeps stay within `budget`, and the alarm (None for none) is checked
+    after every step and sweep.
+
+    Returns (status, steps, sweeps, residual); status is None when
+    _NEWTON_ROUNDS rounds ended without a verdict.
+    """
+    order = np.argsort(sw.all.tab.flat)
+    flat = sw.all.tab.flat[order]
+    link = np.diff(flat) == 1
+    F, ab = sw.newton_system(vals, order, link)
+    steps = sweeps = 0
+    for rounds in range(_NEWTON_ROUNDS + 1):
+        res = float(np.abs(F).max())
+        if res <= tol:
+            return "converged", steps, sweeps, res
+        if steps + sweeps >= budget:
+            return "max_sweeps_reached", steps, sweeps, res
+        if rounds == _NEWTON_ROUNDS:
             break
-    return vals
+        step = _newton_step(sw, vals, flat, order, link, F, ab)
+        if step is not None:
+            F, ab = step
+            steps += 1
+            if alarm is not None \
+                    and np.abs(vals.take(sw.ne_flat)).max() > alarm:
+                return ("diverged_past_alarm", steps, sweeps,
+                        float(np.abs(F).max()))
+            continue
+        status, k, res = _gauss_seidel(
+            sw, vals, tol, min(_FALLBACK_SWEEPS, budget - steps - sweeps),
+            alarm)
+        sweeps += k
+        if status != "max_sweeps_reached":
+            return status, steps, sweeps, res
+        F, ab = sw.newton_system(vals, order, link)
+    return None, steps, sweeps, res
+
+
+def _newton_step(sw, vals, flat, order, link, F, ab):
+    """One globalized Newton step on the values at `flat`, in place.
+
+    Solves the tridiagonal system for the direction, then backtracks from
+    the full step, halving it down to _MIN_STEP, until ||F||^2 falls by
+    the Armijo factor 1 - 2 _ARMIJO t.  Returns the new (F, ab), or None
+    (values untouched) when the matrix is singular or no step passes:
+    F is only piecewise smooth, so the direction need not descend.
+    """
+    try:
+        dx = solve_banded((1, 1), ab, -F)
+    except (LinAlgError, ValueError):   # singular, or not finite
+        return None
+    u, phi = vals.take(flat), F @ F
+    trial = vals.copy()
+    t = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t >= _MIN_STEP:
+            trial.put(flat, u + t * dx)
+            Ft, abt = sw.newton_system(trial, order, link)
+            if Ft @ Ft <= (1.0 - 2.0 * _ARMIJO * t) * phi:
+                vals.put(flat, u + t * dx)
+                return Ft, abt
+            t *= 0.5
+    return None
 
 
 def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
-    """Gauss-Seidel solve of Delta_inf u = f(x, u), u = b on the boundary.
+    """Solve Delta_inf u = f(x, u), u = b on the boundary.
 
-    The initial guess is the f == 0 solve of the same boundary data unless
-    `initial_guess` (a ScalarField) is supplied.
+    The initial guess is the f == 0 solve of the same boundary data,
+    started from the constant (ell + L) / 2, unless `initial_guess` (a
+    ScalarField) is supplied.
+
+    In 1-D with an x-only f the discrete system F(u) = S p2 - f = 0 has
+    one direction pair and a tridiagonal Jacobian, and both the f == 0
+    start and the solve use `_newton`, handing over to Gauss-Seidel
+    sweeps after _NEWTON_ROUNDS rounds.  `newton_steps` and `sweeps` then
+    count the start's steps and sweeps too, and all of them together stay
+    within `max_sweeps`; `order` and `damping` shape only the sweeps.
+    Everywhere else (2-D, 3-D, or f depending on t) the solve is the
+    colored Gauss-Seidel iteration, whose start's sweeps go uncounted.
 
     Returns
     -------
@@ -379,28 +514,37 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
     stencil = Stencil(d, params)
     tol = opts.tol if opts.tol is not None \
         else 1e-8 * (1.0 + max(abs(b.ell), abs(b.L)))
+    newton = d.N == 1 and not f.depends_on_t
+    steps = sweeps = 0
     if initial_guess is not None:
         vals = initial_guess.values.copy()
         vals[d.boundary] = b.values[d.boundary]
     else:
-        vals = _init_harmonic(d, b, stencil, opts, tol)
+        vals = np.full(d.dims, np.nan)
+        vals[d.boundary] = b.values[d.boundary]
+        vals[d.interior] = 0.5 * (b.ell + b.L)
+        sw = _Sweeper(d, RhsSpec("(const 0)"), stencil,
+                      replace(opts, damping=1.0))
+        if newton:
+            _, steps, sweeps, _ = _newton(sw, vals, tol, opts.max_sweeps,
+                                          None)
+        else:
+            _gauss_seidel(sw, vals, tol, opts.max_sweeps, None)
     sw = _Sweeper(d, f, stencil, opts)
-    status = "max_sweeps_reached"
-    sweeps = opts.max_sweeps
-    res_sup, head = np.inf, None
-    for it in range(1, opts.max_sweeps + 1):
-        sw.full_sweep(vals, head)
-        res_sup, head = sw.fp_residual(vals)
-        if opts.alarm_bound is not None \
-                and np.abs(vals[d.nonexterior]).max() > opts.alarm_bound:
-            status, sweeps = "diverged_past_alarm", it
-            break
-        if res_sup <= tol:
-            status, sweeps = "converged", it
-            break
+    budget = opts.max_sweeps - steps - sweeps
+    status = None
+    if newton:
+        status, k, j, res_sup = _newton(sw, vals, tol, budget,
+                                        opts.alarm_bound)
+        steps, sweeps, budget = steps + k, sweeps + j, budget - k - j
+    if status is None:
+        status, j, res_sup = _gauss_seidel(sw, vals, tol, budget,
+                                           opts.alarm_bound)
+        sweeps += j
     u = ScalarField(d, vals)
     rep = SolveReport(status, sweeps, res_sup, u.sup(), u.inf(),
-                      monotone=False, bracket_failures=sw.bracket_failures)
+                      monotone=False, bracket_failures=sw.bracket_failures,
+                      newton_steps=steps)
     return u, rep
 
 

@@ -81,6 +81,20 @@ class TestSolveAction:
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_newton_steps_reported(self, tmp_path):
+        # 1-D takes the Newton path; the ball keeps Gauss-Seidel
+        line = {"problem": {"domain": {"kind": "box", "lo": [0.0],
+                                       "hi": [1.0]},
+                            "h": 0.01, "rhs": "(const 1)",
+                            "boundary": {"constant": 0.0}},
+                "solve": {"tol": 1e-8}}
+        for cfg, newton in ((line, True), (self.CFG, False)):
+            code, out = _run(tmp_path, "solve", cfg)
+            assert code == 0
+            rep = json.loads((out / "report.json").read_text())["solve"]
+            assert (rep["newton_steps"] > 0) == newton
+            assert (rep["sweeps"] == 0) == newton
+
     def test_h_override(self, tmp_path):
         code, out = _run(tmp_path, "solve", self.CFG, ["--h", "0.25"])
         assert code == 0

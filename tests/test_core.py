@@ -140,6 +140,22 @@ class TestRhsSpec:
             RhsSpec("(neg t)", monotone_in_t="nondecreasing")
         RhsSpec("t", monotone_in_t="nondecreasing")
 
+    def test_callable_coefficient_probed_on_the_domain(self, ball2d):
+        # a 2-D callable reads p[:, 1]: it is checked on the grid's
+        # points, where the space dimension is known
+        f = RhsSpec("(mul (coef a) (exp t))",
+                    coefs={"a": lambda p: 1 + p[:, 1] ** 2}, sign="nonneg")
+        a = f.coef_grid(ball2d)["a"]
+        assert a.shape == ball2d.dims and a[ball2d.nonexterior].min() >= 1.0
+        g = RhsSpec("(mul (coef a) (exp t))",
+                    coefs={"a": lambda p: p[:, 1]}, sign="nonneg")
+        with pytest.raises(ValueError, match="nonneg"):
+            g.coef_grid(ball2d)
+        h = RhsSpec("(mul (coef a) t)", coefs={"a": lambda p: p[:, 0]},
+                    monotone_in_t="nondecreasing")
+        with pytest.raises(ValueError, match="nondecreasing"):
+            h.eval_grid(ball2d, np.zeros(ball2d.dims))
+
     def test_monotone_value_checked(self):
         with pytest.raises(ValueError):
             RhsSpec("t", monotone_in_t=True)
