@@ -243,6 +243,10 @@ def _report_of(rep):
             "newton_steps": rep.newton_steps}
 
 
+# exit codes of the iterative actions; 1 stays for usage and config errors
+_EXIT = {"converged": 0, "diverged_past_alarm": 3, "max_sweeps_reached": 4}
+
+
 def _run_solve(cfg, out_dir, h_override):
     d, f, b = _build_problem(cfg, h_override)
     u, rep = solve_dirichlet(d, f, b, _solve_options(cfg),
@@ -250,7 +254,7 @@ def _run_solve(cfg, out_dir, h_override):
     write_field(u, os.path.join(out_dir, "field.csv"))
     write_report({"action": "solve", "solve": _report_of(rep)},
                  os.path.join(out_dir, "report.json"))
-    return 0 if rep.status == "converged" else 1
+    return _EXIT[rep.status]
 
 
 def _run_perron(cfg, out_dir, h_override):
@@ -266,9 +270,7 @@ def _run_perron(cfg, out_dir, h_override):
     write_field(u, os.path.join(out_dir, "field.csv"))
     write_report({"action": "perron", "solve": _report_of(rep)},
                  os.path.join(out_dir, "report.json"))
-    if rep.status == "diverged_past_alarm":
-        return 3
-    return 0 if rep.status == "converged" else 1
+    return _EXIT[rep.status]
 
 
 def _run_probe(cfg, out_dir, h_override):
@@ -278,9 +280,7 @@ def _run_probe(cfg, out_dir, h_override):
     write_report({"action": "probe", "solve": _report_of(rep),
                   "alarm_bound": opts.alarm_bound},
                  os.path.join(out_dir, "report.json"))
-    if rep.status == "diverged_past_alarm":
-        return 3
-    return 0 if rep.status == "converged" else 1
+    return _EXIT[rep.status]
 
 
 def _run_radial(cfg, out_dir, h_override):

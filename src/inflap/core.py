@@ -593,7 +593,7 @@ class RhsSpec:
         y, dy = out if dt else (out, None)
         y = np.asarray(y, dtype=float)
         big = np.abs(y) > SATURATE
-        if big.any():
+        if np.count_nonzero(big):
             self.saturated = True
             y = np.clip(y, -SATURATE, SATURATE)
             if dt:
@@ -621,9 +621,9 @@ def _eval_tree(tree, combo, t, dt=False):
             y = np.sign(t) * np.abs(t) ** g
             return (y, g * np.abs(t) ** (g - 1.0)) if dt else y
     if op == "exp":
-        # flat (derivative 0) once saturated
-        with np.errstate(over="ignore"):
-            y = np.minimum(np.exp(np.minimum(t, 700.0)), SATURATE)
+        # t is capped at 700 first, so exp cannot overflow; flat
+        # (derivative 0) once saturated
+        y = np.minimum(np.exp(np.minimum(t, 700.0)), SATURATE)
         return (y, np.where(y < SATURATE, y, 0.0)) if dt else y
     if op == "cospow":
         g = tree[1]

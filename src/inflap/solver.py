@@ -32,6 +32,7 @@ rest of the budget after _NEWTON_ROUNDS rounds.  Gauss-Seidel needs a
 sweep count growing as n^2 there.  Every other solve sweeps.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -86,7 +87,7 @@ class SolveReport:
     sup: float
     inf: float
     monotone: bool
-    clipped: bool = False
+    clipped: bool = False        # the last sweep hit the super-solution
     bracket_failures: int = 0    # local solves that found no sign change
     newton_steps: int = 0        # 1-D Newton steps, the harmonic start's too
 
@@ -96,9 +97,10 @@ def _residual(data):
     the steepest pair and F = S * p2 - f, the quantity the local update
     zeroes."""
     u, apm, cs, eps_s, c0_s, p2, fx, _ = data
-    with np.errstate(invalid="ignore"):
+    # a residual that overflows ends the solve (`_gauss_seidel`)
+    with np.errstate(invalid="ignore", over="ignore"):
         S = (apm - 2.0 * (c0_s * u + cs)) / eps_s ** 2
-    return S, S * p2 - fx
+        return S, S * p2 - fx
 
 
 def _at(coefs, flat):
@@ -123,10 +125,16 @@ def _local_solve(g, lo, hi, t0):
     (f outgrowing the linear term, the local blow-up mechanism) returns
     the bracket edge on the side where g has the wrong sign, hi first.
 
+    The arrays hold a few dozen nodes, so the number of numpy calls per
+    step sets the cost, not the arithmetic: each test is one mask, and
+    the bisection and the lengthened steps are built only in a step where
+    some node needs them.
+
     Returns
     -------
     (t, failed) : ndarray roots and the mask of nodes without sign change
     """
+    count = np.count_nonzero
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         span = 1.0
         # 60 widenings, each followed by a check
@@ -134,37 +142,42 @@ def _local_solve(g, lo, hi, t0):
             bad_lo = g(lo) > 0
             bad_hi = g(hi) < 0
             failed = bad_lo | bad_hi
-            if k == 60 or not failed.any():
+            if k == 60 or not count(failed):
                 break
             span *= 2.0
             lo = np.where(bad_lo, lo - span, lo)
             hi = np.where(bad_hi, hi + span, hi)
         edge = np.where(bad_hi, hi, lo)
-        t = np.clip(t0, lo, hi)
+        t = np.minimum(np.maximum(t0, lo), hi)
         live = ~failed
         for _ in range(100):
-            if not live.any():
+            if not count(live):
                 break
             gt, dg = g(t, dt=True)
-            up = gt > 0
+            up = gt > 0.0
             hi = np.where(up, t, hi)
             lo = np.where(up, lo, t)
+            root = gt == 0.0
+            step = gt / dg
+            step[root] = 0.0
+            tn = t - step
             # off an exact root, an infinite or zero slope (e.g. (pow t g),
             # g < 1, at t = 0) gives no Newton step: bisect instead
-            step = np.where(gt == 0, 0.0, gt / dg)
-            newton = np.isfinite(step) & (np.isfinite(dg) | (gt == 0))
-            tn = np.where(newton, t - step, np.nan)
-            tn = np.where((tn >= lo) & (tn <= hi), tn, 0.5 * (lo + hi))
+            newton = (tn >= lo) & (tn <= hi) & np.isfinite(step) \
+                & (np.isfinite(dg) | root)
+            if count(newton) < newton.size:
+                tn = np.where(newton, tn, 0.5 * (lo + hi))
             h = _STEP_TOL * (1.0 + np.abs(t))
-            done = (gt == 0) | (hi - lo <= 2.0 * h)
+            go_on = ~(root | (hi - lo <= 2.0 * h))
             # a step below rounding level is no proof of a root (a huge
             # slope far from it gives one too): step h toward the root,
             # which closes the bracket if the root is that near; t is a
             # bracket end and the other end is over 2 h away
-            short = ~done & (np.abs(tn - t) < h)
-            tn = np.where(short, np.where(up, t - h, t + h), tn)
+            short = (np.abs(tn - t) < h) & go_on
+            if count(short):
+                tn = np.where(short, np.where(up, t - h, t + h), tn)
             t = np.where(live, tn, t)
-            live &= ~done
+            live &= go_on
     return np.where(failed, edge, t), failed
 
 
@@ -282,7 +295,7 @@ class _Sweeper:
             lo = np.full(u0.shape, vals.min() - 1.0)
             hi = np.full(u0.shape, vals.max() + 1.0)
         t, failed = self._implicit(u0, A, p2, eps_s, c0_s, grp.coefs, lo, hi)
-        self.bracket_failures += int(failed.sum())
+        self.bracket_failures += np.count_nonzero(failed)
         return t
 
     def _implicit(self, u0, A, p2, eps_s, c0_s, coefs, lo, hi):
@@ -297,13 +310,13 @@ class _Sweeper:
         """
         f = self.f
         eps2 = eps_s ** 2
+        c2 = 2.0 * c0_s
 
         def g(t, dt=False):
             if not dt:
-                return 2.0 * c0_s * t - A + eps2 * f.eval_nodes(t, coefs) / p2
+                return c2 * t - A + eps2 * f.eval_nodes(t, coefs) / p2
             ft, dft = f.eval_nodes(t, coefs, dt=True)
-            return 2.0 * c0_s * t - A + eps2 * ft / p2, \
-                2.0 * c0_s + eps2 * dft / p2
+            return c2 * t - A + eps2 * ft / p2, c2 + eps2 * dft / p2
 
         return _local_solve(g, lo, hi, u0)
 
@@ -403,14 +416,18 @@ def local_update(node, u, f, s, p=None):
 def _gauss_seidel(sw, vals, tol, budget, alarm):
     """Up to `budget` sweeps, each followed by the residual.
 
-    Stops at the first residual <= tol, or once the iterate's sup passes
-    `alarm` (None for no alarm).  Returns (status, sweeps, residual).
+    Stops at the first residual <= tol, and as diverged once the
+    iterate's sup passes `alarm` (None for no alarm) or the residual is
+    not finite, which it is before the iterate itself overflows.
+    Returns (status, sweeps, residual).
     """
     res, head = np.inf, None
     for it in range(1, budget + 1):
         sw.full_sweep(vals, head)
         res, head = sw.fp_residual(vals)
-        if alarm is not None and np.abs(vals.take(sw.ne_flat)).max() > alarm:
+        if not math.isfinite(res) or (
+                alarm is not None
+                and np.abs(vals.take(sw.ne_flat)).max() > alarm):
             return "diverged_past_alarm", it, res
         if res <= tol:
             return "converged", it, res
@@ -553,7 +570,10 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
 
     Starts at `sub`, applies each local update only when it increases the
     value, and clips at `super_` (pass None for an unbounded probe).  On
-    convergence the field sits between sub and super.
+    convergence the field sits between sub and super.  It stops as
+    diverged once the interior max passes `opts.alarm_bound` or the
+    residual is not finite.  The report's `clipped` says whether the last
+    sweep hit the cap, whatever the status.
     """
     opts = opts or SolveOptions()
     params = params or SchemeParams()
@@ -604,6 +624,9 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
         # after the clamp to the floor, so head holds the values the
         # next sweep starts from
         res_sup, head = sw.fp_residual(vals)
+        if not math.isfinite(res_sup):
+            status, sweeps = "diverged_past_alarm", it
+            break
         if res_sup <= tol:
             status, sweeps = "converged", it
             break
@@ -611,8 +634,7 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
             ascent = False
     u = ScalarField(d, vals)
     rep = SolveReport(status, sweeps, res_sup, u.sup(), u.inf(),
-                      monotone=monotone,
-                      clipped=clipped and status == "converged",
+                      monotone=monotone, clipped=clipped,
                       bracket_failures=sw.bracket_failures)
     return u, rep
 

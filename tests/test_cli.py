@@ -150,8 +150,9 @@ class TestSolveAction:
                            "boundary": {"constant": 0.0}},
                "solve": {"max_sweeps": 1}}
         code, out = _run(tmp_path, "solve", cfg)
-        assert code == 1
+        assert code == 4
         rep = json.loads((out / "report.json").read_text())
+        assert rep["solve"]["status"] == "max_sweeps_reached"
         assert rep["solve"]["bracket_failures"] == 25
         code, out = _run(tmp_path, "solve", self.CFG)
         rep = json.loads((out / "report.json").read_text())
@@ -195,6 +196,38 @@ class TestPerronAndProbe:
         rep = json.loads((out / "report.json").read_text())
         assert rep["solve"]["status"] == "diverged_past_alarm"
         assert rep["solve"]["bracket_failures"] > 0
+
+    def test_non_convergence_exit_four(self, tmp_path):
+        cfg = {"problem": {"domain": BALL, "h": 0.125, "rhs": "(const -1)",
+                           "boundary": {"constant": 0.0}},
+               "solve": {"max_sweeps": 5},
+               "perron": {"sub": {"constant": -1.0},
+                          "super": {"constant": 0.05}}}
+        for action in ("solve", "perron"):
+            code, out = _run(tmp_path, action, cfg)
+            assert code == 4
+            rep = json.loads((out / "report.json").read_text())["solve"]
+            assert rep["status"] == "max_sweeps_reached"
+        assert rep["clipped"]
+        cfg["solve"]["alarm_bound"] = 100.0
+        code, out = _run(tmp_path, "probe", cfg)
+        assert code == 4
+
+    def test_overflow_exit_three(self, tmp_path, capsys):
+        # damping 1.9 overflows the residual at sweep 680: a diverged
+        # solve with its report, not a config error
+        cfg = {"problem": {"domain": {"kind": "ball", "center": [0.0, 0.0],
+                                      "R": 1.0},
+                           "h": 0.125, "rhs": "(const -1)",
+                           "boundary": {"constant": 1.0}},
+               "solve": {"damping": 1.9}}
+        code, out = _run(tmp_path, "solve", cfg)
+        assert code == 3
+        assert "error" not in capsys.readouterr().err
+        rep = json.loads((out / "report.json").read_text())["solve"]
+        assert rep["status"] == "diverged_past_alarm"
+        assert rep["residual"] == "inf" and rep["sweeps"] == 680
+        assert len((out / "field.csv").read_text().splitlines()) > 1
 
     @pytest.mark.parametrize("solve", [{"damping": 0}, {"damping": -0.5},
                                        {"alarm_bound": -1}])

@@ -127,6 +127,20 @@ class TestSolveDirichlet:
         assert SolveOptions(damping=damping, alarm_bound=1e-3).damping \
             == damping
 
+    def test_overflow_ends_diverged(self):
+        # damping 1.9 is accepted but overshoots here: the iterate grows
+        # until S * p2 overflows at sweep 680; the solve stops there, with
+        # finite values, instead of sweeping on into inf and raising
+        d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 1.0},
+                         1.0 / 8)
+        b = BoundaryTrace.constant(d, 1.0)
+        u, rep = solve_dirichlet(d, RhsSpec("(const -1)"), b,
+                                 SolveOptions(damping=1.9))
+        assert rep.status == "diverged_past_alarm" and rep.sweeps == 680
+        assert rep.residual == np.inf
+        assert np.isfinite(u.values[d.nonexterior]).all()
+        assert rep.sup > 1e100
+
     def test_callable_coefficient_resolved_once(self, small_ball8):
         # the residual used to resolve the coefficient again every sweep
         calls = []
@@ -396,6 +410,29 @@ class TestPerron:
         assert (u.values[ne] <= sup.values[ne] + 1e-9).all()
         u2, _ = solve_dirichlet(small_ball, f, b, o)
         assert np.abs(u.values[ne] - u2.values[ne]).max() < 1e-5
+
+    def test_overflow_ends_diverged(self):
+        d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 1.0},
+                         1.0 / 8)
+        b = BoundaryTrace.constant(d, 1.0)
+        u, rep = perron_solve(d, RhsSpec("(const -1)"), b,
+                              ScalarField.constant(d, 1.0), None,
+                              SolveOptions(damping=1.9, max_sweeps=5000))
+        assert rep.status == "diverged_past_alarm" and rep.sweeps == 1120
+        assert rep.residual == np.inf
+        assert np.isfinite(u.values[d.nonexterior]).all()
+
+    def test_clipping_reported_without_convergence(self, small_ball8):
+        # the super-solution 0.05 lies below the solution of f = -1, so
+        # the cap binds on every sweep and the run never converges
+        d = small_ball8
+        b = BoundaryTrace.constant(d, 0.0)
+        u, rep = perron_solve(d, RhsSpec("(const -1)"), b,
+                              ScalarField.constant(d, -1.0),
+                              ScalarField.constant(d, 0.05),
+                              SolveOptions(max_sweeps=50))
+        assert rep.status == "max_sweeps_reached"
+        assert rep.clipped and rep.sup == 0.05
 
     def test_report_monotone_flag_honest(self, small_ball):
         b = BoundaryTrace.constant(small_ball, 0.0)

@@ -5,10 +5,12 @@ update group and once, over the whole interior, for the residual, whose
 data at the first group's nodes feeds the next sweep's first update.  The
 reference below gathers once per group and once more for the residual,
 from the public kernel (`Stencil.pair_arrays`, `scheme._select`,
-`scheme._steepest`); every field, residual, status and count must match
-it bit for bit.
+`scheme._steepest`), and solves the implicit update with a frozen copy of
+the bracketed Newton solve (`_ref_local_solve`); every field, residual,
+status and count must match it bit for bit.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +30,65 @@ from inflap import (
 )
 from inflap.core import SIGMA
 from inflap.scheme import _select, _steepest
-from inflap.solver import _local_solve
+from inflap.solver import _local_solve, _Sweeper
+
+
+def _ref_local_solve(g, lo, hi, t0):
+    """Frozen copy of the safeguarded Newton solve as it was before its
+    numpy calls were cut, kept as the reference `solver._local_solve`
+    must match bit for bit (same points visited, same roots)."""
+    step_tol = 4.0 * np.finfo(float).eps
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        span = 1.0
+        # 60 widenings, each followed by a check
+        for k in range(61):
+            bad_lo = g(lo) > 0
+            bad_hi = g(hi) < 0
+            failed = bad_lo | bad_hi
+            if k == 60 or not failed.any():
+                break
+            span *= 2.0
+            lo = np.where(bad_lo, lo - span, lo)
+            hi = np.where(bad_hi, hi + span, hi)
+        edge = np.where(bad_hi, hi, lo)
+        t = np.clip(t0, lo, hi)
+        live = ~failed
+        for _ in range(100):
+            if not live.any():
+                break
+            gt, dg = g(t, dt=True)
+            up = gt > 0
+            hi = np.where(up, t, hi)
+            lo = np.where(up, lo, t)
+            # off an exact root, an infinite or zero slope (e.g. (pow t g),
+            # g < 1, at t = 0) gives no Newton step: bisect instead
+            step = np.where(gt == 0, 0.0, gt / dg)
+            newton = np.isfinite(step) & (np.isfinite(dg) | (gt == 0))
+            tn = np.where(newton, t - step, np.nan)
+            tn = np.where((tn >= lo) & (tn <= hi), tn, 0.5 * (lo + hi))
+            h = step_tol * (1.0 + np.abs(t))
+            done = (gt == 0) | (hi - lo <= 2.0 * h)
+            # a step below rounding level is no proof of a root (a huge
+            # slope far from it gives one too): step h toward the root,
+            # which closes the bracket if the root is that near; t is a
+            # bracket end and the other end is over 2 h away
+            short = ~done & (np.abs(tn - t) < h)
+            tn = np.where(short, np.where(up, t - h, t + h), tn)
+            t = np.where(live, tn, t)
+            live &= ~done
+    return np.where(failed, edge, t), failed
+
+
+def _ref_g(f, coefs, A, p2, eps2, c0_s):
+    """g(t) = 2 c0 t - A + eps^2 f(x, t) / p2 of the implicit update, with
+    2 c0 t evaluated left to right."""
+    def g(t, dt=False):
+        if not dt:
+            return 2.0 * c0_s * t - A + eps2 * f.eval_nodes(t, coefs) / p2
+        ft, dft = f.eval_nodes(t, coefs, dt=True)
+        return 2.0 * c0_s * t - A + eps2 * ft / p2, \
+            2.0 * c0_s + eps2 * dft / p2
+    return g
 
 
 def _p2(phat, eps, fx, delta_reg):
@@ -75,16 +135,8 @@ class _RefSweeper:
             lo = np.full(u0.shape, vals.min() - 1.0)
             hi = np.full(u0.shape, vals.max() + 1.0)
         p2 = _p2(phat, eps_s, f.eval_nodes(u0, coefs), delta)
-        eps2 = eps_s ** 2
-
-        def g(t, dt=False):
-            if not dt:
-                return 2.0 * c0_s * t - A + eps2 * f.eval_nodes(t, coefs) / p2
-            ft, dft = f.eval_nodes(t, coefs, dt=True)
-            return 2.0 * c0_s * t - A + eps2 * ft / p2, \
-                2.0 * c0_s + eps2 * dft / p2
-
-        t, failed = _local_solve(g, lo, hi, u0)
+        g = _ref_g(f, coefs, A, p2, eps_s ** 2, c0_s)
+        t, failed = _ref_local_solve(g, lo, hi, u0)
         self.failures += int(failed.sum())
         return t
 
@@ -126,15 +178,17 @@ def _ref_dirichlet(d, f, b, opts, params):
     sw = _RefSweeper(d, RhsSpec("(const 0)"), st, replace(opts, damping=1.0))
     for _ in range(opts.max_sweeps):
         sw.sweep(vals)
-        if sw.residual(vals) <= tol:
+        res = sw.residual(vals)
+        if not math.isfinite(res) or res <= tol:
             break
     sw = _RefSweeper(d, f, st, opts)
     status, sweeps, res = "max_sweeps_reached", opts.max_sweeps, np.inf
     for it in range(1, opts.max_sweeps + 1):
         sw.sweep(vals)
         res = sw.residual(vals)
-        if opts.alarm_bound is not None \
-                and np.abs(vals[d.nonexterior]).max() > opts.alarm_bound:
+        if not math.isfinite(res) or (
+                opts.alarm_bound is not None
+                and np.abs(vals[d.nonexterior]).max() > opts.alarm_bound):
             status, sweeps = "diverged_past_alarm", it
             break
         if res <= tol:
@@ -168,14 +222,16 @@ def _ref_perron(d, f, b, sub, super_, opts, params):
             status, sweeps = "diverged_past_alarm", it
             break
         res = sw.residual(vals)
+        if not math.isfinite(res):
+            status, sweeps = "diverged_past_alarm", it
+            break
         if res <= tol:
             status, sweeps = "converged", it
             break
         if ascent and np.abs(vals[ne] - prev[ne]).max() < tol:
             ascent = False
     return vals, dict(status=status, sweeps=sweeps, residual=res,
-                      monotone=monotone,
-                      clipped=clipped and status == "converged",
+                      monotone=monotone, clipped=clipped,
                       bracket_failures=sw.failures)
 
 
@@ -281,3 +337,92 @@ def test_two_gathers_per_sweep(monkeypatch, small_ball):
                                  initial_guess=guess)
         assert rep.status == "converged" and rep.sweeps > 10
         assert len(calls) == 2 * rep.sweeps + 1
+
+
+def _same_bits(got, want):
+    # bytes, not values: signed zeros and NaN payloads count too
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+
+
+# (rhs, coefficient a or None, start at t = 0): concave (-e^t, -a e^t),
+# convex (e^t, t^3 for t > 0), flat past a clip, periodic, an infinite
+# slope at the start (t^(1/2) at 0) and blow-up (-1e4 e^t: no sign change)
+FAMILIES = [("(neg (exp t))", False, False),
+            ("(mul (coef a) (neg (exp t)))", True, False),
+            ("(exp t)", False, False),
+            ("(pow t 3)", False, False),
+            ("(clip (exp t) 1.5)", False, False),
+            ("(cospow 2)", False, False),
+            ("(add (const 1) (pow t 0.5))", False, True),
+            ("(mul (const -1e4) (exp t))", False, False)]
+
+
+@pytest.mark.parametrize("expr, coef, at_zero", FAMILIES)
+def test_implicit_update_matches_frozen_solve(small_ball8, expr, coef,
+                                              at_zero):
+    # the implicit update against the frozen solve on g built as before,
+    # with seeded random nodes; brackets as in red-black order (the
+    # range +- 1), lexicographic order (u0 +- 1) and narrow ones that
+    # must widen
+    f = _rhs(expr)
+    sw = _Sweeper(small_ball8, f, Stencil(small_ball8, SchemeParams()),
+                  SolveOptions())
+    rng = np.random.default_rng(sum(map(ord, expr)))
+    failures = widened = 0
+    for trial in range(24):
+        n = int(rng.integers(1, 90))
+        u0 = np.zeros(n) if at_zero else rng.uniform(-1.0, 1.0, n)
+        A = rng.uniform(-3.0, 3.0, n)
+        c0 = rng.uniform(0.5, 2.0, n)
+        eps = rng.uniform(1 / 32, 1 / 4, n)
+        p2 = 10.0 ** rng.uniform(-6.0, 1.0, n)
+        coefs = {"a": rng.uniform(0.5, 2.0, n)} if coef else {}
+        lo, hi = [(np.full(n, u0.min() - 1.0), np.full(n, u0.max() + 1.0)),
+                  (u0 - 1.0, u0 + 1.0),
+                  (u0 - 1e-3, u0 + 1e-3)][trial % 3]
+        got = sw._implicit(u0, A, p2, eps, c0, coefs, lo, hi)
+        g = _ref_g(f, coefs, A, p2, eps ** 2, c0)
+        want = _ref_local_solve(g, lo, hi, u0)
+        _same_bits(got, want)
+        failures += int(want[1].sum())
+        widened += int(((want[0] < lo) | (want[0] > hi)).sum())
+    assert widened > 0
+    assert failures > 0 or "1e4" not in expr
+
+
+def _cycle(t, dt=False):
+    # plain Newton cycles 0 -> 1 -> 0 on t^3 - 2t + 2
+    val = t ** 3 - 2.0 * t + 2.0
+    return (val, 3.0 * t ** 2 - 2.0) if dt else val
+
+
+def _sqrt(t, dt=False):
+    # infinite slope at the start t = 0, root at 1/4
+    val = np.sign(t) * np.sqrt(np.abs(t)) + t - 0.75
+    with np.errstate(divide="ignore"):
+        return (val, 0.5 / np.sqrt(np.abs(t)) + 1.0) if dt else val
+
+
+def _line(t, dt=False):
+    # Newton lands on the roots exactly (g = 0)
+    return (t - 0.375, np.ones_like(t)) if dt else t - 0.375
+
+
+def _edges(t, dt=False):
+    # node 0: g < 0 everywhere; node 1: g > 0 everywhere; node 2 regular
+    e = np.exp(np.minimum(t, 700.0))
+    val = np.array([2 * t[0] - 5 - e[0], 1 + e[1], t[2] - 0.25])
+    der = np.array([2 - e[0], e[1], 1.0])
+    return (val, der) if dt else val
+
+
+@pytest.mark.parametrize("g, lo, hi, t0", [
+    (_cycle, [-3.0], [3.0], [0.0]),
+    (_cycle, [0.5], [3.0], [1.0]),
+    (_sqrt, [-1.0, -0.5], [1.0, 2.0], [0.0, 0.0]),
+    (_line, [-1.0, 0.375, 2.0], [1.0, 1.0, 3.0], [0.0, 0.375, 2.5]),
+    (_edges, [-1.0] * 3, [1.0] * 3, [0.0] * 3)])
+def test_local_solve_matches_frozen_solve(g, lo, hi, t0):
+    args = [np.array(a) for a in (lo, hi, t0)]
+    _same_bits(_local_solve(g, *args), _ref_local_solve(g, *args))
