@@ -240,7 +240,8 @@ def _report_of(rep):
             "residual": rep.residual, "sup": rep.sup, "inf": rep.inf,
             "monotone": rep.monotone, "clipped": rep.clipped,
             "bracket_failures": rep.bracket_failures,
-            "newton_steps": rep.newton_steps}
+            "newton_steps": rep.newton_steps,
+            "start_sweeps": rep.start_sweeps}
 
 
 # exit codes of the iterative actions; 1 stays for usage and config errors

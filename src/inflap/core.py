@@ -6,7 +6,6 @@ node mask (exterior / boundary / interior), no cut cells.
 """
 
 import numpy as np
-from scipy import ndimage
 
 EXTERIOR = 0
 BOUNDARY = 1
@@ -107,6 +106,7 @@ class GridDomain:
         center = pts.mean(axis=0)
         out_r = np.linalg.norm(pts - center, axis=1).max() \
             + self.h * np.sqrt(self.N)
+        from scipy import ndimage
         dist = ndimage.distance_transform_edt(self.interior) * self.h
         flat = int(np.argmax(dist))
         in_idx = np.unravel_index(flat, self.dims)

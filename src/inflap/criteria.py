@@ -8,7 +8,6 @@ its hypothesis check passed on the probes.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .core import SIGMA, ScalarField, rhs_range
 from .radial import _H_table, _profile_tables
@@ -280,6 +279,7 @@ def eigen_bracket(a_field, d, alphas=None):
         if in_r_exact is not None and level.sum() == d.interior.sum():
             rho = in_r_exact
         else:
+            from scipy import ndimage
             rho = float(ndimage.distance_transform_edt(level).max() * d.h)
         if rho <= 0:
             continue

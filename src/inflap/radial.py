@@ -18,8 +18,6 @@ log-graded in a - t, so no inversion step adds interpolation noise.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .core import SIGMA, ScalarField, _eval_tree, _nodes, _parse_rhs
 
@@ -66,6 +64,7 @@ def cumulative_H(m, t):
         raise ValueError("cumulative_H needs t >= ell")
     if t == m.ell:
         return 0.0
+    from scipy.integrate import quad
     val, _ = quad(lambda s: float(m(s)), m.ell, t,
                   epsabs=1e-13, epsrel=1e-10, limit=400)
     return val
@@ -75,6 +74,7 @@ def _tail_Q(m, a, tau):
     """Q(tau) = H(a) - H(a - tau^4) by adaptive quadrature."""
     if tau <= 0:
         return 0.0
+    from scipy.integrate import quad
     val, _ = quad(lambda v: 4.0 * v ** 3 * float(m(a - v ** 4)), 0.0, tau,
                   epsabs=1e-14, epsrel=1e-10, limit=400)
     return val
@@ -104,6 +104,7 @@ def zeta(m, a, prefactor):
     prefactor = _prefactor(prefactor)
     if a <= m.ell:
         raise ValueError("zeta needs a > ell")
+    from scipy.integrate import quad
     span = a - m.ell
     mid = a - min(1.0, span) / 2.0
     Ha = cumulative_H(m, a)
@@ -174,6 +175,7 @@ class RadialProfile:
         """
         r = np.asarray(r, dtype=float)
         if self._interp is None:
+            from scipy.interpolate import PchipInterpolator
             rho = np.abs(self.r) ** (1.0 / 3.0)
             self._interp = PchipInterpolator(rho, self.tau, extrapolate=True)
         rho = np.clip(r, 0.0, self.R) ** (1.0 / 3.0)
@@ -336,6 +338,7 @@ def family_a(gamma):
         # s = 1 - u^4 removes the endpoint singularity
         return 4.0 * u ** 3 * (1.0 - (1.0 - u ** 4) ** (gamma + 1.0)) ** -0.25
 
+    from scipy.integrate import quad
     I, _ = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=400)
     return float((I * ((gamma + 1.0) / 4.0) ** 0.25) ** (4.0 / (gamma - 3.0)))
 

@@ -26,8 +26,18 @@ with a NaN slot (the arms of a pair cut off at that node) and a 0 slot
 (padding, and the corrections of a cut-off pair) appended, and
 `Stencil.pair_arrays` reads a table in one fancy-index gather, touching
 only the requested nodes.  `_select` picks the steepest pair from the
-gathered arms for every caller: the solver's local update and residual,
+gathered arms, and `_pick` (one gather, one pick and the picked arms)
+serves every caller: the solver's local update and residual,
 `inf_lap_field` and `apply_inf_lap`.
+
+What is fixed per stencil is worked out once when it is built: the
+column of quotient denominators 2 eps, the center weights c0, whether
+every read slot has weight 1 (integer mode, where the weight product,
+exact anyway, is skipped) and whether any pair has correction slots
+(without them the picked correction sum is the scalar 0.0).  The kernel
+opens no `np.errstate`: each solve opens one for all its sweeps (see
+`inflap.solver`), and the public `inf_lap_field`, `apply_inf_lap` and
+`residual_field` open their own.
 """
 
 from dataclasses import dataclass
@@ -199,6 +209,10 @@ class Stencil:
         self._delta, self._wts, self._fill, self._used = delta, wts, fill, used
         self._eps = np.array([p.eps for p in self.pairs])
         self._tail = np.array([np.nan, 0.0])
+        # per-stencil constants of the kernel (see the module docstring)
+        self._eps2 = (2.0 * self._eps)[:, None]
+        self._unit = bool((wts[used] == 1.0).all())
+        self._corr = J > 2 * P
         self.interior = self.gather(domain.interior)
 
     def gather(self, nodes):
@@ -240,7 +254,8 @@ class Stencil:
         if values.shape != self.domain.dims:
             raise ValueError("values must have the shape of the grid")
         g = np.concatenate((values.ravel(), self._tail))[tab.idx]
-        g *= self._wts[:, :, None]
+        if not self._unit:
+            g *= self._wts[:, :, None]
         P = self._P
         # slot by slot in pattern order: the sums of a per-node loop
         arm_p, arm_m = g[0], g[P]
@@ -260,36 +275,53 @@ def build_stencil(domain, w=2, params=None):
     return Stencil(domain, params)
 
 
-def _select(arm_p, arm_m, eps):
+def _select(arm_p, arm_m, eps2):
     """Steepest pair per node, by largest centered quotient magnitude.
 
-    Takes (K, n) arm arrays; ties go to the lowest k, the
-    lexicographically smallest offset, and an unavailable (NaN) pair is
-    never picked over an available one.  Returns (k, pick, phat): the
-    pair index per node, the flat indices that pick each node's steepest
-    entry out of a C-ordered (K, n) array (`a.take(pick)`), and the
-    steepest centered quotient.
+    Takes (K, n) arm arrays and the (K, 1) column of 2 eps; ties go to
+    the lowest k, the lexicographically smallest offset, and an
+    unavailable (NaN) pair is never picked over an available one.
+    Returns (k, pick, phat): the pair index per node, the flat indices
+    that pick each node's steepest entry out of a C-ordered (K, n) array
+    (`a.take(pick)`), and the steepest centered quotient.  Opens no
+    `np.errstate`: the caller ignores invalid operations (arms that are
+    both infinite).
     """
-    with np.errstate(invalid="ignore"):
-        dc = (arm_p - arm_m) / (2.0 * eps[:, None])
+    dc = arm_p - arm_m
+    dc /= eps2
     # fmax maps NaN to -1, below every |dc|
-    k = np.fmax(np.abs(dc), -1.0).argmax(axis=0)
+    mag = np.abs(dc)
+    k = np.fmax(mag, -1.0, out=mag).argmax(axis=0)
     pick = k * k.size + np.arange(k.size)
     return k, pick, dc.take(pick)
+
+
+def _pick(stencil, values, table):
+    """One gather and one pick at the nodes of a table.
+
+    Returns (pick, phat, apm, cs, eps, c0) along the pair `_select`
+    picks: its flat indices into the (K, n) arrays, the centered slope,
+    the sum of the two arm values, the correction sum (the scalar 0.0
+    when no pair has correction slots), the arm length and the center
+    weight.
+    """
+    arm_p, arm_m, _, csum, _ = stencil.pair_arrays(values, table)
+    k, pick, phat = _select(arm_p, arm_m, stencil._eps2)
+    cs = csum.take(pick) if stencil._corr else 0.0
+    return (pick, phat, arm_p.take(pick) + arm_m.take(pick), cs,
+            stencil._eps.take(k), stencil._c0.take(k))
 
 
 def _steepest(values, stencil, table):
     """(S, phat, eps) along the steepest pair at the nodes of a table.
 
     S is the corrected second difference, phat the centered slope and eps
-    the arm length of the pair `_select` picks.
+    the arm length of the pair `_select` picks.  The caller ignores
+    invalid operations.
     """
-    arm_p, arm_m, c0, csum, eps = stencil.pair_arrays(values, table)
-    k, pick, phat = _select(arm_p, arm_m, eps)
-    u0c = c0[k] * values.take(table.flat) + csum.take(pick)
-    with np.errstate(invalid="ignore"):
-        S = (arm_p.take(pick) + arm_m.take(pick) - 2.0 * u0c) / eps[k] ** 2
-    return S, phat, eps[k]
+    _, phat, apm, cs, eps_s, c0_s = _pick(stencil, values, table)
+    u0c = c0_s * values.take(table.flat) + cs
+    return (apm - 2.0 * u0c) / eps_s ** 2, phat, eps_s
 
 
 def inf_lap_field(values, stencil):
@@ -298,13 +330,14 @@ def inf_lap_field(values, stencil):
     Returns an array with the operator value at interior nodes and NaN
     elsewhere.
     """
-    S, phat, _ = _steepest(values, stencil, stencil.interior)
+    with np.errstate(invalid="ignore"):
+        S, phat, _ = _steepest(values, stencil, stencil.interior)
     out = np.full(stencil.domain.dims, np.nan)
     out.put(stencil.interior.flat, S * phat ** 2)
     return out
 
 
-def apply_inf_lap(u, node, s, p=None):
+def apply_inf_lap(u, node, s):
     """Discrete infinity Laplacian at a single interior node.
 
     Parameters
@@ -312,16 +345,16 @@ def apply_inf_lap(u, node, s, p=None):
     u : ScalarField
     node : index tuple
     s : Stencil
-    p : SchemeParams, optional (kept on the stencil; accepted for symmetry)
     """
     node = tuple(node)
     if u.domain.mask[node] != 2:
         raise ValueError("apply_inf_lap needs an interior node")
-    S, phat, _ = _steepest(u.values, s, s.gather(node))
+    with np.errstate(invalid="ignore"):
+        S, phat, _ = _steepest(u.values, s, s.gather(node))
     return float(S[0] * phat[0] ** 2)
 
 
-def residual_field(u, f, s, p=None):
+def residual_field(u, f, s):
     """Residual Delta_inf u - f(x, u) at interior nodes, 0 on the boundary."""
     dom = s.domain
     lap = inf_lap_field(u.values, s)

@@ -20,7 +20,12 @@ the residual reads whole; the values do not change between the residual
 and the next sweep's first group, so that group takes its slice of the
 residual's data instead of gathering again, and a sweep costs two kernel
 passes instead of three.  For x-only f the slope floor is a table over
-pairs and nodes, worked out once per solve.
+pairs and nodes, worked out once per solve.  The kernel and the local
+update, the implicit one's `_local_solve` too, open no `np.errstate` of
+their own, a few microseconds per call: `solve_dirichlet`,
+`perron_solve` and `local_update` each open one block that ignores
+invalid operations, overflow and division by zero, and a residual that
+is no longer finite ends the solve as diverged.
 
 In 1-D with an x-only f there is one direction pair, and the residual
 F = S * p2 - f is piecewise smooth in the values with a tridiagonal
@@ -37,10 +42,9 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 
 from .core import SIGMA, RhsSpec, ScalarField
-from .scheme import SchemeParams, Stencil, _select
+from .scheme import SchemeParams, Stencil, _pick
 
 # a local-solve step this small relative to 1 + |t| is rounding noise
 _STEP_TOL = 4.0 * np.finfo(float).eps
@@ -90,6 +94,7 @@ class SolveReport:
     clipped: bool = False        # the last sweep hit the super-solution
     bracket_failures: int = 0    # local solves that found no sign change
     newton_steps: int = 0        # 1-D Newton steps, the harmonic start's too
+    start_sweeps: int = 0        # f == 0 start sweeps that `sweeps` leaves out
 
 
 def _residual(data):
@@ -97,10 +102,16 @@ def _residual(data):
     the steepest pair and F = S * p2 - f, the quantity the local update
     zeroes."""
     u, apm, cs, eps_s, c0_s, p2, fx, _ = data
-    # a residual that overflows ends the solve (`_gauss_seidel`)
-    with np.errstate(invalid="ignore", over="ignore"):
-        S = (apm - 2.0 * (c0_s * u + cs)) / eps_s ** 2
-        return S, S * p2 - fx
+    # + cs also when cs is the scalar 0.0: it turns -0.0 into 0.0, as
+    # adding a zero correction sum always did
+    S = (apm - 2.0 * (c0_s * u + cs)) / eps_s ** 2
+    return S, S * p2 - fx
+
+
+def _rows(data, ix):
+    """`_Sweeper._steep` data at the nodes `ix` indexes; a scalar (the
+    correction sum without correction slots) stays as it is."""
+    return tuple(a if isinstance(a, float) else a[ix] for a in data)
 
 
 def _at(coefs, flat):
@@ -128,56 +139,56 @@ def _local_solve(g, lo, hi, t0):
     The arrays hold a few dozen nodes, so the number of numpy calls per
     step sets the cost, not the arithmetic: each test is one mask, and
     the bisection and the lengthened steps are built only in a step where
-    some node needs them.
+    some node needs them.  Opens no `np.errstate`: the caller ignores
+    invalid operations, overflow and division by zero.
 
     Returns
     -------
     (t, failed) : ndarray roots and the mask of nodes without sign change
     """
     count = np.count_nonzero
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        span = 1.0
-        # 60 widenings, each followed by a check
-        for k in range(61):
-            bad_lo = g(lo) > 0
-            bad_hi = g(hi) < 0
-            failed = bad_lo | bad_hi
-            if k == 60 or not count(failed):
-                break
-            span *= 2.0
-            lo = np.where(bad_lo, lo - span, lo)
-            hi = np.where(bad_hi, hi + span, hi)
-        edge = np.where(bad_hi, hi, lo)
-        t = np.minimum(np.maximum(t0, lo), hi)
-        live = ~failed
-        for _ in range(100):
-            if not count(live):
-                break
-            gt, dg = g(t, dt=True)
-            up = gt > 0.0
-            hi = np.where(up, t, hi)
-            lo = np.where(up, lo, t)
-            root = gt == 0.0
-            step = gt / dg
-            step[root] = 0.0
-            tn = t - step
-            # off an exact root, an infinite or zero slope (e.g. (pow t g),
-            # g < 1, at t = 0) gives no Newton step: bisect instead
-            newton = (tn >= lo) & (tn <= hi) & np.isfinite(step) \
-                & (np.isfinite(dg) | root)
-            if count(newton) < newton.size:
-                tn = np.where(newton, tn, 0.5 * (lo + hi))
-            h = _STEP_TOL * (1.0 + np.abs(t))
-            go_on = ~(root | (hi - lo <= 2.0 * h))
-            # a step below rounding level is no proof of a root (a huge
-            # slope far from it gives one too): step h toward the root,
-            # which closes the bracket if the root is that near; t is a
-            # bracket end and the other end is over 2 h away
-            short = (np.abs(tn - t) < h) & go_on
-            if count(short):
-                tn = np.where(short, np.where(up, t - h, t + h), tn)
-            t = np.where(live, tn, t)
-            live &= go_on
+    span = 1.0
+    # 60 widenings, each followed by a check
+    for k in range(61):
+        bad_lo = g(lo) > 0
+        bad_hi = g(hi) < 0
+        failed = bad_lo | bad_hi
+        if k == 60 or not count(failed):
+            break
+        span *= 2.0
+        lo = np.where(bad_lo, lo - span, lo)
+        hi = np.where(bad_hi, hi + span, hi)
+    edge = np.where(bad_hi, hi, lo)
+    t = np.minimum(np.maximum(t0, lo), hi)
+    live = ~failed
+    for _ in range(100):
+        if not count(live):
+            break
+        gt, dg = g(t, dt=True)
+        up = gt > 0.0
+        hi = np.where(up, t, hi)
+        lo = np.where(up, lo, t)
+        root = gt == 0.0
+        step = gt / dg
+        step[root] = 0.0
+        tn = t - step
+        # off an exact root, an infinite or zero slope (e.g. (pow t g),
+        # g < 1, at t = 0) gives no Newton step: bisect instead
+        newton = (tn >= lo) & (tn <= hi) & np.isfinite(step) \
+            & (np.isfinite(dg) | root)
+        if count(newton) < newton.size:
+            tn = np.where(newton, tn, 0.5 * (lo + hi))
+        h = _STEP_TOL * (1.0 + np.abs(t))
+        go_on = ~(root | (hi - lo <= 2.0 * h))
+        # a step below rounding level is no proof of a root (a huge
+        # slope far from it gives one too): step h toward the root,
+        # which closes the bracket if the root is that near; t is a
+        # bracket end and the other end is over 2 h away
+        short = (np.abs(tn - t) < h) & go_on
+        if count(short):
+            tn = np.where(short, np.where(up, t - h, t + h), tn)
+        t = np.where(live, tn, t)
+        live &= go_on
     return np.where(failed, edge, t), failed
 
 
@@ -263,24 +274,20 @@ class _Sweeper:
 
         Returns the tuple (u, apm, cs, eps, c0, p2, fx, phat) of node
         arrays: the values, the sum of the two arm values and the
-        correction sum along the pair `_select` picks, its arm length and
-        center weight, the floored squared slope, f at the values and the
-        signed centered slope.
+        correction sum (the scalar 0.0 without correction slots) along the
+        pair `scheme._select` picks, its arm length and center weight, the
+        floored squared slope, f at the values and the signed centered
+        slope.
         """
-        arm_p, arm_m, c0, csum, eps = self.stencil.pair_arrays(values,
-                                                               grp.tab)
-        k, pick, phat = _select(arm_p, arm_m, eps)
+        pick, phat, apm, cs, eps_s, c0_s = _pick(self.stencil, values,
+                                                  grp.tab)
         u = values.take(grp.tab.flat)
-        eps_s = eps[k]
         if self.f.depends_on_t:
-            with np.errstate(invalid="ignore"):
-                fx = self.f.eval_nodes(u, grp.coefs)
+            fx = self.f.eval_nodes(u, grp.coefs)
             floor = _floor(eps_s, fx, self.stencil.params.delta_reg)
         else:
             fx, floor = grp.fx, grp.floor.take(pick)
-        p2 = np.maximum(phat ** 2, floor)
-        return (u, arm_p.take(pick) + arm_m.take(pick), csum.take(pick),
-                eps_s, c0[k], p2, fx, phat)
+        return u, apm, cs, eps_s, c0_s, np.maximum(phat ** 2, floor), fx, phat
 
     def _candidate(self, values, grp, data):
         """Candidate values at a group's nodes from its `_steep` data."""
@@ -334,7 +341,7 @@ class _Sweeper:
         data = self._steep(values, self.all)
         n = self.groups[0].tab.flat.size
         return float(np.abs(_residual(data)[1]).max()), \
-            tuple(a[:n] for a in data)
+            _rows(data, slice(n))
 
     def newton_system(self, values, order, link):
         """F = S * p2 - f and its tridiagonal Jacobian, in grid order (1-D).
@@ -348,12 +355,11 @@ class _Sweeper:
 
         Returns (F, ab), ab in the layout of `solve_banded((1, 1), ...)`.
         """
-        data = tuple(a[order] for a in self._steep(values, self.all))
+        data = _rows(self._steep(values, self.all), order)
         _, _, _, eps_s, c0_s, p2, _, phat = data
         S, F = _residual(data)
         arm = p2 / eps_s ** 2
-        with np.errstate(invalid="ignore"):
-            slope = np.where(phat ** 2 < p2, 0.0, S * phat / eps_s)
+        slope = np.where(phat ** 2 < p2, 0.0, S * phat / eps_s)
         ab = np.zeros((3, F.size))
         ab[0, 1:] = np.where(link, (arm + slope)[:-1], 0.0)
         ab[1] = -2.0 * c0_s * arm
@@ -392,7 +398,7 @@ class _Sweeper:
         return clipped
 
 
-def local_update(node, u, f, s, p=None):
+def local_update(node, u, f, s):
     """Solve the local scalar equation at one interior node.
 
     Returns the value t with (u+ - 2t~ + u-) * phat^2 / eps^2 = f(x, t),
@@ -407,7 +413,8 @@ def local_update(node, u, f, s, p=None):
     # one group per interior node, in grid order
     grp = sw.groups[int(np.searchsorted(
         sw.all.tab.flat, np.ravel_multi_index(node, u.domain.dims)))]
-    t = float(sw._candidate(u.values, grp, sw._steep(u.values, grp))[0])
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        t = float(sw._candidate(u.values, grp, sw._steep(u.values, grp))[0])
     if sw.bracket_failures:
         raise ValueError("bracket failure in local update")
     return t
@@ -488,6 +495,7 @@ def _newton_step(sw, vals, flat, order, link, F, ab):
     (values untouched) when the matrix is singular or no step passes:
     F is only piecewise smooth, so the direction need not descend.
     """
+    from scipy.linalg import LinAlgError, solve_banded
     try:
         dx = solve_banded((1, 1), ab, -F)
     except (LinAlgError, ValueError):   # singular, or not finite
@@ -495,14 +503,13 @@ def _newton_step(sw, vals, flat, order, link, F, ab):
     u, phi = vals.take(flat), F @ F
     trial = vals.copy()
     t = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t >= _MIN_STEP:
-            trial.put(flat, u + t * dx)
-            Ft, abt = sw.newton_system(trial, order, link)
-            if Ft @ Ft <= (1.0 - 2.0 * _ARMIJO * t) * phi:
-                vals.put(flat, u + t * dx)
-                return Ft, abt
-            t *= 0.5
+    while t >= _MIN_STEP:
+        trial.put(flat, u + t * dx)
+        Ft, abt = sw.newton_system(trial, order, link)
+        if Ft @ Ft <= (1.0 - 2.0 * _ARMIJO * t) * phi:
+            vals.put(flat, u + t * dx)
+            return Ft, abt
+        t *= 0.5
     return None
 
 
@@ -520,7 +527,8 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
     count the start's steps and sweeps too, and all of them together stay
     within `max_sweeps`; `order` and `damping` shape only the sweeps.
     Everywhere else (2-D, 3-D, or f depending on t) the solve is the
-    colored Gauss-Seidel iteration, whose start's sweeps go uncounted.
+    colored Gauss-Seidel iteration, and the start's sweeps, which the
+    budget does not count, are reported as `start_sweeps`.
 
     Returns
     -------
@@ -532,7 +540,8 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
     tol = opts.tol if opts.tol is not None \
         else 1e-8 * (1.0 + max(abs(b.ell), abs(b.L)))
     newton = d.N == 1 and not f.depends_on_t
-    steps = sweeps = 0
+    steps = sweeps = start_sweeps = 0
+    start = None
     if initial_guess is not None:
         vals = initial_guess.values.copy()
         vals[d.boundary] = b.values[d.boundary]
@@ -540,28 +549,31 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
         vals = np.full(d.dims, np.nan)
         vals[d.boundary] = b.values[d.boundary]
         vals[d.interior] = 0.5 * (b.ell + b.L)
-        sw = _Sweeper(d, RhsSpec("(const 0)"), stencil,
-                      replace(opts, damping=1.0))
-        if newton:
-            _, steps, sweeps, _ = _newton(sw, vals, tol, opts.max_sweeps,
-                                          None)
-        else:
-            _gauss_seidel(sw, vals, tol, opts.max_sweeps, None)
+        start = _Sweeper(d, RhsSpec("(const 0)"), stencil,
+                         replace(opts, damping=1.0))
     sw = _Sweeper(d, f, stencil, opts)
-    budget = opts.max_sweeps - steps - sweeps
-    status = None
-    if newton:
-        status, k, j, res_sup = _newton(sw, vals, tol, budget,
-                                        opts.alarm_bound)
-        steps, sweeps, budget = steps + k, sweeps + j, budget - k - j
-    if status is None:
-        status, j, res_sup = _gauss_seidel(sw, vals, tol, budget,
-                                           opts.alarm_bound)
-        sweeps += j
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if start is not None:
+            if newton:
+                _, steps, sweeps, _ = _newton(start, vals, tol,
+                                              opts.max_sweeps, None)
+            else:
+                _, start_sweeps, _ = _gauss_seidel(start, vals, tol,
+                                                   opts.max_sweeps, None)
+        budget = opts.max_sweeps - steps - sweeps
+        status = None
+        if newton:
+            status, k, j, res_sup = _newton(sw, vals, tol, budget,
+                                            opts.alarm_bound)
+            steps, sweeps, budget = steps + k, sweeps + j, budget - k - j
+        if status is None:
+            status, j, res_sup = _gauss_seidel(sw, vals, tol, budget,
+                                               opts.alarm_bound)
+            sweeps += j
     u = ScalarField(d, vals)
     rep = SolveReport(status, sweeps, res_sup, u.sup(), u.inf(),
                       monotone=False, bracket_failures=sw.bracket_failures,
-                      newton_steps=steps)
+                      newton_steps=steps, start_sweeps=start_sweeps)
     return u, rep
 
 
@@ -606,32 +618,34 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
     # when the upward motion dies out with the residual still large, a
     # plain clamped sweep phase finishes the job inside [sub, super].
     ascent = True
-    for it in range(1, opts.max_sweeps + 1):
-        prev = vals.copy()
-        if ascent:
-            clipped = sw.full_sweep(vals, head, only_up=True, cap=cap)
-            if (vals[ne] < prev[ne] - 1e-12).any():
-                raise ValueError("Perron iterate decreased (internal error)")
-        else:
-            clipped = sw.full_sweep(vals, head, cap=cap)
-            np.maximum(vals, floor_vals, out=vals)
-            if (vals[ne] < prev[ne] - 1e-12).any():
-                monotone = False
-        if opts.alarm_bound is not None \
-                and vals[d.interior].max() > opts.alarm_bound:
-            status, sweeps = "diverged_past_alarm", it
-            break
-        # after the clamp to the floor, so head holds the values the
-        # next sweep starts from
-        res_sup, head = sw.fp_residual(vals)
-        if not math.isfinite(res_sup):
-            status, sweeps = "diverged_past_alarm", it
-            break
-        if res_sup <= tol:
-            status, sweeps = "converged", it
-            break
-        if ascent and np.abs(vals[ne] - prev[ne]).max() < tol:
-            ascent = False
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for it in range(1, opts.max_sweeps + 1):
+            prev = vals.copy()
+            if ascent:
+                clipped = sw.full_sweep(vals, head, only_up=True, cap=cap)
+                if (vals[ne] < prev[ne] - 1e-12).any():
+                    raise ValueError(
+                        "Perron iterate decreased (internal error)")
+            else:
+                clipped = sw.full_sweep(vals, head, cap=cap)
+                np.maximum(vals, floor_vals, out=vals)
+                if (vals[ne] < prev[ne] - 1e-12).any():
+                    monotone = False
+            if opts.alarm_bound is not None \
+                    and vals[d.interior].max() > opts.alarm_bound:
+                status, sweeps = "diverged_past_alarm", it
+                break
+            # after the clamp to the floor, so head holds the values the
+            # next sweep starts from
+            res_sup, head = sw.fp_residual(vals)
+            if not math.isfinite(res_sup):
+                status, sweeps = "diverged_past_alarm", it
+                break
+            if res_sup <= tol:
+                status, sweeps = "converged", it
+                break
+            if ascent and np.abs(vals[ne] - prev[ne]).max() < tol:
+                ascent = False
     u = ScalarField(d, vals)
     rep = SolveReport(status, sweeps, res_sup, u.sup(), u.inf(),
                       monotone=monotone, clipped=clipped,

@@ -94,6 +94,8 @@ class TestSolveAction:
             rep = json.loads((out / "report.json").read_text())["solve"]
             assert (rep["newton_steps"] > 0) == newton
             assert (rep["sweeps"] == 0) == newton
+            # the 2-D f == 0 start sweeps outside `sweeps`
+            assert (rep["start_sweeps"] > 0) == (not newton)
 
     def test_h_override(self, tmp_path):
         code, out = _run(tmp_path, "solve", self.CFG, ["--h", "0.25"])

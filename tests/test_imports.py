@@ -1,12 +1,17 @@
-"""Every name a module of inflap imports is read somewhere in it.
+"""Every name a module of inflap imports is read somewhere in it, and
+`import inflap` does not load scipy.
 
 No linter runs on this package, so this test finds unused imports:
 it parses each module (the package `__init__`, which re-exports, is
 left out) and fails on an imported name that no expression reads.
+scipy is imported inside the functions that use it, since loading it
+takes several times as long as numpy.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +35,15 @@ def test_no_unused_imports(name):
     unused = sorted("%s (line %d)" % (n, line)
                     for n, line in imported.items() if n not in read)
     assert unused == []
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this one may have loaded scipy already
+    code = ("import sys, inflap; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(SRC)] + sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -18,7 +18,13 @@ from inflap import (
     residual_field,
     solve_dirichlet,
 )
-from inflap.solver import _local_solve
+from inflap.solver import _local_solve as _bare_local_solve
+
+
+def _local_solve(g, lo, hi, t0):
+    """`solver._local_solve` inside the errstate block its callers open."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return _bare_local_solve(g, lo, hi, t0)
 
 
 class TestSolveDirichlet:
@@ -58,6 +64,66 @@ class TestSolveDirichlet:
         assert r1.status == r2.status == "converged"
         ne = ball2d.nonexterior
         assert np.abs(c * u1.values[ne] - u2.values[ne]).max() < 1e-7
+
+    def test_start_sweeps_constant_data(self, small_ball8):
+        # the f == 0 start is at its fixed point after one sweep
+        d = small_ball8
+        b = BoundaryTrace.constant(d, 0.3)
+        _, rep = solve_dirichlet(d, RhsSpec("(const -1)"), b,
+                                 SolveOptions(tol=1e-8))
+        assert rep.status == "converged"
+        assert rep.start_sweeps == 1
+
+    def test_start_sweeps_nonconstant_data(self, small_ball8):
+        # the start is the f == 0 solve from the constant (ell + L) / 2,
+        # and its sweeps are not in `sweeps`
+        d = small_ball8
+        b = BoundaryTrace.from_function(d, lambda p: 0.1 * p[:, 0])
+        opts = SolveOptions(tol=1e-8)
+        u, rep = solve_dirichlet(d, RhsSpec("(const -1)"), b, opts)
+        mid = ScalarField.constant(d, 0.5 * (b.ell + b.L))
+        u0, start = solve_dirichlet(d, RhsSpec("(const 0)"), b, opts,
+                                    initial_guess=mid)
+        assert start.status == "converged" and start.sweeps > 1
+        assert rep.start_sweeps == start.sweeps
+        # started from the start's field, the solve takes the same sweeps
+        again, rep2 = solve_dirichlet(d, RhsSpec("(const -1)"), b, opts,
+                                      initial_guess=u0)
+        assert rep2.start_sweeps == 0
+        assert rep2.sweeps == rep.sweeps
+        assert np.array_equal(again.values, u.values, equal_nan=True)
+
+    def test_start_sweeps_outside_the_budget(self, small_ball8):
+        # x0 x1 data: the start does not converge and runs out its own
+        # max_sweeps before the solve gets the full budget
+        d = small_ball8
+        b = BoundaryTrace.from_function(d, lambda p: p[:, 0] * p[:, 1])
+        _, rep = solve_dirichlet(d, RhsSpec("(const -1)"), b,
+                                 SolveOptions(tol=1e-8, max_sweeps=40))
+        assert rep.status == "max_sweeps_reached"
+        assert rep.start_sweeps == rep.sweeps == 40
+
+    def test_start_sweeps_one_dimensional(self):
+        # with an x-only f the 1-D start runs Newton and counts in
+        # newton_steps and sweeps; a t-dependent f sweeps as in 2-D
+        d = build_domain({"kind": "box", "lo": [0.0], "hi": [1.0]}, 0.05)
+        b = BoundaryTrace.from_function(d, lambda p: p[:, 0])
+        opts = SolveOptions(tol=1e-8)
+        _, rep = solve_dirichlet(d, RhsSpec("(const 1)"), b, opts)
+        assert rep.status == "converged" and rep.newton_steps > 0
+        assert rep.start_sweeps == 0
+        _, rep = solve_dirichlet(d, RhsSpec("(neg (exp t))"), b, opts)
+        assert rep.status == "converged" and rep.newton_steps == 0
+        assert rep.start_sweeps > 0
+
+    def test_start_sweeps_initial_guess(self, small_ball8):
+        d = small_ball8
+        b = BoundaryTrace.from_function(d, lambda p: 0.1 * p[:, 0])
+        _, rep = solve_dirichlet(d, RhsSpec("(const -1)"), b,
+                                 SolveOptions(tol=1e-8),
+                                 initial_guess=ScalarField.constant(d, 0.0))
+        assert rep.status == "converged"
+        assert rep.start_sweeps == 0
 
     def test_order_agreement(self, small_ball8):
         d = small_ball8

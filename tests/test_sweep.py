@@ -4,12 +4,15 @@ The solver reads the steepest pairs twice per sweep: once for the second
 update group and once, over the whole interior, for the residual, whose
 data at the first group's nodes feeds the next sweep's first update.  The
 reference below gathers once per group and once more for the residual,
-from the public kernel (`Stencil.pair_arrays`, `scheme._select`,
-`scheme._steepest`), and solves the implicit update with a frozen copy of
-the bracketed Newton solve (`_ref_local_solve`); every field, residual,
-status and count must match it bit for bit.
+through frozen copies of the steepest-pair kernel as it was before its
+per-stencil constants were worked out once (`_ref_pair_arrays`,
+`_ref_select`, `_ref_steepest`, reading only `Stencil.pairs` and the
+`Stencil.gather` tables), and solves the implicit update with a frozen
+copy of the bracketed Newton solve (`_ref_local_solve`); every field,
+residual, status and count must match it bit for bit.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -24,13 +27,68 @@ from inflap import (
     SolveOptions,
     Stencil,
     build_domain,
+    inf_lap_field,
     perron_solve,
     probe_nonexistence,
     solve_dirichlet,
 )
 from inflap.core import SIGMA
-from inflap.scheme import _select, _steepest
 from inflap.solver import _local_solve, _Sweeper
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_layout(st):
+    """(P, J, wts, c0) of the slot layout, rebuilt from `Stencil.pairs`:
+    plus-arm slots 0..P-1, minus-arm slots P..2P-1, then both nodes of
+    each correction entry; padding has weight 0."""
+    P = max(len(p.plus) for p in st.pairs)
+    J = 2 * P + 2 * max(len(p.corr) for p in st.pairs)
+    wts = np.zeros((J, len(st.pairs)))
+    c0 = np.ones(len(st.pairs))
+    for k, p in enumerate(st.pairs):
+        corr = []
+        for off, wt in p.corr:
+            corr += [(off, wt), (tuple(-o for o in off), wt)]
+            c0[k] -= 2 * wt
+        for j0, pattern in ((0, p.plus), (P, p.minus), (2 * P, corr)):
+            for j, (_, wt) in enumerate(pattern, j0):
+                wts[j, k] = wt
+    return P, J, wts, c0
+
+
+def _ref_pair_arrays(st, values, tab):
+    """Frozen copy of the gather arithmetic of `Stencil.pair_arrays`."""
+    P, J, wts, c0 = _ref_layout(st)
+    g = np.concatenate((values.ravel(), [np.nan, 0.0]))[tab.idx]
+    g *= wts[:, :, None]
+    # slot by slot in pattern order: the sums of a per-node loop
+    arm_p, arm_m = g[0], g[P]
+    for j in range(1, P):
+        arm_p = arm_p + g[j]
+        arm_m = arm_m + g[P + j]
+    csum = np.zeros(arm_p.shape)
+    for j in range(2 * P, J, 2):
+        csum = csum + (g[j] + g[j + 1])
+    return arm_p, arm_m, c0, csum, np.array([p.eps for p in st.pairs])
+
+
+def _ref_select(arm_p, arm_m, eps):
+    """Frozen copy of `scheme._select`: ties to the lowest k, NaN last."""
+    with np.errstate(invalid="ignore"):
+        dc = (arm_p - arm_m) / (2.0 * eps[:, None])
+    k = np.fmax(np.abs(dc), -1.0).argmax(axis=0)
+    pick = k * k.size + np.arange(k.size)
+    return k, pick, dc.take(pick)
+
+
+def _ref_steepest(values, st, tab):
+    """Frozen copy of `scheme._steepest`: (S, phat, eps) along the pick."""
+    arm_p, arm_m, c0, csum, eps = _ref_pair_arrays(st, values, tab)
+    k, pick, phat = _ref_select(arm_p, arm_m, eps)
+    u0c = c0[k] * values.take(tab.flat) + csum.take(pick)
+    with np.errstate(invalid="ignore"):
+        S = (arm_p.take(pick) + arm_m.take(pick) - 2.0 * u0c) / eps[k] ** 2
+    return S, phat, eps[k]
 
 
 def _ref_local_solve(g, lo, hi, t0):
@@ -117,8 +175,8 @@ class _RefSweeper:
 
     def candidate(self, values, tab):
         f, delta = self.f, self.st.params.delta_reg
-        arm_p, arm_m, c0, csum, eps = self.st.pair_arrays(values, tab)
-        k, pick, phat = _select(arm_p, arm_m, eps)
+        arm_p, arm_m, c0, csum, eps = _ref_pair_arrays(self.st, values, tab)
+        k, pick, phat = _ref_select(arm_p, arm_m, eps)
         A = arm_p.take(pick) + arm_m.take(pick) - 2.0 * csum.take(pick)
         eps_s, c0_s = eps[k], c0[k]
         if not f.depends_on_t:
@@ -141,7 +199,7 @@ class _RefSweeper:
         return t
 
     def residual(self, values):
-        S, phat, eps_s = _steepest(values, self.st, self.st.interior)
+        S, phat, eps_s = _ref_steepest(values, self.st, self.st.interior)
         with np.errstate(invalid="ignore"):
             fx = self.f.eval_grid(self.d, values) if self.f.depends_on_t \
                 else self.fx0
@@ -339,6 +397,32 @@ def test_two_gathers_per_sweep(monkeypatch, small_ball):
         assert len(calls) == 2 * rep.sweeps + 1
 
 
+@pytest.mark.parametrize("params, N, h", [
+    (SchemeParams(), 2, 1 / 8),
+    (SchemeParams(w=3), 2, 1 / 8),
+    (SchemeParams(w=2, refined=True), 2, 1 / 8),
+    (SchemeParams(w=1), 3, 1 / 4),
+    (SchemeParams(w=1, refined=True), 3, 1 / 4)])
+def test_kernel_matches_frozen_reference(params, N, h):
+    # values on a lattice of quarters make ties between pairs, and zeros
+    # of both signs, common
+    d = build_domain(_ball(1.0, N), h)
+    st = Stencil(d, params)
+    rng = np.random.default_rng(N + 10 * params.w + 100 * params.refined)
+    for _ in range(4):
+        vals = np.round(rng.uniform(-1.0, 1.0, d.dims) * 4.0) / 4.0
+        vals[~d.nonexterior] = np.nan
+        for tab in (st.interior, st.interior.part(3, 17)):
+            got = st.pair_arrays(vals, tab)
+            want = _ref_pair_arrays(st, vals, tab)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        lap = np.full(d.dims, np.nan)
+        S, phat, _ = _ref_steepest(vals, st, st.interior)
+        lap.put(st.interior.flat, S * phat ** 2)
+        assert inf_lap_field(vals, st).tobytes() == lap.tobytes()
+
+
 def _same_bits(got, want):
     # bytes, not values: signed zeros and NaN payloads count too
     assert got[0].tobytes() == want[0].tobytes()
@@ -381,7 +465,8 @@ def test_implicit_update_matches_frozen_solve(small_ball8, expr, coef,
         lo, hi = [(np.full(n, u0.min() - 1.0), np.full(n, u0.max() + 1.0)),
                   (u0 - 1.0, u0 + 1.0),
                   (u0 - 1e-3, u0 + 1e-3)][trial % 3]
-        got = sw._implicit(u0, A, p2, eps, c0, coefs, lo, hi)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            got = sw._implicit(u0, A, p2, eps, c0, coefs, lo, hi)
         g = _ref_g(f, coefs, A, p2, eps ** 2, c0)
         want = _ref_local_solve(g, lo, hi, u0)
         _same_bits(got, want)
@@ -425,4 +510,6 @@ def _edges(t, dt=False):
     (_edges, [-1.0] * 3, [1.0] * 3, [0.0] * 3)])
 def test_local_solve_matches_frozen_solve(g, lo, hi, t0):
     args = [np.array(a) for a in (lo, hi, t0)]
-    _same_bits(_local_solve(g, *args), _ref_local_solve(g, *args))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        got = _local_solve(g, *args)
+    _same_bits(got, _ref_local_solve(g, *args))
