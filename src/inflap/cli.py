@@ -11,6 +11,7 @@ per non-exterior node.
 import argparse
 import ast
 import json
+from dataclasses import asdict, fields
 import operator
 import os
 import sys
@@ -37,8 +38,8 @@ _SECTION_KEYS = {
                 "rhs_monotone", "boundary"},
     "problem.domain": {"kind", "center", "R", "lo", "hi", "path"},
     "problem.boundary": {"constant", "expression"},
-    "scheme": {"w", "delta_reg", "refined"},
-    "solve": {"max_sweeps", "tol", "damping", "order", "alarm_bound"},
+    "scheme": {f.name for f in fields(SchemeParams)},
+    "solve": {f.name for f in fields(SolveOptions)},
     "perron": {"sub", "super"},
     "perron.sub": {"constant", "cone", "power"},
     "perron.super": {"constant", "cone", "power"},
@@ -50,12 +51,12 @@ _SECTION_KEYS = {
 
 
 def _check_keys(obj, section):
-    allowed = _SECTION_KEYS.get(section)
-    if allowed is None or not isinstance(obj, dict):
-        return
+    """Every section a JSON object, with only its known keys."""
+    where = section or "top level"
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be a JSON object" % where)
     for key in obj:
-        if key not in allowed:
-            where = section or "top level"
+        if key not in _SECTION_KEYS[section]:
             raise ConfigError("unknown key %r in %s" % (key, where))
         sub = (section + "." + key) if section else key
         if sub in _SECTION_KEYS:
@@ -69,8 +70,6 @@ def parse_config(text):
     except json.JSONDecodeError as e:
         raise ConfigError("config parse error at line %d column %d: %s"
                           % (e.lineno, e.colno, e.msg))
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
     _check_keys(cfg, "")
     if "problem" not in cfg and cfg.get("action") not in ("radial", None):
         raise ConfigError("config needs a problem section")
@@ -154,22 +153,6 @@ def _coord_eval(node, names):
                       % ast.unparse(node))
 
 
-def _scheme_params(cfg):
-    s = cfg.get("scheme", {})
-    return SchemeParams(w=s.get("w", 2),
-                        delta_reg=s.get("delta_reg", 1e-10),
-                        refined=s.get("refined", False))
-
-
-def _solve_options(cfg):
-    s = cfg.get("solve", {})
-    return SolveOptions(max_sweeps=s.get("max_sweeps", 100000),
-                        tol=s.get("tol"),
-                        damping=s.get("damping"),
-                        order=s.get("order", "red-black"),
-                        alarm_bound=s.get("alarm_bound"))
-
-
 def _field_from_spec(spec, d, b):
     if "constant" in spec:
         return ScalarField.constant(d, float(spec["constant"]))
@@ -235,25 +218,16 @@ def write_field(u, path):
             fh.write(",".join(row) + "\n")
 
 
-def _report_of(rep):
-    return {"status": rep.status, "sweeps": rep.sweeps,
-            "residual": rep.residual, "sup": rep.sup, "inf": rep.inf,
-            "monotone": rep.monotone, "clipped": rep.clipped,
-            "bracket_failures": rep.bracket_failures,
-            "newton_steps": rep.newton_steps,
-            "start_sweeps": rep.start_sweeps}
-
-
 # exit codes of the iterative actions; 1 stays for usage and config errors
 _EXIT = {"converged": 0, "diverged_past_alarm": 3, "max_sweeps_reached": 4}
 
 
 def _run_solve(cfg, out_dir, h_override):
     d, f, b = _build_problem(cfg, h_override)
-    u, rep = solve_dirichlet(d, f, b, _solve_options(cfg),
-                             _scheme_params(cfg))
+    u, rep = solve_dirichlet(d, f, b, SolveOptions(**cfg.get("solve", {})),
+                             SchemeParams(**cfg.get("scheme", {})))
     write_field(u, os.path.join(out_dir, "field.csv"))
-    write_report({"action": "solve", "solve": _report_of(rep)},
+    write_report({"action": "solve", "solve": asdict(rep)},
                  os.path.join(out_dir, "report.json"))
     return _EXIT[rep.status]
 
@@ -266,19 +240,20 @@ def _run_perron(cfg, out_dir, h_override):
     sub = _field_from_spec(pspec["sub"], d, b)
     super_ = _field_from_spec(pspec["super"], d, b) \
         if "super" in pspec else None
-    u, rep = perron_solve(d, f, b, sub, super_, _solve_options(cfg),
-                          _scheme_params(cfg))
+    u, rep = perron_solve(d, f, b, sub, super_,
+                          SolveOptions(**cfg.get("solve", {})),
+                          SchemeParams(**cfg.get("scheme", {})))
     write_field(u, os.path.join(out_dir, "field.csv"))
-    write_report({"action": "perron", "solve": _report_of(rep)},
+    write_report({"action": "perron", "solve": asdict(rep)},
                  os.path.join(out_dir, "report.json"))
     return _EXIT[rep.status]
 
 
 def _run_probe(cfg, out_dir, h_override):
     d, f, b = _build_problem(cfg, h_override)
-    opts = _solve_options(cfg)
+    opts = SolveOptions(**cfg.get("solve", {}))
     rep = probe_nonexistence(d, f, b, opts)
-    write_report({"action": "probe", "solve": _report_of(rep),
+    write_report({"action": "probe", "solve": asdict(rep),
                   "alarm_bound": opts.alarm_bound},
                  os.path.join(out_dir, "report.json"))
     return _EXIT[rep.status]
@@ -387,13 +362,11 @@ def _run_criteria(cfg, out_dir, h_override):
 
 def _run_verify(cfg, out_dir, h_override):
     d, f, b = _build_problem(cfg, h_override)
-    opts = _solve_options(cfg)
-    params = _scheme_params(cfg)
+    opts = SolveOptions(**cfg.get("solve", {}))
+    params = SchemeParams(**cfg.get("scheme", {}))
     u, rep = solve_dirichlet(d, f, b, opts, params)
     write_field(u, os.path.join(out_dir, "field.csv"))
-    tol = (opts.tol if opts.tol is not None
-           else 1e-8 * (1.0 + max(abs(b.ell), abs(b.L))))
-    tol_check = 10.0 * tol + d.h
+    tol_check = 10.0 * opts.tol_for(b) + d.h
     results = []
     for chk in cfg.get("verify", {}).get("checks", []):
         kind = chk.get("type")
@@ -425,7 +398,7 @@ def _run_verify(cfg, out_dir, h_override):
         else:
             raise ConfigError("unknown check type: %r" % (kind,))
         results.append(res)
-    write_report({"action": "verify", "solve": _report_of(rep),
+    write_report({"action": "verify", "solve": asdict(rep),
                   "checks": [r.to_dict() for r in results]},
                  os.path.join(out_dir, "report.json"))
     if any(r.status == "fail" for r in results):

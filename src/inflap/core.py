@@ -13,6 +13,9 @@ INTERIOR = 2
 
 SATURATE = 1e300
 
+# t lattice on which RhsSpec checks a declared sign or monotonicity
+_PROBE_T = np.linspace(-10.0, 10.0, 257)
+
 # growth constant of the cone solution: Delta_inf (SIGMA |x|^(4/3)) = 1
 SIGMA = 3.0 ** (4.0 / 3.0) / 4.0
 
@@ -52,16 +55,12 @@ class GridDomain:
         if interior.any():
             if not (self.mask == BOUNDARY).any():
                 raise ValueError("interior nonempty but no boundary nodes")
-            # no interior node may touch exterior along an axis
-            for ax in range(self.N):
-                for step in (-1, 1):
-                    nb = np.roll(self.mask, -step, axis=ax)
-                    edge = [slice(None)] * self.N
-                    edge[ax] = -1 if step == 1 else 0
-                    bad = interior & (nb == EXTERIOR)
-                    if interior[tuple(edge)].any() or bad.any():
-                        raise ValueError(
-                            "interior node adjacent to exterior (mask invalid)")
+            # no interior node may touch exterior (or the grid's edge)
+            # along an axis: each must be interior by the candidate rule
+            ok = _mask_from_candidates(self.mask != EXTERIOR) == INTERIOR
+            if (interior & ~ok).any():
+                raise ValueError(
+                    "interior node adjacent to exterior (mask invalid)")
 
     # -- geometry -----------------------------------------------------------
 
@@ -456,8 +455,7 @@ class RhsSpec:
         takes the closed-form local update when it is False.
     """
 
-    def __init__(self, expression, coefs=None, sign=None, monotone_in_t=None,
-                 probe_t=(-10.0, 10.0), probe_points=257):
+    def __init__(self, expression, coefs=None, sign=None, monotone_in_t=None):
         self.expression = expression
         self.tree = _parse_rhs(expression)
         self.coefs = dict(coefs or {})
@@ -475,11 +473,9 @@ class RhsSpec:
         for name in sorted(self.coef_names):
             if name not in self.coefs:
                 raise ValueError("missing coefficient samples for %r" % name)
-        self._probe_t = None
-        if sign is not None or monotone_in_t is not None:
-            self._probe_t = np.linspace(probe_t[0], probe_t[1], probe_points)
-            if not any(callable(v) for v in self.coefs.values()):
-                self._validate(self.coefs)
+        self._probe = sign is not None or monotone_in_t is not None
+        if self._probe and not any(callable(v) for v in self.coefs.values()):
+            self._validate(self.coefs)
 
     def _validate(self, samples):
         """Check the declared attributes on the probe lattice.
@@ -488,7 +484,7 @@ class RhsSpec:
         t runs over the probe range, and each coefficient over its finite
         extremes and up to about 16 more of its values.
         """
-        t = self._probe_t
+        t = _PROBE_T
         coef_vals = {}
         for name, val in samples.items():
             arr = np.asarray(val, dtype=float).ravel()
@@ -551,8 +547,7 @@ class RhsSpec:
                 if arr.shape != domain.dims:
                     raise ValueError("coefficient %r shape mismatch" % name)
                 out[name] = arr
-        if self._probe_t is not None \
-                and any(callable(v) for v in self.coefs.values()):
+        if self._probe and any(callable(v) for v in self.coefs.values()):
             ne = domain.nonexterior
             self._validate({name: out[name][ne] if callable(val) else val
                             for name, val in self.coefs.items()})
@@ -564,13 +559,15 @@ class RhsSpec:
         Parameters
         ----------
         domain : GridDomain
-        t : ndarray broadcastable to domain.dims
+        t : float or ndarray broadcastable to domain.dims
 
         Returns
         -------
-        ndarray of f(x, t) over the grid (NaN where t is NaN).
+        ndarray of f(x, t) with the grid's shape (NaN where t is NaN), also
+        when neither t nor any coefficient is an array.
         """
-        return self.eval_nodes(t, self.coef_grid(domain))
+        return self.eval_nodes(np.broadcast_to(t, domain.dims),
+                               self.coef_grid(domain))
 
     def eval_nodes(self, t, coefs, dt=False):
         """f(x, t) at nodes whose coefficient values are given.
@@ -662,16 +659,9 @@ def _eval_tree(tree, combo, t, dt=False):
 
 
 def eval_rhs(f, x, t):
-    """Evaluate f(x, t) at a single point.
-
-    Values are clamped to +/-1e300 with a saturation flag on the spec.
-    """
+    """Evaluate f(x, t) at a single point, clamped as `eval_nodes` clamps."""
     combo = f.coef_value_at(np.atleast_1d(x)) if f.coefs else {}
-    y = float(_eval_tree(f.tree, combo, np.asarray(float(t))))
-    if abs(y) > SATURATE:
-        f.saturated = True
-        y = float(np.clip(y, -SATURATE, SATURATE))
-    return y
+    return float(f.eval_nodes(float(t), combo))
 
 
 def _split_separable(tree):

@@ -14,6 +14,15 @@ from .radial import _H_table, _profile_tables
 
 SIGMA3 = 81.0 / 64.0
 
+# diam_threshold scans eta up to this value
+_ETA_MAX = 1e3
+# nonexistence_radius probes a - ell on this log grid
+_A_SCAN = np.geomspace(1e-6, 1e6, 120)
+# growth_class applies when both liminf estimates are >= -_GROWTH_TOL
+_GROWTH_TOL = 1e-3
+# eigen_bracket's level fractions alpha
+_ALPHAS = np.arange(1, 21) * 0.05
+
 
 def c_eta(f, ell, L, eta, domain=None):
     """C(eta): cone amplitude needed to dominate f near the data range.
@@ -32,7 +41,7 @@ def c_eta(f, ell, L, eta, domain=None):
     return max(sup_plus ** (1.0 / 3.0), (-inf_minus) ** (1.0 / 3.0))
 
 
-def diam_threshold(f, ell, L, domain=None, eta_max=1e3):
+def diam_threshold(f, ell, L, domain=None):
     """Largest domain diameter certified by the cone construction.
 
     sup over eta > 0 of (eta / (sigma C(eta)))^(3/4), by a log-eta scan
@@ -45,7 +54,7 @@ def diam_threshold(f, ell, L, domain=None, eta_max=1e3):
             return np.inf
         return (eta / (SIGMA * C)) ** 0.75
 
-    los, his = np.log(1e-6), np.log(eta_max)
+    los, his = np.log(1e-6), np.log(_ETA_MAX)
     grid = np.linspace(los, his, 161)
     vals = np.array([g(x) for x in grid])
     if np.isinf(vals).any():
@@ -73,7 +82,7 @@ def diam_threshold(f, ell, L, domain=None, eta_max=1e3):
     return float(max(vals[i], gc, gd))
 
 
-def nonexistence_radius(m, a_min=1e-6, a_max=1e6, n_scan=120):
+def nonexistence_radius(m):
     """M_f / sqrt(2): above this in-radius only constants can solve.
 
     M_f = sup over a > ell of zeta(a) (prefactor 1), probed on a log grid
@@ -86,7 +95,7 @@ def nonexistence_radius(m, a_min=1e-6, a_max=1e6, n_scan=120):
     points with the largest bounds, as the R of the Gauss tables that
     `build_profile` uses (400 graded segments).
     """
-    avals = m.ell + np.geomspace(a_min, a_max, n_scan)
+    avals = m.ell + _A_SCAN
     if (m(avals) <= 0).any():
         raise ValueError("h(a) = 0: lower bound undefined")
     s = avals - m.ell
@@ -187,11 +196,11 @@ class GrowthClass:
     bounds: tuple = None
 
 
-def growth_class(f, ell, L, R, domain=None, probe_tol=1e-3):
+def growth_class(f, ell, L, R, domain=None):
     """Cubic-comparison growth classification and the resulting box.
 
     Probes inf_x f(x,t)/t^3 at t = 10^j (j = 0..6) and the mirrored
-    negative side; when both liminf estimates are >= -probe_tol the
+    negative side; when both liminf estimates are >= -_GROWTH_TOL the
     solver's sup-bound machinery applies with eps = (2 sigma R^(4/3))^-3
     and the box [2 t_alpha, 2 t_beta].
     """
@@ -203,7 +212,7 @@ def growth_class(f, ell, L, R, domain=None, probe_tol=1e-3):
     beta_est = float(beta_probe[-3:].min())
     alpha_est = float(alpha_probe[-3:].min())
     gc = GrowthClass(beta_est=beta_est, alpha_est=alpha_est)
-    if beta_est < -probe_tol or alpha_est < -probe_tol:
+    if beta_est < -_GROWTH_TOL or alpha_est < -_GROWTH_TOL:
         return gc
     eps = (2.0 * SIGMA * R ** (4.0 / 3.0)) ** -3.0
     t_beta = None
@@ -244,14 +253,15 @@ def cubic_smallness(a_sup, R, b):
     return True, float(M_bound), verdict
 
 
-def eigen_bracket(a_field, d, alphas=None):
+def eigen_bracket(a_field, d):
     """Bracket for the first nonlinear eigenvalue of the cubic problem.
 
     lambda_lower = 1/(sigma^3 M R^4) with M = max a over interior nodes
     and R the out-radius; lambda_upper = 4 (4/3)^3 / (sigma^3 M) times
-    the minimum over alpha of 1/(alpha rho_alpha^4), rho_alpha the
-    in-radius of {a >= alpha M}.  Exact shape radii are used when the
-    domain caches them and the level set fills the whole interior.
+    the minimum over alpha = 0.05, 0.1, ..., 1 of 1/(alpha rho_alpha^4),
+    rho_alpha the in-radius of {a >= alpha M}.  Exact shape radii are
+    used when the domain caches them and the level set fills the whole
+    interior.
     """
     if isinstance(a_field, ScalarField):
         avals = a_field.values
@@ -269,10 +279,8 @@ def eigen_bracket(a_field, d, alphas=None):
     out_r = exact[0] if exact is not None else d.radii()[0]
     in_r_exact = exact[1] if exact is not None else None
     lam_lower = 1.0 / (SIGMA3 * M * out_r ** 4)
-    if alphas is None:
-        alphas = np.arange(1, 21) * 0.05
     best = np.inf
-    for alpha in alphas:
+    for alpha in _ALPHAS:
         level = (avals >= alpha * M - 1e-15) & d.interior
         if not level.any():
             continue

@@ -23,6 +23,10 @@ from .core import SIGMA, ScalarField, _eval_tree, _nodes, _parse_rhs
 
 # 8-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+# offsets t - ell at which MonotoneRhs1D checks h
+_PROBE_OFFSETS = np.geomspace(1e-9, 100.0, 2048)
+# ode_residual leaves out the nodes with r below this fraction of R
+_RMIN_FRAC = 1e-4
 
 
 class MonotoneRhs1D:
@@ -36,14 +40,14 @@ class MonotoneRhs1D:
     ell : float
     """
 
-    def __init__(self, expression, ell, probe_span=100.0, probe_points=2048):
+    def __init__(self, expression, ell):
         self.expression = expression
         self.tree = _parse_rhs(expression)
         if any(n[0] == "coef" for n in _nodes(self.tree)):
             raise ValueError("h must not depend on x: %r has a coefficient"
                              % expression)
         self.ell = float(ell)
-        t = self.ell + np.geomspace(1e-9, probe_span, probe_points)
+        t = self.ell + _PROBE_OFFSETS
         y = self(t)
         if (y < -1e-12).any():
             raise ValueError("h must be nonnegative on [ell, inf)")
@@ -252,10 +256,10 @@ def build_profile(m, a, prefactor, n=2000):
                          R=float(r[-1]), prefactor=float(prefactor), tau=tau)
 
 
-def ode_residual(profile, m, rmin_frac=1e-4):
+def ode_residual(profile, m):
     """|(phi')^2 phi'' + h(phi)| from 3-point nonuniform differences.
 
-    Nodes with r < rmin_frac * R are excluded: phi is not C^2 at the
+    Nodes with r < _RMIN_FRAC * R are excluded: phi is not C^2 at the
     vertex (phi ~ a - c r^(4/3)), and below that radius the graded node
     values differ by so little that double-precision differences are
     noise rather than derivatives.
@@ -270,7 +274,7 @@ def ode_residual(profile, m, rmin_frac=1e-4):
     # (phi')^2 phi'' = -h(phi)/(4 p^4) for psi-prefactor p; p = 1/sqrt(2)
     # recovers the Lemma ODE exactly
     res = np.abs(d1 ** 2 * d2 + 0.25 * m(f0) / profile.prefactor ** 4)
-    return res[r0 >= rmin_frac * profile.R]
+    return res[r0 >= _RMIN_FRAC * profile.R]
 
 
 def save_profile(profile, path):

@@ -28,7 +28,8 @@ with a NaN slot (the arms of a pair cut off at that node) and a 0 slot
 only the requested nodes.  `_select` picks the steepest pair from the
 gathered arms, and `_pick` (one gather, one pick and the picked arms)
 serves every caller: the solver's local update and residual,
-`inf_lap_field` and `apply_inf_lap`.
+`inf_lap_field` and `apply_inf_lap`; `_second_diff` is the one copy of
+the second difference S they share.
 
 What is fixed per stencil is worked out once when it is built: the
 column of quotient denominators 2 eps, the center weights c0, whether
@@ -299,29 +300,24 @@ def _select(arm_p, arm_m, eps2):
 def _pick(stencil, values, table):
     """One gather and one pick at the nodes of a table.
 
-    Returns (pick, phat, apm, cs, eps, c0) along the pair `_select`
-    picks: its flat indices into the (K, n) arrays, the centered slope,
-    the sum of the two arm values, the correction sum (the scalar 0.0
-    when no pair has correction slots), the arm length and the center
-    weight.
+    Returns (u, apm, cs, eps, c0, pick, phat): the node values, then
+    along the pair `_select` picks the sum of the two arm values, the
+    correction sum (the scalar 0.0 when no pair has correction slots), the
+    arm length and the center weight (the arguments of `_second_diff`),
+    its flat indices into the (K, n) arrays and the centered slope.
     """
     arm_p, arm_m, _, csum, _ = stencil.pair_arrays(values, table)
     k, pick, phat = _select(arm_p, arm_m, stencil._eps2)
     cs = csum.take(pick) if stencil._corr else 0.0
-    return (pick, phat, arm_p.take(pick) + arm_m.take(pick), cs,
-            stencil._eps.take(k), stencil._c0.take(k))
+    return (values.take(table.flat), arm_p.take(pick) + arm_m.take(pick),
+            cs, stencil._eps.take(k), stencil._c0.take(k), pick, phat)
 
 
-def _steepest(values, stencil, table):
-    """(S, phat, eps) along the steepest pair at the nodes of a table.
-
-    S is the corrected second difference, phat the centered slope and eps
-    the arm length of the pair `_select` picks.  The caller ignores
-    invalid operations.
-    """
-    _, phat, apm, cs, eps_s, c0_s = _pick(stencil, values, table)
-    u0c = c0_s * values.take(table.flat) + cs
-    return (apm - 2.0 * u0c) / eps_s ** 2, phat, eps_s
+def _second_diff(u, apm, cs, eps, c0):
+    """S = (apm - 2 (c0 u + cs)) / eps^2, the corrected second difference
+    along the picked pair.  + cs also when cs is the scalar 0.0: it turns
+    -0.0 into 0.0, as adding a zero correction sum always did."""
+    return (apm - 2.0 * (c0 * u + cs)) / eps ** 2
 
 
 def inf_lap_field(values, stencil):
@@ -331,9 +327,10 @@ def inf_lap_field(values, stencil):
     elsewhere.
     """
     with np.errstate(invalid="ignore"):
-        S, phat, _ = _steepest(values, stencil, stencil.interior)
+        *data, _, phat = _pick(stencil, values, stencil.interior)
+        lap = _second_diff(*data) * phat ** 2
     out = np.full(stencil.domain.dims, np.nan)
-    out.put(stencil.interior.flat, S * phat ** 2)
+    out.put(stencil.interior.flat, lap)
     return out
 
 
@@ -350,8 +347,8 @@ def apply_inf_lap(u, node, s):
     if u.domain.mask[node] != 2:
         raise ValueError("apply_inf_lap needs an interior node")
     with np.errstate(invalid="ignore"):
-        S, phat, _ = _steepest(u.values, s, s.gather(node))
-    return float(S[0] * phat[0] ** 2)
+        *data, _, phat = _pick(s, u.values, s.gather(node))
+        return float(_second_diff(*data)[0] * phat[0] ** 2)
 
 
 def residual_field(u, f, s):

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SIGMA, RhsSpec, ScalarField
-from .scheme import SchemeParams, Stencil, _pick
+from .scheme import SchemeParams, Stencil, _pick, _second_diff
 
 # a local-solve step this small relative to 1 + |t| is rounding noise
 _STEP_TOL = 4.0 * np.finfo(float).eps
@@ -61,7 +61,7 @@ _MIN_STEP = 2.0 ** -20
 class SolveOptions:
     """Iteration knobs for the Dirichlet and Perron solvers."""
     max_sweeps: int = 100000
-    tol: float = None            # default 1e-8 * (1 + sup|b|)
+    tol: float = None            # default: see `tol_for`
     damping: float = None        # default 1.0, or 0.5 for t-dependent f
     order: str = "red-black"     # or "lexicographic"
     alarm_bound: float = None
@@ -82,6 +82,11 @@ class SolveOptions:
                 and not 0 < self.alarm_bound < np.inf:
             raise ValueError("alarm_bound must be finite and positive")
 
+    def tol_for(self, b):
+        """`tol`, or the default 1e-8 * (1 + sup|b|) for boundary data b."""
+        return self.tol if self.tol is not None \
+            else 1e-8 * (1.0 + max(abs(b.ell), abs(b.L)))
+
 
 @dataclass
 class SolveReport:
@@ -95,17 +100,6 @@ class SolveReport:
     bracket_failures: int = 0    # local solves that found no sign change
     newton_steps: int = 0        # 1-D Newton steps, the harmonic start's too
     start_sweeps: int = 0        # f == 0 start sweeps that `sweeps` leaves out
-
-
-def _residual(data):
-    """(S, F) from `_Sweeper._steep` data: the second difference along
-    the steepest pair and F = S * p2 - f, the quantity the local update
-    zeroes."""
-    u, apm, cs, eps_s, c0_s, p2, fx, _ = data
-    # + cs also when cs is the scalar 0.0: it turns -0.0 into 0.0, as
-    # adding a zero correction sum always did
-    S = (apm - 2.0 * (c0_s * u + cs)) / eps_s ** 2
-    return S, S * p2 - fx
 
 
 def _rows(data, ix):
@@ -279,9 +273,8 @@ class _Sweeper:
         floored squared slope, f at the values and the signed centered
         slope.
         """
-        pick, phat, apm, cs, eps_s, c0_s = _pick(self.stencil, values,
-                                                  grp.tab)
-        u = values.take(grp.tab.flat)
+        u, apm, cs, eps_s, c0_s, pick, phat = _pick(self.stencil, values,
+                                                     grp.tab)
         if self.f.depends_on_t:
             fx = self.f.eval_nodes(u, grp.coefs)
             floor = _floor(eps_s, fx, self.stencil.params.delta_reg)
@@ -339,9 +332,10 @@ class _Sweeper:
         first update group, for the next `full_sweep` on these values.
         """
         data = self._steep(values, self.all)
+        u, apm, cs, eps_s, c0_s, p2, fx, _ = data
+        F = _second_diff(u, apm, cs, eps_s, c0_s) * p2 - fx
         n = self.groups[0].tab.flat.size
-        return float(np.abs(_residual(data)[1]).max()), \
-            _rows(data, slice(n))
+        return float(np.abs(F).max()), _rows(data, slice(n))
 
     def newton_system(self, values, order, link):
         """F = S * p2 - f and its tridiagonal Jacobian, in grid order (1-D).
@@ -355,9 +349,10 @@ class _Sweeper:
 
         Returns (F, ab), ab in the layout of `solve_banded((1, 1), ...)`.
         """
-        data = _rows(self._steep(values, self.all), order)
-        _, _, _, eps_s, c0_s, p2, _, phat = data
-        S, F = _residual(data)
+        u, apm, cs, eps_s, c0_s, p2, fx, phat = _rows(
+            self._steep(values, self.all), order)
+        S = _second_diff(u, apm, cs, eps_s, c0_s)
+        F = S * p2 - fx
         arm = p2 / eps_s ** 2
         slope = np.where(phat ** 2 < p2, 0.0, S * phat / eps_s)
         ab = np.zeros((3, F.size))
@@ -537,8 +532,7 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
     opts = opts or SolveOptions()
     params = params or SchemeParams()
     stencil = Stencil(d, params)
-    tol = opts.tol if opts.tol is not None \
-        else 1e-8 * (1.0 + max(abs(b.ell), abs(b.L)))
+    tol = opts.tol_for(b)
     newton = d.N == 1 and not f.depends_on_t
     steps = sweeps = start_sweeps = 0
     start = None
@@ -590,8 +584,7 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
     opts = opts or SolveOptions()
     params = params or SchemeParams()
     stencil = Stencil(d, params)
-    tol = opts.tol if opts.tol is not None \
-        else 1e-8 * (1.0 + max(abs(b.ell), abs(b.L)))
+    tol = opts.tol_for(b)
     ne = d.nonexterior
     bd = d.boundary
     if super_ is not None:

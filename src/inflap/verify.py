@@ -6,7 +6,7 @@ near an equality case stays visible.  Inputs are assumed certified by
 the caller (converged, residual-checked) where the docstring says so.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,10 +29,7 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {"name": self.name, "passed": self.passed,
-                "margin": self.margin, "tol_check": self.tol_check,
-                "witness": self.witness, "status": self.status,
-                "details": self.details}
+        return asdict(self)
 
 
 def _result(name, margin, tol_check, witness, details=None):

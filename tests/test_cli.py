@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from inflap import MonotoneRhs1D, build_profile
+from inflap import (MonotoneRhs1D, build_domain, build_profile, cone_field,
+                    power_subsolution)
 from inflap.cli import ConfigError, _coord_fn, main, parse_config
 
 
@@ -49,6 +50,24 @@ class TestConfigParsing:
     def test_malformed_json(self):
         with pytest.raises(ConfigError):
             parse_config("{not json")
+
+    @pytest.mark.parametrize("section", [
+        {"solve": 5}, {"solve": None}, {"scheme": [1]}, {"problem": 3},
+        {"problem": {"domain": [1, 2], "h": 0.125}},
+        {"problem": {"domain": BALL, "h": 0.125, "boundary": 0.0}},
+        {"perron": {"sub": -1.0}}],
+        ids=["solve-5", "solve-null", "scheme-list", "problem-3",
+             "domain-list", "boundary-number", "perron-sub-number"])
+    def test_section_not_an_object_exit_one(self, tmp_path, capsys, section):
+        cfg = dict({"problem": {"domain": BALL, "h": 0.125}}, **section)
+        code, out = _run(tmp_path, "solve", cfg)
+        assert code == 1
+        assert "inflap: error:" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_config_not_an_object(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            parse_config("[1, 2]")
 
     def test_valid_config_accepted(self):
         cfg = {"problem": {"domain": BALL, "h": 0.125,
@@ -172,6 +191,31 @@ class TestPerronAndProbe:
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["solve"]["status"] == "converged"
+
+    def test_perron_cone_super_power_sub(self, tmp_path):
+        # the power sub-solution of Delta_inf v + v^1.5 >= 0 on the
+        # 0.75-ball vanishes on the unit ball's boundary nodes; the cone
+        # 2 (1.5 - sigma r^(4/3)) has Delta_inf = -8 <= -u^1.5 below 4
+        unit = {"kind": "ball", "center": [0.0, 0.0], "R": 1.0}
+        cfg = {"problem": {"domain": unit, "h": 0.125,
+                           "rhs": "(neg (pow t 1.5))",
+                           "boundary": {"constant": 0.0}},
+               "solve": {"max_sweeps": 5000},
+               "perron": {"sub": {"power": {"gamma": 1.5, "R": 0.75}},
+                          "super": {"cone": {"C": 2.0, "z": [0.0, 0.0],
+                                             "d": 1.5,
+                                             "orientation": "super"}}}}
+        code, out = _run(tmp_path, "perron", cfg)
+        assert code == 0
+        d = build_domain(unit, 0.125)
+        ne = d.nonexterior
+        sub = power_subsolution(1.5, 0.75, d).values[ne]
+        sup = cone_field(d, 2.0, [0.0, 0.0], 1.5, "super").values[ne]
+        rows = (out / "field.csv").read_text().splitlines()[1:]
+        u = np.array([float(r.split(",")[-1]) for r in rows])
+        assert u.shape == sub.shape
+        assert (u >= sub - 1e-12).all() and (u <= sup + 1e-12).all()
+        assert (u > sub + 1e-3).any() and (u < sup - 1e-3).any()
 
     def test_probe_diverges_exit_three(self, tmp_path):
         cfg = {"problem": {"domain": {"kind": "ball",

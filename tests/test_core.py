@@ -174,6 +174,47 @@ class TestRhsSpec:
         assert lo - 1e-9 <= eval_rhs(f, None, t) <= hi + 1e-9
 
 
+def _coef_kinds(d):
+    """The coefficient a = x0 - x1 / 2 as a scalar stand-in, a grid array
+    (with a huge exterior value that must not count) and a callable."""
+    def fn(p):
+        return p[:, 0] - 0.5 * p[:, 1]
+    x0, x1 = d.grid_coords()
+    grid = np.where(d.nonexterior, x0 - 0.5 * x1, 1e6)
+    return {"scalar": -1.5, "grid": grid, "callable": fn}
+
+
+def _brute_range(f, d, lo, hi):
+    """min/max of f over the non-exterior nodes and 101 t's, ends included."""
+    ys = [f.eval_grid(d, t)[d.nonexterior] for t in np.linspace(lo, hi, 101)]
+    return min(y.min() for y in ys), max(y.max() for y in ys)
+
+
+class TestRhsRangeCoefficients:
+    @pytest.mark.parametrize("kind", ["scalar", "grid", "callable"])
+    @pytest.mark.parametrize("expr", ["(mul (coef a) (exp t))",
+                                      "(add (coef a) t)"])
+    def test_matches_brute_force(self, ball2d, expr, kind):
+        # the product is separable (coefficient-factor branch); the sum is
+        # not (sampled branch); both extremes sit at the interval's ends
+        f = RhsSpec(expr, coefs={"a": _coef_kinds(ball2d)[kind]})
+        lo, hi = rhs_range(f, (-1.0, 0.5), ball2d)
+        ref_lo, ref_hi = _brute_range(f, ball2d, -1.0, 0.5)
+        assert lo == pytest.approx(ref_lo, rel=1e-12, abs=1e-12)
+        assert hi == pytest.approx(ref_hi, rel=1e-12, abs=1e-12)
+        assert lo < hi
+
+    def test_callable_factor_needs_domain(self):
+        f = RhsSpec("(mul (coef a) (exp t))", coefs={"a": lambda p: p[:, 0]})
+        with pytest.raises(ValueError, match="needs a domain"):
+            rhs_range(f, (0.0, 1.0))
+
+    def test_grid_coefficient_shape_checked(self, ball2d):
+        f = RhsSpec("(add (coef a) t)", coefs={"a": np.zeros((3, 3))})
+        with pytest.raises(ValueError, match="shape mismatch"):
+            f.coef_grid(ball2d)
+
+
 def _t_range_reference(trees, lo, hi, n=4097):
     """min/max of the factor product over the sorted, deduplicated sample
     set: the grid, both ends, multiples of pi and 0 inside [lo, hi]."""
