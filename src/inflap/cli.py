@@ -45,7 +45,7 @@ _SECTION_KEYS = {
     "perron.super": {"constant", "cone", "power"},
     "radial": {"m", "ell", "a", "prefactor", "n"},
     "family": {"gamma", "k", "n"},
-    "criteria": {"eta_list", "m", "h_range", "a_sup", "eigen"},
+    "criteria": set(crit.CriteriaReport.of.__kwdefaults__),
     "verify": {"checks"},
 }
 
@@ -76,14 +76,45 @@ def parse_config(text):
     return cfg
 
 
+def _options(cls, cfg, section):
+    """`cls` from a config section, each value of its field's type (an
+    integer passes for a float, a bool for nothing else) or null where
+    the field's default is None."""
+    spec = cfg.get(section, {})
+    for fld in fields(cls):
+        v = spec.get(fld.name, fld.default)
+        if v is None and fld.default is None:
+            continue
+        if isinstance(v, bool) != (fld.type is bool) or not isinstance(
+                v, (int, float) if fld.type is float else fld.type):
+            raise ConfigError("%s.%s must be of type %s"
+                              % (section, fld.name, fld.type.__name__))
+    return cls(**spec)
+
+
+def _need(spec, keys, where):
+    """The values of `keys` in the config object `spec`, all required."""
+    if not isinstance(spec, dict):
+        raise ConfigError("%s must be a JSON object" % where)
+    for key in keys:
+        if key not in spec:
+            raise ConfigError("%s needs %r" % (where, key))
+    return [spec[key] for key in keys]
+
+
 def _build_problem(cfg, h_override):
     prob = cfg.get("problem")
     if prob is None:
         raise ConfigError("this action needs a problem section")
-    if "domain" not in prob or "h" not in prob and h_override is None:
+    h = h_override if h_override is not None else prob.get("h")
+    if "domain" not in prob \
+            or h is None and prob["domain"].get("kind") != "mask":
         raise ConfigError("problem needs domain and h")
-    h = h_override if h_override is not None else prob["h"]
     d = build_domain(prob["domain"], h)
+    # a mask file carries its own spacing
+    if h is not None and h != d.h:
+        raise ConfigError("h %r differs from the mask file's spacing %r"
+                          % (h, d.h))
     f = RhsSpec(prob.get("rhs", "(const 0)"),
                 coefs=prob.get("rhs_coefs"),
                 sign=prob.get("rhs_sign"),
@@ -153,16 +184,16 @@ def _coord_eval(node, names):
                       % ast.unparse(node))
 
 
-def _field_from_spec(spec, d, b):
+def _field_from_spec(spec, d, where):
     if "constant" in spec:
         return ScalarField.constant(d, float(spec["constant"]))
     if "cone" in spec:
-        c = spec["cone"]
-        return radial.cone_field(d, c["C"], c["z"], c["d"], c["orientation"])
+        return radial.cone_field(d, *_need(
+            spec["cone"], ("C", "z", "d", "orientation"), where + ".cone"))
     if "power" in spec:
-        p = spec["power"]
-        return radial.power_subsolution(p["gamma"], p["R"], d)
-    raise ConfigError("unknown field spec in perron section")
+        gamma, R = _need(spec["power"], ("gamma", "R"), where + ".power")
+        return radial.power_subsolution(gamma, R, d)
+    raise ConfigError("unknown field spec in %s" % where)
 
 
 def _fmt(x):
@@ -192,10 +223,10 @@ def _dump_json(obj, out):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
+        # "%.12e" writes +-inf as the strings the report quotes
         x = float(obj)
-        out.append(json.dumps("inf" if np.isinf(x) and x > 0 else
-                              "-inf" if np.isinf(x) else None)
-                   if not np.isfinite(x) else _fmt(x))
+        out.append(_fmt(x) if np.isfinite(x)
+                   else json.dumps(None if np.isnan(x) else _fmt(x)))
     else:
         out.append(json.dumps(obj))
 
@@ -224,8 +255,8 @@ _EXIT = {"converged": 0, "diverged_past_alarm": 3, "max_sweeps_reached": 4}
 
 def _run_solve(cfg, out_dir, h_override):
     d, f, b = _build_problem(cfg, h_override)
-    u, rep = solve_dirichlet(d, f, b, SolveOptions(**cfg.get("solve", {})),
-                             SchemeParams(**cfg.get("scheme", {})))
+    u, rep = solve_dirichlet(d, f, b, _options(SolveOptions, cfg, "solve"),
+                             _options(SchemeParams, cfg, "scheme"))
     write_field(u, os.path.join(out_dir, "field.csv"))
     write_report({"action": "solve", "solve": asdict(rep)},
                  os.path.join(out_dir, "report.json"))
@@ -235,14 +266,13 @@ def _run_solve(cfg, out_dir, h_override):
 def _run_perron(cfg, out_dir, h_override):
     d, f, b = _build_problem(cfg, h_override)
     pspec = cfg.get("perron", {})
-    if "sub" not in pspec:
-        raise ConfigError("perron action needs perron.sub")
-    sub = _field_from_spec(pspec["sub"], d, b)
-    super_ = _field_from_spec(pspec["super"], d, b) \
+    sspec, = _need(pspec, ("sub",), "perron")
+    sub = _field_from_spec(sspec, d, "perron.sub")
+    super_ = _field_from_spec(pspec["super"], d, "perron.super") \
         if "super" in pspec else None
     u, rep = perron_solve(d, f, b, sub, super_,
-                          SolveOptions(**cfg.get("solve", {})),
-                          SchemeParams(**cfg.get("scheme", {})))
+                          _options(SolveOptions, cfg, "solve"),
+                          _options(SchemeParams, cfg, "scheme"))
     write_field(u, os.path.join(out_dir, "field.csv"))
     write_report({"action": "perron", "solve": asdict(rep)},
                  os.path.join(out_dir, "report.json"))
@@ -251,7 +281,7 @@ def _run_perron(cfg, out_dir, h_override):
 
 def _run_probe(cfg, out_dir, h_override):
     d, f, b = _build_problem(cfg, h_override)
-    opts = SolveOptions(**cfg.get("solve", {}))
+    opts = _options(SolveOptions, cfg, "solve")
     rep = probe_nonexistence(d, f, b, opts)
     write_report({"action": "probe", "solve": asdict(rep),
                   "alarm_bound": opts.alarm_bound},
@@ -260,11 +290,10 @@ def _run_probe(cfg, out_dir, h_override):
 
 
 def _run_radial(cfg, out_dir, h_override):
-    r = cfg.get("radial")
-    if r is None or "m" not in r or "a" not in r:
-        raise ConfigError("radial action needs radial.m and radial.a")
-    m = radial.MonotoneRhs1D(r["m"], r.get("ell", 0.0))
-    prof = radial.build_profile(m, r["a"], r.get("prefactor", 1.0),
+    r = cfg.get("radial", {})
+    mexpr, a = _need(r, ("m", "a"), "radial")
+    m = radial.MonotoneRhs1D(mexpr, r.get("ell", 0.0))
+    prof = radial.build_profile(m, a, r.get("prefactor", 1.0),
                                 n=r.get("n", 2000))
     radial.save_profile(prof, os.path.join(out_dir, "profile.csv"))
     resid = float(radial.ode_residual(prof, m).max())
@@ -277,11 +306,10 @@ def _run_radial(cfg, out_dir, h_override):
 
 
 def _run_family(cfg, out_dir, h_override):
-    fam = cfg.get("family")
-    if fam is None or "gamma" not in fam:
-        raise ConfigError("family action needs family.gamma")
+    fam = cfg.get("family", {})
+    gamma, = _need(fam, ("gamma",), "family")
     d, _, _ = _build_problem(cfg, h_override)
-    gamma, k = fam["gamma"], fam.get("k", 1)
+    k = fam.get("k", 1)
     u, prof = radial.exact_family(gamma, k, d, n=fam.get("n", 2000))
     write_field(u, os.path.join(out_dir, "field.csv"))
     radial.save_profile(prof, os.path.join(out_dir, "profile.csv"))
@@ -294,106 +322,44 @@ def _run_family(cfg, out_dir, h_override):
 
 def _run_criteria(cfg, out_dir, h_override):
     d, f, b = _build_problem(cfg, h_override)
-    copt = cfg.get("criteria", {})
-    rr = d.radii()
-    out_r, in_r = rr[0], rr[2]
-    exact = d.exact_radii()
-    if exact is not None:
-        out_r, in_r = exact
-    rep = crit.CriteriaReport(ell=b.ell, L=b.L)
-    for eta in copt.get("eta_list", [0.1, 1.0, 3.0, 10.0]):
-        val = crit.c_eta(f, b.ell, b.L, eta, d)
-        rep.c_eta_table.append((float(eta), float(val)))
-    rep.diam_threshold = crit.diam_threshold(f, b.ell, b.L, d)
-    rep.diam_actual = 2.0 * out_r
-    rep.in_radius_actual = in_r
-    rep.verdicts.append({
-        "theorem": "diameter-threshold-existence",
-        "status": "applies" if rep.diam_actual < rep.diam_threshold
-        else "fails",
-        "details": "diameter %s vs threshold %s"
-        % (_fmt(rep.diam_actual), "inf" if np.isinf(rep.diam_threshold)
-           else _fmt(rep.diam_threshold))})
-    if "m" in copt or (not f.depends_on_x() and f.monotone_in_t):
-        mexpr = copt.get("m", f.expression)
-        try:
-            m = radial.MonotoneRhs1D(mexpr, b.ell)
-            M_f = crit.nonexistence_radius(m)
-            rep.M_f = M_f * np.sqrt(2.0)
-            rep.nonexistence_radius = M_f
-            if np.isinf(M_f):
-                status = "undetermined"
-            else:
-                status = "applies" if in_r > M_f else "fails"
-            rep.verdicts.append({
-                "theorem": "nonexistence-radius",
-                "status": status,
-                "details": "in-radius %s vs radius %s"
-                % (_fmt(in_r), "inf" if np.isinf(M_f) else _fmt(M_f))})
-        except ValueError as e:
-            rep.nonexistence_radius_skipped = str(e)
-        rep.dd3 = crit.dd3_check(f, b.ell, d)
-    hr = copt.get("h_range")
-    if hr is None:
-        hr = rhs_range(f, (b.ell, b.L), d)
-    rep.apriori_box = crit.apriori_box(hr[0], hr[1], b, out_r)
-    gc = crit.growth_class(f, b.ell, b.L, out_r, d)
-    rep.growth = gc
-    rep.verdicts.append({
-        "theorem": "growth-apriori",
-        "status": "applies" if gc.applicable else "undetermined",
-        "details": "beta_est %s alpha_est %s"
-        % (_fmt(gc.beta_est), _fmt(gc.alpha_est))})
-    if "a_sup" in copt:
-        a_sup = copt["a_sup"]
-        flag, M_bound, verdict = crit.cubic_smallness(a_sup, out_r, b)
-        rep.cubic = (flag, M_bound, verdict)
-        rep.verdicts.append({
-            "theorem": "cubic-smallness-uniqueness",
-            "status": "applies" if flag else "fails",
-            "details": verdict})
-        if copt.get("eigen", False):
-            a_field = ScalarField.constant(d, a_sup)
-            rep.eigen = crit.eigen_bracket(a_field, d)
-    write_report({"action": "criteria", "criteria": rep.to_dict()},
+    rep = crit.CriteriaReport.of(f, b, d, **cfg.get("criteria", {}))
+    write_report({"action": "criteria", "criteria": asdict(rep)},
                  os.path.join(out_dir, "report.json"))
     return 0
 
 
 def _run_verify(cfg, out_dir, h_override):
     d, f, b = _build_problem(cfg, h_override)
-    opts = SolveOptions(**cfg.get("solve", {}))
-    params = SchemeParams(**cfg.get("scheme", {}))
+    opts = _options(SolveOptions, cfg, "solve")
+    params = _options(SchemeParams, cfg, "scheme")
     u, rep = solve_dirichlet(d, f, b, opts, params)
     write_field(u, os.path.join(out_dir, "field.csv"))
     tol_check = 10.0 * opts.tol_for(b) + d.h
     results = []
     for chk in cfg.get("verify", {}).get("checks", []):
-        kind = chk.get("type")
-        extra = {k: v for k, v in chk.items() if k != "type"}
+        kind, = _need(chk, ("type",), "verify check")
+        where = "verify check %r" % kind
         if kind == "comparison":
-            f2 = RhsSpec(extra["rhs2"])
-            v, _ = solve_dirichlet(d, f2, b, opts, params)
-            res = ver.check_comparison(u, v, extra["mode"], tol_check)
+            rhs2, mode = _need(chk, ("rhs2", "mode"), where)
+            v, _ = solve_dirichlet(d, RhsSpec(rhs2), b, opts, params)
+            res = ver.check_comparison(u, v, mode, tol_check)
         elif kind == "monotone-comparison":
-            v = ScalarField.constant(d, extra["v_constant"])
+            v = ScalarField.constant(d, *_need(chk, ("v_constant",), where))
             res = ver.check_monotone_comparison(u, v, f, tol_check=tol_check)
         elif kind == "lipschitz":
-            x0 = extra.get("x0")
+            x0 = chk.get("x0")
             if x0 is None or x0 == "center":
                 x0 = tuple(n // 2 for n in d.dims)
-            res = ver.lipschitz_bound(u, x0, extra.get("alpha", 0.0),
+            res = ver.lipschitz_bound(u, x0, chk.get("alpha", 0.0),
                                       tol_check)
         elif kind == "harnack":
-            res = ver.check_harnack(u, extra["h_sup_plus"], extra["z"],
-                                    extra["r"], tol_check)
+            res = ver.check_harnack(u, *_need(
+                chk, ("h_sup_plus", "z", "r"), where), tol_check)
         elif kind == "apriori":
-            exact = d.exact_radii()
-            out_r = exact[0] if exact is not None else d.radii()[0]
-            hr = extra.get("h_range")
+            hr = chk.get("h_range")
             if hr is None:
                 hr = rhs_range(f, (b.ell, b.L), d)
-            box = crit.apriori_box(hr[0], hr[1], b, out_r)
+            box = crit.apriori_box(hr[0], hr[1], b, d.out_in_radii()[0])
             res = ver.check_apriori(u, box, tol_check)
         else:
             raise ConfigError("unknown check type: %r" % (kind,))

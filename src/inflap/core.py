@@ -116,17 +116,17 @@ class GridDomain:
         self._radii = (float(out_r), center, in_r, in_c)
         return self._radii
 
-    def exact_radii(self):
-        """Analytic (out_radius, in_radius) when the shape is known, else None."""
-        si = self.shape_info
-        if si is None:
-            return None
-        if si["kind"] == "ball":
+    def out_in_radii(self):
+        """(out_radius, in_radius): the analytic ones when the shape is
+        known (ball or box), else the discrete ones of `radii()`."""
+        si = self.shape_info or {}
+        if si.get("kind") == "ball":
             return float(si["R"]), float(si["R"])
-        if si["kind"] == "box":
+        if si.get("kind") == "box":
             half = (np.asarray(si["hi"], float) - np.asarray(si["lo"], float)) / 2
             return float(np.linalg.norm(half)), float(half.min())
-        return None
+        rr = self.radii()
+        return rr[0], rr[2]
 
 
 def build_domain(spec, h):
@@ -139,7 +139,7 @@ def build_domain(spec, h):
         {"kind": "box", "lo": lo, "hi": hi}, or
         {"kind": "mask", "path": p}.
     h : float
-        Grid spacing.
+        Grid spacing; a mask file carries its own, and h is not used.
 
     Notes
     -----
@@ -147,11 +147,11 @@ def build_domain(spec, h):
     for boxes).  Interior nodes are candidates whose axis neighbors are all
     candidates; the remaining candidates are boundary nodes.
     """
-    if h <= 0:
-        raise ValueError("spacing h must be positive")
     kind = spec.get("kind")
     if kind == "mask":
         return load_mask(spec["path"])
+    if h <= 0:
+        raise ValueError("spacing h must be positive")
     if kind == "ball":
         center = np.atleast_1d(np.asarray(spec["center"], dtype=float))
         R = float(spec["R"])

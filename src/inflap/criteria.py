@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SIGMA, ScalarField, rhs_range
-from .radial import _H_table, _profile_tables
+from .radial import MonotoneRhs1D, _H_table, _profile_tables
 
 SIGMA3 = 81.0 / 64.0
 
@@ -259,9 +259,8 @@ def eigen_bracket(a_field, d):
     lambda_lower = 1/(sigma^3 M R^4) with M = max a over interior nodes
     and R the out-radius; lambda_upper = 4 (4/3)^3 / (sigma^3 M) times
     the minimum over alpha = 0.05, 0.1, ..., 1 of 1/(alpha rho_alpha^4),
-    rho_alpha the in-radius of {a >= alpha M}.  Exact shape radii are
-    used when the domain caches them and the level set fills the whole
-    interior.
+    rho_alpha the in-radius of {a >= alpha M}.  Both radii are those of
+    `GridDomain.out_in_radii` where the level set fills the interior.
     """
     if isinstance(a_field, ScalarField):
         avals = a_field.values
@@ -275,17 +274,15 @@ def eigen_bracket(a_field, d):
     M = float(aint.max())
     if M == 0.0:
         raise ValueError("eigen_bracket needs a not identically 0")
-    exact = d.exact_radii()
-    out_r = exact[0] if exact is not None else d.radii()[0]
-    in_r_exact = exact[1] if exact is not None else None
+    out_r, in_r = d.out_in_radii()
     lam_lower = 1.0 / (SIGMA3 * M * out_r ** 4)
     best = np.inf
     for alpha in _ALPHAS:
         level = (avals >= alpha * M - 1e-15) & d.interior
         if not level.any():
             continue
-        if in_r_exact is not None and level.sum() == d.interior.sum():
-            rho = in_r_exact
+        if level.sum() == d.interior.sum():
+            rho = in_r
         else:
             from scipy import ndimage
             rho = float(ndimage.distance_transform_edt(level).max() * d.h)
@@ -300,7 +297,7 @@ def eigen_bracket(a_field, d):
 
 @dataclass
 class CriteriaReport:
-    """Aggregated threshold evaluation, serializable to one JSON object."""
+    """The criteria's numbers and verdicts; `asdict` gives the JSON object."""
     ell: float
     L: float
     c_eta_table: list = field(default_factory=list)
@@ -317,37 +314,61 @@ class CriteriaReport:
     eigen: tuple = None
     verdicts: list = field(default_factory=list)
 
-    def to_dict(self):
-        def ext(v):
-            if v is None:
-                return None
-            if isinstance(v, float) and np.isinf(v):
-                return "inf"
-            return v
+    @classmethod
+    def of(cls, f, b, d, *, eta_list=(0.1, 1.0, 3.0, 10.0), m=None,
+           h_range=None, a_sup=None, eigen=False):
+        """The report of the criteria for f with boundary data b on d.
 
-        gc = None
-        if self.growth is not None:
-            gc = {"beta_est": self.growth.beta_est,
-                  "alpha_est": self.growth.alpha_est,
-                  "t_alpha": self.growth.t_alpha,
-                  "t_beta": self.growth.t_beta,
-                  "applicable": self.growth.applicable,
-                  "bounds": list(self.growth.bounds)
-                  if self.growth.bounds else None}
-        return {
-            "ell": self.ell, "L": self.L,
-            "c_eta_table": [[e, c] for e, c in self.c_eta_table],
-            "diam_threshold": ext(self.diam_threshold),
-            "diam_actual": self.diam_actual,
-            "M_f": ext(self.M_f),
-            "nonexistence_radius": ext(self.nonexistence_radius),
-            "nonexistence_radius_skipped": self.nonexistence_radius_skipped,
-            "in_radius_actual": self.in_radius_actual,
-            "dd3": list(self.dd3) if self.dd3 else None,
-            "growth": gc,
-            "apriori_box": list(self.apriori_box)
-            if self.apriori_box else None,
-            "cubic": list(self.cubic) if self.cubic else None,
-            "eigen": list(self.eigen) if self.eigen else None,
-            "verdicts": self.verdicts,
-        }
+        The keywords are the CLI's `criteria` section: the etas of the
+        C(eta) table; m, the t-only h behind the nonexistence radius
+        (default f itself when it is t-only and monotone); the (lo, hi)
+        range of f for the a priori box (default `rhs_range` over the
+        data range); a_sup, the bound on the cubic coefficient of the
+        smallness test; and eigen, whether to also bracket the eigenvalue
+        of the constant weight a_sup.  Verdicts compare thresholds with
+        the radii of `GridDomain.out_in_radii`.
+        """
+        out_r, in_r = d.out_in_radii()
+        rep = cls(ell=b.ell, L=b.L, diam_actual=2.0 * out_r,
+                  in_radius_actual=in_r)
+
+        def verdict(theorem, status, details):
+            rep.verdicts.append({"theorem": theorem, "status": status,
+                                 "details": details})
+
+        rep.c_eta_table = [(float(eta), float(c_eta(f, b.ell, b.L, eta, d)))
+                           for eta in eta_list]
+        rep.diam_threshold = diam_threshold(f, b.ell, b.L, d)
+        verdict("diameter-threshold-existence",
+                "applies" if rep.diam_actual < rep.diam_threshold
+                else "fails", "diameter %.12e vs threshold %.12e"
+                % (rep.diam_actual, rep.diam_threshold))
+        if m is not None or (not f.depends_on_x() and f.monotone_in_t):
+            try:
+                M_f = nonexistence_radius(MonotoneRhs1D(
+                    f.expression if m is None else m, b.ell))
+            except ValueError as e:
+                rep.nonexistence_radius_skipped = str(e)
+            else:
+                rep.M_f = M_f * np.sqrt(2.0)
+                rep.nonexistence_radius = M_f
+                verdict("nonexistence-radius",
+                        "undetermined" if np.isinf(M_f)
+                        else "applies" if in_r > M_f else "fails",
+                        "in-radius %.12e vs radius %.12e" % (in_r, M_f))
+            rep.dd3 = dd3_check(f, b.ell, d)
+        lo, hi = h_range if h_range is not None \
+            else rhs_range(f, (b.ell, b.L), d)
+        rep.apriori_box = apriori_box(lo, hi, b, out_r)
+        gc = rep.growth = growth_class(f, b.ell, b.L, out_r, d)
+        verdict("growth-apriori",
+                "applies" if gc.applicable else "undetermined",
+                "beta_est %.12e alpha_est %.12e"
+                % (gc.beta_est, gc.alpha_est))
+        if a_sup is not None:
+            rep.cubic = cubic_smallness(a_sup, out_r, b)
+            verdict("cubic-smallness-uniqueness",
+                    "applies" if rep.cubic[0] else "fails", rep.cubic[2])
+            if eigen:
+                rep.eigen = eigen_bracket(ScalarField.constant(d, a_sup), d)
+        return rep

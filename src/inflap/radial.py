@@ -374,12 +374,14 @@ def exact_family(gamma, k, d, n=2000):
         raise ValueError("exact family needs gamma > 3")
     if k < 1:
         raise ValueError("k must be a positive integer")
+    si = d.shape_info
+    if si is None or si["kind"] != "ball":
+        raise ValueError("exact family needs a ball domain")
     a = family_a(gamma)
     m = MonotoneRhs1D("(pow t %.17g)" % gamma, 0.0)
     profile = build_profile(m, a, 1.0 / np.sqrt(2.0), n=n)
     scale = float(2 * k - 1) ** (4.0 / (gamma - 3.0))
-    si = d.shape_info
-    center = np.asarray(si["center"], dtype=float) if si else 0.0
+    center = np.asarray(si["center"], dtype=float)
     grids = d.grid_coords()
     rr = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center)))
     vals = scale * _phi_star(profile, (2 * k - 1) * rr)

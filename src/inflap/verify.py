@@ -75,35 +75,22 @@ def _zero_levels(f, span=1e6):
         from .core import eval_rhs
         return eval_rhs(f, None, t)
 
-    def sup_leq():
-        if fval(span) <= 0:
-            return np.inf
-        if fval(-span) > 0:
+    def turn(pred):
+        # where pred, false then true along [-span, span], turns true
+        if pred(-span):
             return -np.inf
-        lo, hi = -span, span
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if fval(mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def inf_geq():
-        if fval(-span) >= 0:
-            return -np.inf
-        if fval(span) < 0:
+        if not pred(span):
             return np.inf
         lo, hi = -span, span
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if fval(mid) >= 0:
+            if pred(mid):
                 hi = mid
             else:
                 lo = mid
         return 0.5 * (lo + hi)
 
-    return inf_geq(), sup_leq()
+    return turn(lambda t: fval(t) >= 0), turn(lambda t: fval(t) > 0)
 
 
 def check_monotone_comparison(u, v, f, l_upper=None, l_lower=None,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from inflap import (MonotoneRhs1D, build_domain, build_profile, cone_field,
-                    power_subsolution)
+                    power_subsolution, save_mask)
 from inflap.cli import ConfigError, _coord_fn, main, parse_config
 
 
@@ -124,6 +124,26 @@ class TestSolveAction:
         code2, out2 = _run(tmp_path, "solve", self.CFG)
         assert rows < len((out2 / "field.csv").read_text().splitlines())
 
+    def test_mask_domain_takes_file_spacing(self, tmp_path, capsys):
+        # a mask domain needs no h; a different one is a config error
+        path = str(tmp_path / "ball.mask")
+        save_mask(build_domain(BALL, 0.125), path)
+        mask = dict(self.CFG, problem=dict(self.CFG["problem"],
+                                           domain={"kind": "mask",
+                                                   "path": path}))
+        del mask["problem"]["h"]
+        outs = []
+        for cfg in (self.CFG, mask):
+            code, out = _run(tmp_path, "solve", cfg)
+            assert code == 0
+            outs.append((out / "field.csv").read_bytes())
+        assert outs[0] == outs[1]
+        for h, extra in ((0.25, ()), (None, ("--h", "0.25"))):
+            mask["problem"]["h"] = h
+            code, out = _run(tmp_path, "solve", mask, extra)
+            assert code == 1
+            assert "mask file's spacing" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.json")])
         assert code == 1
@@ -224,10 +244,11 @@ class TestPerronAndProbe:
                            "rhs_monotone": "nonincreasing",
                            "boundary": {"constant": 0.0}},
                "solve": {"alarm_bound": 20.0, "max_sweeps": 2000}}
-        code, out = _run(tmp_path, "probe", cfg)
-        assert code == 3
-        rep = json.loads((out / "report.json").read_text())
-        assert rep["solve"]["status"] == "diverged_past_alarm"
+        for action in ("probe", "solve"):
+            code, out = _run(tmp_path, action, cfg)
+            assert code == 3
+            rep = json.loads((out / "report.json").read_text())
+            assert rep["solve"]["status"] == "diverged_past_alarm"
 
     def test_probe_lexicographic_exit_three(self, tmp_path):
         cfg = {"problem": {"domain": {"kind": "ball",
@@ -286,6 +307,52 @@ class TestPerronAndProbe:
         assert next(iter(solve)) in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("action, section, where", [
+        ("perron", {"perron": {"sub": {"constant": -1.0},
+                               "super": {"cone": {"C": 1.0}}}},
+         "perron.super.cone needs 'z'"),
+        ("perron", {"perron": {"sub": {"power": {"gamma": 1.5}}}},
+         "perron.sub.power needs 'R'"),
+        ("perron", {"perron": {"sub": {"cone": 1.0}}},
+         "perron.sub.cone must be a JSON object"),
+        ("verify", {"verify": {"checks": [{"type": "harnack"}]}},
+         "verify check 'harnack' needs 'h_sup_plus'"),
+        ("verify", {"verify": {"checks": [{"type": "comparison",
+                                           "rhs2": "(const 1)"}]}},
+         "verify check 'comparison' needs 'mode'"),
+        ("verify", {"verify": {"checks": [{"r": 0.2}]}},
+         "verify check needs 'type'")])
+    def test_missing_key_exit_one(self, tmp_path, capsys, action, section,
+                                  where):
+        cfg = dict({"problem": {"domain": BALL, "h": 0.25,
+                                "rhs": "(const 1)"}}, **section)
+        code, out = _run(tmp_path, action, cfg)
+        assert code == 1
+        assert where in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("section, where", [
+        ({"solve": {"max_sweeps": "x"}}, "solve.max_sweeps"),
+        ({"solve": {"max_sweeps": 5.5}}, "solve.max_sweeps"),
+        ({"solve": {"max_sweeps": None}}, "solve.max_sweeps"),
+        ({"solve": {"tol": True}}, "solve.tol"),
+        ({"solve": {"order": 1}}, "solve.order"),
+        ({"scheme": {"w": "2"}}, "scheme.w"),
+        ({"scheme": {"refined": 1}}, "scheme.refined")])
+    def test_wrong_type_exit_one(self, tmp_path, capsys, section, where):
+        cfg = dict({"problem": {"domain": BALL, "h": 0.25,
+                                "rhs": "(const 1)"},
+                    "perron": {"sub": {"constant": -1.0}}}, **section)
+        for action in ("solve", "perron", "verify"):
+            code, out = _run(tmp_path, action, cfg)
+            assert code == 1
+            assert where in capsys.readouterr().err
+            assert not (out / "report.json").exists()
+        # null stands for a None default, and an integer for a float
+        cfg["solve"] = {"tol": None, "alarm_bound": None, "damping": 1}
+        cfg["scheme"] = {}
+        assert _run(tmp_path, "solve", cfg)[0] == 0
+
     def test_probe_needs_alarm(self, tmp_path):
         cfg = {"problem": {"domain": BALL, "h": 0.125,
                            "rhs": "(const -1)",
@@ -337,6 +404,15 @@ class TestFamilyAction:
         sup = float(rep["family"]["sup_norm"])
         from inflap import family_a
         assert sup == pytest.approx(3.0 * family_a(7.0), rel=1e-4)
+
+    def test_box_domain_exit_one(self, tmp_path, capsys):
+        cfg = {"problem": {"domain": {"kind": "box", "lo": [0.0, 0.0],
+                                      "hi": [1.0, 1.0]}, "h": 0.125},
+               "family": {"gamma": 7.0, "n": 400}}
+        code, out = _run(tmp_path, "family", cfg)
+        assert code == 1
+        assert "needs a ball domain" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestCriteriaAction:
@@ -412,6 +488,31 @@ class TestVerifyAction:
         rep = json.loads((out / "report.json").read_text())
         assert len(rep["checks"]) == 3
         assert all(c["status"] != "fail" for c in rep["checks"])
+
+    def test_monotone_comparison_and_harnack(self, tmp_path):
+        # f = t - clip(t, 1) vanishes on [-1, 1]; the boundary data x0 + 1
+        # stays in [0.5, 1.5], below 2 but not below 1.2
+        cfg = {"problem": {"domain": BALL, "h": 0.125,
+                           "rhs": "(add t (neg (clip t 1)))",
+                           "rhs_monotone": "nondecreasing",
+                           "boundary": {"expression": "x0 + 1"}},
+               "solve": {"tol": 1e-8},
+               "verify": {"checks": [
+                   {"type": "monotone-comparison", "v_constant": 2.0},
+                   {"type": "monotone-comparison", "v_constant": 1.2},
+                   {"type": "harnack", "h_sup_plus": 1.0,
+                    "z": [0.0, 0.0], "r": 0.2}]}}
+        code, out = _run(tmp_path, "verify", cfg)
+        assert code == 0
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert [c["status"] for c in checks] == [
+            "pass", "undetermined", "pass"]
+        assert checks[0]["details"]["hypothesis"] == "separated-boundary"
+        for c in checks[:2]:
+            assert (c["details"]["l_lower"], c["details"]["l_upper"]) \
+                == (-1.0, 1.0)
+        assert checks[2]["margin"] == pytest.approx(8.250773826049,
+                                                    rel=1e-9)
 
     def test_failing_check_exit_two(self, tmp_path):
         # u solves f = -1 >= rhs2 = 1: the claimed ordering is backwards

@@ -54,13 +54,18 @@ class TestDomains:
         assert out_r == pytest.approx(1.0, abs=0.15)
         assert in_r == pytest.approx(1.0, abs=0.15)
 
-    def test_exact_radii(self, ball2d):
-        assert ball2d.exact_radii() == (1.0, 1.0)
+    def test_exact_radii(self, ball2d, tmp_path):
+        assert ball2d.out_in_radii() == (1.0, 1.0)
         d = build_domain({"kind": "box", "lo": [0.0, 0.0],
                           "hi": [2.0, 1.0]}, 0.25)
-        out_r, in_r = d.exact_radii()
+        out_r, in_r = d.out_in_radii()
         assert out_r == pytest.approx(np.hypot(1.0, 0.5))
         assert in_r == pytest.approx(0.5)
+        # a mask file keeps no shape: the discrete radii stand in
+        save_mask(ball2d, tmp_path / "ball.mask")
+        m = load_mask(tmp_path / "ball.mask")
+        rr = m.radii()
+        assert m.out_in_radii() == (rr[0], rr[2])
 
     def test_mask_roundtrip(self, ball2d, tmp_path):
         path = tmp_path / "ball.mask"

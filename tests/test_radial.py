@@ -12,8 +12,10 @@ from inflap import (
     cumulative_H,
     exact_family,
     family_a,
+    load_mask,
     ode_residual,
     power_subsolution,
+    save_mask,
     save_profile,
     zeta,
     zeta_bounds,
@@ -186,6 +188,15 @@ class TestExactFamily:
         assert sups[0] == pytest.approx(a, rel=1e-6)
         assert sups[1] / sups[0] == pytest.approx(3.0, rel=1e-6)
         assert sups[2] / sups[0] == pytest.approx(5.0, rel=1e-6)
+
+    def test_needs_ball_domain(self, ball2d, tmp_path):
+        # a box has no center, and a mask file keeps no shape at all
+        box = build_domain({"kind": "box", "lo": [0.0, 0.0],
+                            "hi": [1.0, 1.0]}, 1.0 / 8)
+        save_mask(ball2d, tmp_path / "ball.mask")
+        for d in (box, load_mask(tmp_path / "ball.mask")):
+            with pytest.raises(ValueError, match="needs a ball domain"):
+                exact_family(7.0, 1, d)
 
     def test_boundary_values_vanish(self):
         d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 1.0},

@@ -207,6 +207,18 @@ class TestSolveDirichlet:
         assert np.isfinite(u.values[d.nonexterior]).all()
         assert rep.sup > 1e100
 
+    def test_alarm_ends_diverged(self):
+        # f = -e^u has no solution on the R=3 ball: the first sweep takes
+        # the iterate past the alarm while the residual, saturated at
+        # 1e300, is still finite, and the solve stops there
+        d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 3.0},
+                         0.25)
+        b = BoundaryTrace.constant(d, 0.0)
+        _, rep = solve_dirichlet(d, RhsSpec("(neg (exp t))"), b,
+                                 SolveOptions(alarm_bound=20.0))
+        assert rep.status == "diverged_past_alarm" and rep.sweeps == 1
+        assert np.isfinite(rep.residual) and rep.sup > 20.0
+
     def test_callable_coefficient_resolved_once(self, small_ball8):
         # the residual used to resolve the coefficient again every sweep
         calls = []

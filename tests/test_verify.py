@@ -17,6 +17,7 @@ from inflap import (
     lipschitz_bound,
     solve_dirichlet,
 )
+from inflap.verify import _zero_levels
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,20 @@ class TestMonotoneComparison:
         f = RhsSpec("t", monotone_in_t="nondecreasing")
         res = check_monotone_comparison(u, u, f, l_upper=1.0, l_lower=-1.0)
         assert res.status == "undetermined"
+
+    @pytest.mark.parametrize("expr, levels", [
+        ("(add t (neg (clip t 1)))", (-1.0, 1.0)),
+        ("(add (pow t 3) (const -2))",
+         (1.259921049894873, 1.2599210498948734)),
+        ("(add t (const 0.3))",
+         (-0.30000000000000004, -0.29999999999999993)),
+        ("(pow t 3)", (-6.223015277861142e-55, 6.223015277861142e-55)),
+        ("(const 0)", (-np.inf, np.inf)),
+        ("(const 1)", (-np.inf, -np.inf)),
+        ("(const -1)", (np.inf, np.inf))])
+    def test_zero_levels(self, expr, levels):
+        # inf{f >= 0} and sup{f <= 0}, to the last bit
+        assert _zero_levels(RhsSpec(expr)) == levels
 
 
 class TestLipschitz:
