@@ -1,6 +1,6 @@
 """Numerical laboratory for the inhomogeneous infinity-Laplace equation.
 
-Wide-stencil monotone discretization of the Dirichlet problem
+Wide-stencil discretization (not monotone) of the Dirichlet problem
 Delta_inf u = f(x, u), u = b on the boundary, with Perron-style
 iteration, explicit radial sub/super-solutions, closed-form existence
 and non-existence thresholds, and post-hoc inequality checkers.
@@ -8,9 +8,9 @@ and non-existence thresholds, and post-hoc inequality checkers.
 
 from .core import (BOUNDARY, EXTERIOR, INTERIOR, SIGMA, BoundaryTrace,
                    GridDomain, RhsSpec, ScalarField, build_domain, eval_rhs,
-                   load_mask, oscillation, rhs_range, save_mask)
-from .scheme import (SchemeParams, Stencil, apply_inf_lap, build_stencil,
-                     inf_lap_field, residual_field)
+                   load_mask, rhs_range, save_mask)
+from .scheme import (SchemeParams, Stencil, apply_inf_lap, inf_lap_field,
+                     residual_field)
 from .solver import (SolveOptions, SolveReport, local_update,
                      perron_solve, probe_nonexistence, solve_dirichlet)
 from .radial import (MonotoneRhs1D, RadialProfile, build_profile, cone_field,
@@ -26,9 +26,8 @@ from .verify import (CheckResult, check_apriori, check_comparison,
 __all__ = [
     "BOUNDARY", "EXTERIOR", "INTERIOR", "BoundaryTrace", "GridDomain",
     "SIGMA", "RhsSpec", "ScalarField", "build_domain", "eval_rhs",
-    "load_mask", "oscillation", "rhs_range", "save_mask",
-    "SchemeParams", "Stencil", "apply_inf_lap", "build_stencil",
-    "inf_lap_field", "residual_field",
+    "load_mask", "rhs_range", "save_mask", "SchemeParams", "Stencil",
+    "apply_inf_lap", "inf_lap_field", "residual_field",
     "SIGMA3", "SolveOptions", "SolveReport", "local_update", "perron_solve",
     "probe_nonexistence", "solve_dirichlet",
     "MonotoneRhs1D", "RadialProfile", "build_profile", "cone_field",

@@ -10,6 +10,8 @@ per non-exterior node.
 
 import argparse
 import ast
+import functools
+import inspect
 import json
 from dataclasses import asdict, fields
 import operator
@@ -76,20 +78,28 @@ def parse_config(text):
     return cfg
 
 
-def _options(cls, cfg, section):
-    """`cls` from a config section, each value of its field's type (an
-    integer passes for a float, a bool for nothing else) or null where
-    the field's default is None."""
+def _is(v, typ):
+    """Whether the JSON value v is of type `typ`: an integer passes for a
+    float, a bool for nothing else, and a list holds numbers."""
+    if typ is list:
+        return isinstance(v, list) and all(_is(x, float) for x in v)
+    return isinstance(v, bool) == (typ is bool) and isinstance(
+        v, (int, float) if typ is float else typ)
+
+
+def _options(fn, cfg, section):
+    """`fn` called with a config section as keywords, each value of the
+    type its parameter is annotated with (see `_is`) or null where the
+    default is None."""
     spec = cfg.get(section, {})
-    for fld in fields(cls):
-        v = spec.get(fld.name, fld.default)
-        if v is None and fld.default is None:
-            continue
-        if isinstance(v, bool) != (fld.type is bool) or not isinstance(
-                v, (int, float) if fld.type is float else fld.type):
-            raise ConfigError("%s.%s must be of type %s"
-                              % (section, fld.name, fld.type.__name__))
-    return cls(**spec)
+    params = inspect.signature(fn).parameters
+    for key, v in spec.items():
+        typ, default = params[key].annotation, params[key].default
+        if not (_is(v, typ) or v is None and default is None):
+            raise ConfigError("%s.%s must be of type %s" % (
+                section, key,
+                "list of numbers" if typ is list else typ.__name__))
+    return fn(**spec)
 
 
 def _need(spec, keys, where):
@@ -110,6 +120,8 @@ def _build_problem(cfg, h_override):
     if "domain" not in prob \
             or h is None and prob["domain"].get("kind") != "mask":
         raise ConfigError("problem needs domain and h")
+    if h is not None and not _is(h, float):
+        raise ConfigError("problem.h must be a number")
     d = build_domain(prob["domain"], h)
     # a mask file carries its own spacing
     if h is not None and h != d.h:
@@ -322,7 +334,8 @@ def _run_family(cfg, out_dir, h_override):
 
 def _run_criteria(cfg, out_dir, h_override):
     d, f, b = _build_problem(cfg, h_override)
-    rep = crit.CriteriaReport.of(f, b, d, **cfg.get("criteria", {}))
+    rep = _options(functools.partial(crit.CriteriaReport.of, f, b, d), cfg,
+                   "criteria")
     write_report({"action": "criteria", "criteria": asdict(rep)},
                  os.path.join(out_dir, "report.json"))
     return 0
@@ -353,8 +366,10 @@ def _run_verify(cfg, out_dir, h_override):
             res = ver.lipschitz_bound(u, x0, chk.get("alpha", 0.0),
                                       tol_check)
         elif kind == "harnack":
-            res = ver.check_harnack(u, *_need(
-                chk, ("h_sup_plus", "z", "r"), where), tol_check)
+            hs, z, r = _need(chk, ("h_sup_plus", "z", "r"), where)
+            if not (_is(hs, float) and _is(r, float)):
+                raise ConfigError(where + ": h_sup_plus and r must be numbers")
+            res = ver.check_harnack(u, hs, z, r, tol_check)
         elif kind == "apriori":
             hr = chk.get("h_range")
             if hr is None:

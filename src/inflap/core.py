@@ -324,11 +324,6 @@ class BoundaryTrace:
         return cls(domain, vals)
 
 
-def oscillation(b):
-    """Oscillation of the boundary data, sup minus inf."""
-    return b.L - b.ell
-
-
 # -- right-hand sides -------------------------------------------------------
 
 # operator -> argument kinds: e an expression, t the variable t, n a
@@ -465,7 +460,6 @@ class RhsSpec:
             raise ValueError("monotone_in_t must be 'nondecreasing', "
                              "'nonincreasing', or 'none'")
         self.monotone_in_t = monotone_in_t
-        self.saturated = False
         self.coef_names = {n[1] for n in _nodes(self.tree) if n[0] == "coef"}
         self.depends_on_t = any(n[0] in ("t", "pow", "exp", "cospow")
                                 for n in _nodes(self.tree))
@@ -584,14 +578,13 @@ class RhsSpec:
         Returns
         -------
         f, or the pair (f, df/dt).  Values beyond +/-1e300 are clamped,
-        with the saturation flag set; df/dt is 0 where f is clamped.
+        and df/dt is 0 where f is clamped.
         """
         out = _eval_tree(self.tree, coefs, np.asarray(t, dtype=float), dt)
         y, dy = out if dt else (out, None)
         y = np.asarray(y, dtype=float)
         big = np.abs(y) > SATURATE
         if np.count_nonzero(big):
-            self.saturated = True
             y = np.clip(y, -SATURATE, SATURATE)
             if dt:
                 dy = np.where(big, 0.0, dy)

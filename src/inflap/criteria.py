@@ -315,8 +315,9 @@ class CriteriaReport:
     verdicts: list = field(default_factory=list)
 
     @classmethod
-    def of(cls, f, b, d, *, eta_list=(0.1, 1.0, 3.0, 10.0), m=None,
-           h_range=None, a_sup=None, eigen=False):
+    def of(cls, f, b, d, *, eta_list: list = (0.1, 1.0, 3.0, 10.0),
+           m: str = None, h_range: list = None, a_sup: float = None,
+           eigen: bool = False):
         """The report of the criteria for f with boundary data b on d.
 
         The keywords are the CLI's `criteria` section: the etas of the
@@ -325,7 +326,8 @@ class CriteriaReport:
         range of f for the a priori box (default `rhs_range` over the
         data range); a_sup, the bound on the cubic coefficient of the
         smallness test; and eigen, whether to also bracket the eigenvalue
-        of the constant weight a_sup.  Verdicts compare thresholds with
+        of the constant weight a_sup; the annotations are the JSON types
+        the CLI checks them against.  Verdicts compare thresholds with
         the radii of `GridDomain.out_in_radii`.
         """
         out_r, in_r = d.out_in_radii()

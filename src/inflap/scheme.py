@@ -1,10 +1,11 @@
-"""Monotone wide-stencil discretization of the infinity Laplacian.
+"""Wide-stencil discretization of the infinity Laplacian.
 
 The non-normalized operator <D^2u Du, Du> is discretized per node as
 (second difference along the steepest direction pair) times (centered
 slope of that pair) squared.  The steepest pair is the one with the
 largest centered difference quotient; ties break to the lexicographically
-smallest offset.
+smallest offset.  The node update this gives is not monotone in the
+neighbor values (see `inflap.solver.perron_solve`).
 
 Two stencil modes:
 
@@ -15,8 +16,9 @@ Two stencil modes:
   averages of the 2 or 4 nearest nodes, and a matched center-correction
   pattern (axis neighbors, weight 1/8 per fractional axis) cancels the
   curvature error the averaging would otherwise add to the second
-  difference.  All weights positive, so monotonicity is preserved; the
-  worst angular gap between directions is halved.
+  difference.  All weights are positive, though the update is not
+  monotone (see above); the worst angular gap between directions is
+  halved.
 
 Evaluation gathers.  The stencil lays each pair out as J read slots
 (plus-arm nodes, minus-arm nodes, then the two nodes of each correction
@@ -267,13 +269,6 @@ class Stencil:
         for j in range(2 * P, self._J, 2):
             csum = csum + (g[j] + g[j + 1])
         return arm_p, arm_m, self._c0, csum, self._eps
-
-
-def build_stencil(domain, w=2, params=None):
-    """Build the stencil for a domain (see Stencil)."""
-    if params is None:
-        params = SchemeParams(w=w)
-    return Stencil(domain, params)
 
 
 def _select(arm_p, arm_m, eps2):

@@ -9,7 +9,7 @@ of the exact cone solution across one stencil arm, instead of exploding.
 For x-only f the update has a closed form; for t-dependent f it is found
 by a bracketed, safeguarded Newton solve (`_local_solve`).  Where the
 bracket search finds no sign change (the local blow-up mechanism) the
-update is the bracket edge, which the alarm check then catches; such
+update is the bracket edge, which the divergence rule then catches; such
 nodes are counted in `SolveReport.bracket_failures`.
 
 A sweep updates its groups in turn (the two colors, or each node in
@@ -24,8 +24,14 @@ pairs and nodes, worked out once per solve.  The kernel and the local
 update, the implicit one's `_local_solve` too, open no `np.errstate` of
 their own, a few microseconds per call: `solve_dirichlet`,
 `perron_solve` and `local_update` each open one block that ignores
-invalid operations, overflow and division by zero, and a residual that
-is no longer finite ends the solve as diverged.
+invalid operations, overflow and division by zero.  Every sweep runs
+in one loop, `_iterate` (sweep, residual, divergence test, tolerance
+test, within a budget): the f == 0 start, the solve, `_newton`'s
+fallback bursts and `perron_solve`, whose ascent and clamped phases are
+the sweep it passes in.  One rule, `_Sweeper.diverged`, also tested
+after each Newton step, ends a run as diverged: a residual that is not
+finite, or max |u| over the non-exterior nodes (the boundary ones too)
+above `alarm_bound`, which must therefore exceed sup|b|.
 
 In 1-D with an x-only f there is one direction pair, and the residual
 F = S * p2 - f is piecewise smooth in the values with a tridiagonal
@@ -213,13 +219,11 @@ class _Sweeper:
     One gather table covers the interior with the update groups laid end
     to end in sweep order: color 0 then color 1, or in lexicographic
     order one group per node, in grid order.  `groups` are slices of it,
-    and `fp_residual` reads the whole table in one `pair_arrays` pass.
-    Values do not change between that residual and the next sweep's
-    first group, so the residual hands over its steepest-pair data for
-    the prefix that group covers (`full_sweep(values, head)`), and a
-    sweep after the first costs two gathers, the second group's and the
-    residual's.  Implicit solves bracket at the iterate's range +- 1, or
-    in lexicographic order at u0 +- 1, and count failures in both orders.
+    and `fp_residual` reads the whole table in one `pair_arrays` pass and
+    hands the first group's data on (`full_sweep(values, head)`; see the
+    module docstring).  Implicit solves bracket at the iterate's range
+    +- 1, or in lexicographic order at u0 +- 1, and count failures in
+    both orders.
     """
 
     def __init__(self, domain, f, stencil, opts):
@@ -337,6 +341,14 @@ class _Sweeper:
         n = self.groups[0].tab.flat.size
         return float(np.abs(F).max()), _rows(data, slice(n))
 
+    def diverged(self, values, res, alarm):
+        """The one divergence rule: the residual is not finite (it is so
+        before the iterate overflows), or max |u| over the non-exterior
+        nodes passes `alarm` (None for no alarm)."""
+        return not math.isfinite(res) or (
+            alarm is not None
+            and np.abs(values.take(self.ne_flat)).max() > alarm)
+
     def newton_system(self, values, order, link):
         """F = S * p2 - f and its tridiagonal Jacobian, in grid order (1-D).
 
@@ -415,21 +427,28 @@ def local_update(node, u, f, s):
     return t
 
 
-def _gauss_seidel(sw, vals, tol, budget, alarm):
-    """Up to `budget` sweeps, each followed by the residual.
+def _tol(opts, b):
+    """`opts.tol_for(b)`, once the alarm lies above sup|b|: a lower one
+    would end every solve after its first sweep."""
+    top = max(abs(b.ell), abs(b.L))
+    if opts.alarm_bound is not None and opts.alarm_bound <= top:
+        raise ValueError("alarm_bound %r must exceed sup|b| = %r"
+                         % (opts.alarm_bound, top))
+    return opts.tol_for(b)
 
-    Stops at the first residual <= tol, and as diverged once the
-    iterate's sup passes `alarm` (None for no alarm) or the residual is
-    not finite, which it is before the iterate itself overflows.
-    Returns (status, sweeps, residual).
-    """
+
+def _iterate(sw, vals, tol, budget, alarm, sweep=None):
+    """The one sweep loop: up to `budget` sweeps of `vals` in place, each
+    followed by the residual, stopping as `sw.diverged` says (alarm None
+    for none) or at the first residual <= tol.  `sweep(vals, head)`, by
+    default `sw.full_sweep`, starts from the data `fp_residual` handed
+    over.  Returns (status, sweeps, residual)."""
+    sweep = sweep or sw.full_sweep
     res, head = np.inf, None
     for it in range(1, budget + 1):
-        sw.full_sweep(vals, head)
+        sweep(vals, head)
         res, head = sw.fp_residual(vals)
-        if not math.isfinite(res) or (
-                alarm is not None
-                and np.abs(vals.take(sw.ne_flat)).max() > alarm):
+        if sw.diverged(vals, res, alarm):
             return "diverged_past_alarm", it, res
         if res <= tol:
             return "converged", it, res
@@ -443,8 +462,8 @@ def _newton(sw, vals, tol, budget, alarm):
     carries the same certificate as a Gauss-Seidel one.  Each round takes
     one `_newton_step`; where it finds no step, up to _FALLBACK_SWEEPS
     Gauss-Seidel sweeps move the iterate instead.  Newton steps plus
-    sweeps stay within `budget`, and the alarm (None for none) is checked
-    after every step and sweep.
+    sweeps stay within `budget`, and `sw.diverged` is tested after every
+    step and sweep (alarm None for no alarm).
 
     Returns (status, steps, sweeps, residual); status is None when
     _NEWTON_ROUNDS rounds ended without a verdict.
@@ -456,6 +475,9 @@ def _newton(sw, vals, tol, budget, alarm):
     steps = sweeps = 0
     for rounds in range(_NEWTON_ROUNDS + 1):
         res = float(np.abs(F).max())
+        # after a step; a fallback burst has tested its own sweeps
+        if rounds and sw.diverged(vals, res, alarm):
+            return "diverged_past_alarm", steps, sweeps, res
         if res <= tol:
             return "converged", steps, sweeps, res
         if steps + sweeps >= budget:
@@ -466,12 +488,8 @@ def _newton(sw, vals, tol, budget, alarm):
         if step is not None:
             F, ab = step
             steps += 1
-            if alarm is not None \
-                    and np.abs(vals.take(sw.ne_flat)).max() > alarm:
-                return ("diverged_past_alarm", steps, sweeps,
-                        float(np.abs(F).max()))
             continue
-        status, k, res = _gauss_seidel(
+        status, k, res = _iterate(
             sw, vals, tol, min(_FALLBACK_SWEEPS, budget - steps - sweeps),
             alarm)
         sweeps += k
@@ -532,19 +550,18 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
     opts = opts or SolveOptions()
     params = params or SchemeParams()
     stencil = Stencil(d, params)
-    tol = opts.tol_for(b)
+    tol = _tol(opts, b)
     newton = d.N == 1 and not f.depends_on_t
     steps = sweeps = start_sweeps = 0
     start = None
     if initial_guess is not None:
         vals = initial_guess.values.copy()
-        vals[d.boundary] = b.values[d.boundary]
     else:
         vals = np.full(d.dims, np.nan)
-        vals[d.boundary] = b.values[d.boundary]
         vals[d.interior] = 0.5 * (b.ell + b.L)
         start = _Sweeper(d, RhsSpec("(const 0)"), stencil,
                          replace(opts, damping=1.0))
+    vals[d.boundary] = b.values[d.boundary]
     sw = _Sweeper(d, f, stencil, opts)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if start is not None:
@@ -552,8 +569,8 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
                 _, steps, sweeps, _ = _newton(start, vals, tol,
                                               opts.max_sweeps, None)
             else:
-                _, start_sweeps, _ = _gauss_seidel(start, vals, tol,
-                                                   opts.max_sweeps, None)
+                _, start_sweeps, _ = _iterate(start, vals, tol,
+                                              opts.max_sweeps, None)
         budget = opts.max_sweeps - steps - sweeps
         status = None
         if newton:
@@ -561,8 +578,8 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
                                             opts.alarm_bound)
             steps, sweeps, budget = steps + k, sweeps + j, budget - k - j
         if status is None:
-            status, j, res_sup = _gauss_seidel(sw, vals, tol, budget,
-                                               opts.alarm_bound)
+            status, j, res_sup = _iterate(sw, vals, tol, budget,
+                                          opts.alarm_bound)
             sweeps += j
     u = ScalarField(d, vals)
     rep = SolveReport(status, sweeps, res_sup, u.sup(), u.inf(),
@@ -577,16 +594,15 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
     Starts at `sub`, applies each local update only when it increases the
     value, and clips at `super_` (pass None for an unbounded probe).  On
     convergence the field sits between sub and super.  It stops as
-    diverged once the interior max passes `opts.alarm_bound` or the
-    residual is not finite.  The report's `clipped` says whether the last
-    sweep hit the cap, whatever the status.
+    diverged by the rule `solve_dirichlet` uses, `_Sweeper.diverged`.
+    The report's `clipped` says whether the last sweep hit the cap,
+    whatever the status.
     """
     opts = opts or SolveOptions()
     params = params or SchemeParams()
     stencil = Stencil(d, params)
-    tol = opts.tol_for(b)
-    ne = d.nonexterior
-    bd = d.boundary
+    tol = _tol(opts, b)
+    ne, bd = d.nonexterior, d.boundary
     if super_ is not None:
         if (sub.values[ne] > super_.values[ne] + 1e-12).any():
             raise ValueError("ordering violated: sub > super somewhere")
@@ -597,48 +613,27 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
     vals = sub.values.copy()
     vals[bd] = b.values[bd]
     cap = super_.values if super_ is not None else None
-    floor_vals = sub.values
     sw = _Sweeper(d, f, stencil, opts)
-    status = "max_sweeps_reached"
-    sweeps = opts.max_sweeps
-    res_sup, head = np.inf, None
-    clipped = False
-    monotone = True
-    # Phase 1 realizes the sup-over-sub-solutions construction as a pure
-    # ascent.  The local update is not monotone in the neighbor values
-    # (the division by the squared slope breaks it), so the ascent can
-    # lock in a transient overshoot and stall above the fixed point;
-    # when the upward motion dies out with the residual still large, a
-    # plain clamped sweep phase finishes the job inside [sub, super].
-    ascent = True
+    clipped, monotone, ascent = False, True, True
+
+    def sweep(vals, head):
+        # Phase 1 is the sup-over-sub-solutions construction, a pure
+        # ascent.  The update is not monotone in the neighbor values (the
+        # division by the squared slope breaks it), so the ascent can lock
+        # in an overshoot and stall above the fixed point; once its upward
+        # motion dies out, clamped sweeps finish inside [sub, super].
+        nonlocal clipped, monotone, ascent
+        old = vals.take(sw.ne_flat)
+        clipped = sw.full_sweep(vals, head, only_up=ascent, cap=cap)
+        if ascent:
+            ascent = not np.abs(vals.take(sw.ne_flat) - old).max() < tol
+        else:
+            np.maximum(vals, sub.values, out=vals)
+            monotone &= not (vals.take(sw.ne_flat) < old - 1e-12).any()
+
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for it in range(1, opts.max_sweeps + 1):
-            prev = vals.copy()
-            if ascent:
-                clipped = sw.full_sweep(vals, head, only_up=True, cap=cap)
-                if (vals[ne] < prev[ne] - 1e-12).any():
-                    raise ValueError(
-                        "Perron iterate decreased (internal error)")
-            else:
-                clipped = sw.full_sweep(vals, head, cap=cap)
-                np.maximum(vals, floor_vals, out=vals)
-                if (vals[ne] < prev[ne] - 1e-12).any():
-                    monotone = False
-            if opts.alarm_bound is not None \
-                    and vals[d.interior].max() > opts.alarm_bound:
-                status, sweeps = "diverged_past_alarm", it
-                break
-            # after the clamp to the floor, so head holds the values the
-            # next sweep starts from
-            res_sup, head = sw.fp_residual(vals)
-            if not math.isfinite(res_sup):
-                status, sweeps = "diverged_past_alarm", it
-                break
-            if res_sup <= tol:
-                status, sweeps = "converged", it
-                break
-            if ascent and np.abs(vals[ne] - prev[ne]).max() < tol:
-                ascent = False
+        status, sweeps, res_sup = _iterate(sw, vals, tol, opts.max_sweeps,
+                                           opts.alarm_bound, sweep)
     u = ScalarField(d, vals)
     rep = SolveReport(status, sweeps, res_sup, u.sup(), u.inf(),
                       monotone=monotone, clipped=clipped,

@@ -353,6 +353,51 @@ class TestPerronAndProbe:
         cfg["scheme"] = {}
         assert _run(tmp_path, "solve", cfg)[0] == 0
 
+    @pytest.mark.parametrize("action, section, where", [
+        ("criteria", {"criteria": {"eta_list": 5}}, "criteria.eta_list"),
+        ("criteria", {"criteria": {"eta_list": ["a"]}},
+         "criteria.eta_list"),
+        ("criteria", {"criteria": {"h_range": 5}}, "criteria.h_range"),
+        ("criteria", {"criteria": {"a_sup": "x"}}, "criteria.a_sup"),
+        ("criteria", {"criteria": {"m": 5}}, "criteria.m"),
+        ("solve", {"problem": {"domain": BALL, "h": "x"}}, "problem.h"),
+        ("verify", {"verify": {"checks": [
+            {"type": "harnack", "h_sup_plus": 0.0, "z": [0.0, 0.0],
+             "r": "x"}]}}, "verify check 'harnack': h_sup_plus and r")])
+    def test_wrong_typed_value_exit_one(self, tmp_path, capsys, action,
+                                        section, where):
+        # each of these ended in a TypeError or AttributeError traceback
+        cfg = dict({"problem": {"domain": BALL, "h": 0.25,
+                                "rhs": "(const 1)"}}, **section)
+        code, out = _run(tmp_path, action, cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("inflap: error:") and where in err
+        assert not (out / "report.json").exists()
+
+    def test_criteria_null_stands_for_default(self, tmp_path):
+        cfg = {"problem": {"domain": BALL, "h": 0.25, "rhs": "(const 1)"},
+               "criteria": {"eta_list": [1], "m": None, "h_range": None,
+                            "a_sup": None}}
+        assert _run(tmp_path, "criteria", cfg)[0] == 0
+
+    @pytest.mark.parametrize("action", ["solve", "perron", "probe"])
+    def test_alarm_not_above_boundary_sup_exit_one(self, tmp_path, capsys,
+                                                    action):
+        # the boundary nodes count in the alarm's max: an alarm at or
+        # below sup|b| ended a solve that converges after one sweep
+        cfg = {"problem": {"domain": BALL, "h": 0.125, "rhs": "(const -1)",
+                           "boundary": {"constant": -30.0}},
+               "solve": {"alarm_bound": 20.0},
+               "perron": {"sub": {"constant": -31.0}}}
+        code, out = _run(tmp_path, action, cfg)
+        assert code == 1
+        assert "alarm_bound 20.0 must exceed sup|b| = 30.0" \
+            in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        cfg["solve"]["alarm_bound"] = 31.0
+        assert _run(tmp_path, action, cfg)[0] == 0
+
     def test_probe_needs_alarm(self, tmp_path):
         cfg = {"problem": {"domain": BALL, "h": 0.125,
                            "rhs": "(const -1)",

@@ -3,8 +3,7 @@ import pytest
 
 from inflap import (EXTERIOR, GridDomain, INTERIOR, BOUNDARY, RhsSpec,
                     ScalarField, SchemeParams, Stencil, apply_inf_lap,
-                    build_domain, build_stencil, cone_field, inf_lap_field,
-                    residual_field)
+                    build_domain, cone_field, inf_lap_field, residual_field)
 
 SIGMA = 3.0 ** (4.0 / 3.0) / 4.0
 
@@ -17,7 +16,7 @@ def coarse_ball():
 
 @pytest.fixture(scope="module")
 def stencil(coarse_ball):
-    return build_stencil(coarse_ball)
+    return Stencil(coarse_ball, SchemeParams())
 
 
 class TestOperator:
@@ -67,7 +66,7 @@ class TestOperator:
         # plus small perturbations
         d = build_domain({"kind": "box", "lo": [0.0, 0.0],
                           "hi": [1.0, 1.0]}, 0.1)
-        s = build_stencil(d)
+        s = Stencil(d, SchemeParams())
         node = (5, 5)
         for _ in range(20):
             vals = np.zeros(d.dims)
@@ -117,7 +116,7 @@ class TestStencilStructure:
         mask[1, 0] = BOUNDARY
         mask[1, -1] = BOUNDARY
         d = GridDomain(0.1, [0.0, 0.0], mask)
-        s = build_stencil(d)
+        s = Stencil(d, SchemeParams())
         counts = s.avail[:, d.interior].sum(axis=0)
         assert counts.min() >= d.N
 

@@ -18,6 +18,7 @@ from inflap import (
     residual_field,
     solve_dirichlet,
 )
+from inflap.solver import _Sweeper
 from inflap.solver import _local_solve as _bare_local_solve
 
 
@@ -218,6 +219,24 @@ class TestSolveDirichlet:
                                  SolveOptions(alarm_bound=20.0))
         assert rep.status == "diverged_past_alarm" and rep.sweeps == 1
         assert np.isfinite(rep.residual) and rep.sup > 20.0
+
+    @pytest.mark.parametrize("data", [30.0, -30.0, 20.0])
+    def test_alarm_must_exceed_boundary_sup(self, small_ball8, data):
+        # the boundary nodes count in the alarm's max, so an alarm at or
+        # below sup|b| ended a converging solve after one sweep
+        d = small_ball8
+        b = BoundaryTrace.constant(d, data)
+        f = RhsSpec("(const -1)")
+        sub = ScalarField.constant(d, min(data, 0.0))
+        opts = SolveOptions(alarm_bound=20.0)
+        for run in (lambda: solve_dirichlet(d, f, b, opts),
+                    lambda: perron_solve(d, f, b, sub, None, opts),
+                    lambda: probe_nonexistence(d, f, b, opts)):
+            with pytest.raises(ValueError, match="alarm_bound 20.0 must "
+                               "exceed sup.b. = %r" % abs(data)):
+                run()
+        _, rep = solve_dirichlet(d, f, b, SolveOptions(alarm_bound=31.0))
+        assert rep.status == "converged"
 
     def test_callable_coefficient_resolved_once(self, small_ball8):
         # the residual used to resolve the coefficient again every sweep
@@ -511,6 +530,42 @@ class TestPerron:
                               SolveOptions(max_sweeps=50))
         assert rep.status == "max_sweeps_reached"
         assert rep.clipped and rep.sup == 0.05
+
+    def test_ascent_never_decreases(self, small_ball8):
+        # the first sweeps are the pure ascent: each field is pointwise
+        # at or above the one a sweep shorter, and somewhere above it
+        d = small_ball8
+        b = BoundaryTrace.constant(d, 0.0)
+        f = RhsSpec("(const -1)")
+        sub = ScalarField.constant(d, -1.0)
+        _, rep = perron_solve(d, f, b, sub, None, SolveOptions(tol=1e-8))
+        assert rep.status == "converged" and rep.sweeps > 6
+        ne = d.nonexterior
+        prev = sub.values[ne]
+        for k in range(1, 7):
+            u, rep = perron_solve(d, f, b, sub, None,
+                                  SolveOptions(tol=1e-8, max_sweeps=k))
+            assert rep.status == "max_sweeps_reached"
+            assert (u.values[ne] >= prev).all()
+            assert (u.values[ne] > prev).any()
+            prev = u.values[ne]
+
+    def test_diverged_reports_its_fields_residual(self):
+        # the residual of a diverged run is the one of the field it
+        # returns, the sweep that tripped the alarm included
+        d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 3.0},
+                         0.25)
+        b = BoundaryTrace.constant(d, 0.0)
+        f = RhsSpec("(neg (exp t))")
+        opts = SolveOptions(alarm_bound=20.0, max_sweeps=50)
+        sub = ScalarField.constant(d, 0.0)
+        for u, rep in (perron_solve(d, f, b, sub, None, opts),
+                       solve_dirichlet(d, f, b, opts)):
+            assert rep.status == "diverged_past_alarm"
+            sw = _Sweeper(d, f, Stencil(d, SchemeParams()), opts)
+            with np.errstate(invalid="ignore", over="ignore",
+                             divide="ignore"):
+                assert rep.residual == sw.fp_residual(u.values)[0]
 
     def test_report_monotone_flag_honest(self, small_ball):
         b = BoundaryTrace.constant(small_ball, 0.0)

@@ -275,12 +275,10 @@ def _ref_perron(d, f, b, sub, super_, opts, params):
             np.maximum(vals, sub.values, out=vals)
             if (vals[ne] < prev[ne] - 1e-12).any():
                 monotone = False
-        if opts.alarm_bound is not None \
-                and vals[d.interior].max() > opts.alarm_bound:
-            status, sweeps = "diverged_past_alarm", it
-            break
         res = sw.residual(vals)
-        if not math.isfinite(res):
+        if not math.isfinite(res) or (
+                opts.alarm_bound is not None
+                and np.abs(vals[ne]).max() > opts.alarm_bound):
             status, sweeps = "diverged_past_alarm", it
             break
         if res <= tol:
