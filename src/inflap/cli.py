@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .core import BoundaryTrace, RhsSpec, ScalarField, build_domain, rhs_range
+from .core import BoundaryTrace, RhsSpec, ScalarField, build_domain
 from .scheme import SchemeParams
 from .solver import (SolveOptions, perron_solve, probe_nonexistence,
                      solve_dirichlet)
@@ -87,6 +87,10 @@ def _is(v, typ):
         v, (int, float) if typ is float else typ)
 
 
+def _type_name(typ):
+    return "list of numbers" if typ is list else typ.__name__
+
+
 def _options(fn, cfg, section):
     """`fn` called with a config section as keywords, each value of the
     type its parameter is annotated with (see `_is`) or null where the
@@ -97,19 +101,33 @@ def _options(fn, cfg, section):
         typ, default = params[key].annotation, params[key].default
         if not (_is(v, typ) or v is None and default is None):
             raise ConfigError("%s.%s must be of type %s" % (
-                section, key,
-                "list of numbers" if typ is list else typ.__name__))
+                section, key, _type_name(typ)))
     return fn(**spec)
 
 
-def _need(spec, keys, where):
-    """The values of `keys` in the config object `spec`, all required."""
+def _need(spec, where, **types):
+    """The values of the keys of `types` in the config object `spec`, in
+    that order, all required and each of its type (see `_is`).  A wrong
+    type names every key of that type."""
     if not isinstance(spec, dict):
         raise ConfigError("%s must be a JSON object" % where)
-    for key in keys:
+    for key in types:
         if key not in spec:
             raise ConfigError("%s needs %r" % (where, key))
-    return [spec[key] for key in keys]
+    for key, typ in types.items():
+        if not _is(spec[key], typ):
+            raise ConfigError("%s: %s must be of type %s" % (
+                where, " and ".join(k for k, t in types.items() if t is typ),
+                _type_name(typ)))
+    return [spec[key] for key in types]
+
+
+def _get(spec, where, key, typ, default):
+    """spec[key] as `_need` checks it, or `default` where the key is
+    absent (or null, when the default is None)."""
+    if key not in spec or spec[key] is None and default is None:
+        return default
+    return _need(spec, where, **{key: typ})[0]
 
 
 def _build_problem(cfg, h_override):
@@ -201,9 +219,11 @@ def _field_from_spec(spec, d, where):
         return ScalarField.constant(d, float(spec["constant"]))
     if "cone" in spec:
         return radial.cone_field(d, *_need(
-            spec["cone"], ("C", "z", "d", "orientation"), where + ".cone"))
+            spec["cone"], where + ".cone", C=float, z=list, d=float,
+            orientation=str))
     if "power" in spec:
-        gamma, R = _need(spec["power"], ("gamma", "R"), where + ".power")
+        gamma, R = _need(spec["power"], where + ".power", gamma=float,
+                         R=float)
         return radial.power_subsolution(gamma, R, d)
     raise ConfigError("unknown field spec in %s" % where)
 
@@ -278,7 +298,7 @@ def _run_solve(cfg, out_dir, h_override):
 def _run_perron(cfg, out_dir, h_override):
     d, f, b = _build_problem(cfg, h_override)
     pspec = cfg.get("perron", {})
-    sspec, = _need(pspec, ("sub",), "perron")
+    sspec, = _need(pspec, "perron", sub=dict)
     sub = _field_from_spec(sspec, d, "perron.sub")
     super_ = _field_from_spec(pspec["super"], d, "perron.super") \
         if "super" in pspec else None
@@ -303,10 +323,11 @@ def _run_probe(cfg, out_dir, h_override):
 
 def _run_radial(cfg, out_dir, h_override):
     r = cfg.get("radial", {})
-    mexpr, a = _need(r, ("m", "a"), "radial")
-    m = radial.MonotoneRhs1D(mexpr, r.get("ell", 0.0))
-    prof = radial.build_profile(m, a, r.get("prefactor", 1.0),
-                                n=r.get("n", 2000))
+    mexpr, a = _need(r, "radial", m=str, a=float)
+    m = radial.MonotoneRhs1D(mexpr, _get(r, "radial", "ell", float, 0.0))
+    prof = radial.build_profile(
+        m, a, _get(r, "radial", "prefactor", float, 1.0),
+        n=_get(r, "radial", "n", int, 2000))
     radial.save_profile(prof, os.path.join(out_dir, "profile.csv"))
     resid = float(radial.ode_residual(prof, m).max())
     write_report({"action": "radial",
@@ -319,10 +340,11 @@ def _run_radial(cfg, out_dir, h_override):
 
 def _run_family(cfg, out_dir, h_override):
     fam = cfg.get("family", {})
-    gamma, = _need(fam, ("gamma",), "family")
+    gamma, = _need(fam, "family", gamma=float)
     d, _, _ = _build_problem(cfg, h_override)
-    k = fam.get("k", 1)
-    u, prof = radial.exact_family(gamma, k, d, n=fam.get("n", 2000))
+    k = _get(fam, "family", "k", int, 1)
+    u, prof = radial.exact_family(gamma, k, d,
+                                  n=_get(fam, "family", "n", int, 2000))
     write_field(u, os.path.join(out_dir, "field.csv"))
     radial.save_profile(prof, os.path.join(out_dir, "profile.csv"))
     write_report({"action": "family",
@@ -350,31 +372,28 @@ def _run_verify(cfg, out_dir, h_override):
     tol_check = 10.0 * opts.tol_for(b) + d.h
     results = []
     for chk in cfg.get("verify", {}).get("checks", []):
-        kind, = _need(chk, ("type",), "verify check")
+        kind, = _need(chk, "verify check", type=str)
         where = "verify check %r" % kind
         if kind == "comparison":
-            rhs2, mode = _need(chk, ("rhs2", "mode"), where)
+            rhs2, mode = _need(chk, where, rhs2=str, mode=str)
             v, _ = solve_dirichlet(d, RhsSpec(rhs2), b, opts, params)
             res = ver.check_comparison(u, v, mode, tol_check)
         elif kind == "monotone-comparison":
-            v = ScalarField.constant(d, *_need(chk, ("v_constant",), where))
+            v = ScalarField.constant(d, *_need(chk, where, v_constant=float))
             res = ver.check_monotone_comparison(u, v, f, tol_check=tol_check)
         elif kind == "lipschitz":
             x0 = chk.get("x0")
             if x0 is None or x0 == "center":
                 x0 = tuple(n // 2 for n in d.dims)
-            res = ver.lipschitz_bound(u, x0, chk.get("alpha", 0.0),
-                                      tol_check)
+            res = ver.lipschitz_bound(u, x0, _get(chk, where, "alpha",
+                                                  float, 0.0), tol_check)
         elif kind == "harnack":
-            hs, z, r = _need(chk, ("h_sup_plus", "z", "r"), where)
-            if not (_is(hs, float) and _is(r, float)):
-                raise ConfigError(where + ": h_sup_plus and r must be numbers")
+            hs, z, r = _need(chk, where, h_sup_plus=float, z=list, r=float)
             res = ver.check_harnack(u, hs, z, r, tol_check)
         elif kind == "apriori":
-            hr = chk.get("h_range")
-            if hr is None:
-                hr = rhs_range(f, (b.ell, b.L), d)
-            box = crit.apriori_box(hr[0], hr[1], b, d.out_in_radii()[0])
+            lo, hi = crit.apriori_range(
+                f, b, d, _get(chk, where, "h_range", list, None))
+            box = crit.apriori_box(lo, hi, b, d.out_in_radii()[0])
             res = ver.check_apriori(u, box, tol_check)
         else:
             raise ConfigError("unknown check type: %r" % (kind,))

@@ -171,6 +171,15 @@ def dd3_check(f, ell, domain=None):
     return cond_i, cond_ii
 
 
+def apriori_range(f, b, d, h_range=None):
+    """(lo, hi), the range of f behind the a priori box: `h_range`, or by
+    default `rhs_range` over the data range [ell, L] on d."""
+    if h_range is None:
+        return rhs_range(f, (b.ell, b.L), d)
+    lo, hi = h_range
+    return lo, hi
+
+
 def apriori_box(h_lo, h_hi, b, R):
     """Two-sided a priori bounds from the h-range of the right-hand side.
 
@@ -323,10 +332,10 @@ class CriteriaReport:
         The keywords are the CLI's `criteria` section: the etas of the
         C(eta) table; m, the t-only h behind the nonexistence radius
         (default f itself when it is t-only and monotone); the (lo, hi)
-        range of f for the a priori box (default `rhs_range` over the
-        data range); a_sup, the bound on the cubic coefficient of the
-        smallness test; and eigen, whether to also bracket the eigenvalue
-        of the constant weight a_sup; the annotations are the JSON types
+        range of f for the a priori box (default: see `apriori_range`);
+        a_sup, the bound on the cubic coefficient of the smallness test;
+        and eigen, whether to also bracket the eigenvalue of the
+        constant weight a_sup; the annotations are the JSON types
         the CLI checks them against.  Verdicts compare thresholds with
         the radii of `GridDomain.out_in_radii`.
         """
@@ -359,9 +368,8 @@ class CriteriaReport:
                         else "applies" if in_r > M_f else "fails",
                         "in-radius %.12e vs radius %.12e" % (in_r, M_f))
             rep.dd3 = dd3_check(f, b.ell, d)
-        lo, hi = h_range if h_range is not None \
-            else rhs_range(f, (b.ell, b.L), d)
-        rep.apriori_box = apriori_box(lo, hi, b, out_r)
+        rep.apriori_box = apriori_box(*apriori_range(f, b, d, h_range), b,
+                                      out_r)
         gc = rep.growth = growth_class(f, b.ell, b.L, out_r, d)
         verdict("growth-apriori",
                 "applies" if gc.applicable else "undetermined",

@@ -23,24 +23,28 @@ Two stencil modes:
 Evaluation gathers.  The stencil lays each pair out as J read slots
 (plus-arm nodes, minus-arm nodes, then the two nodes of each correction
 entry, shorter patterns padded with weight 0).  `Stencil.gather` turns a
-node set into one (J, K, n) table of flat indices into values.ravel()
-with a NaN slot (the arms of a pair cut off at that node) and a 0 slot
-(padding, and the corrections of a cut-off pair) appended, and
+node set into one (J, n, K) table of flat indices into values.ravel(),
+pairs minor, with a NaN slot (the arms of a pair cut off at that node)
+and a 0 slot (padding, and the corrections of a cut-off pair) appended;
+the table also holds what the pick needs at those nodes, the row
+offsets i K and the quotient denominators 2 eps tiled to (n, K).
 `Stencil.pair_arrays` reads a table in one fancy-index gather, touching
-only the requested nodes.  `_select` picks the steepest pair from the
-gathered arms, and `_pick` (one gather, one pick and the picked arms)
-serves every caller: the solver's local update and residual,
-`inf_lap_field` and `apply_inf_lap`; `_second_diff` is the one copy of
-the second difference S they share.
+only the requested nodes, into C-ordered (n, K) arrays, and returns
+them as (K, n) views.  `_select` picks the steepest pair from the
+gathered arms along the contiguous pair axis, and `_pick` (one gather,
+one pick and the picked arms) serves every caller: the solver's local
+update and residual, `inf_lap_field` and `apply_inf_lap`;
+`_second_diff` is the one copy of the second difference S they share.
+A part of a table (`_Table.part`, one update group of the solver) is
+a contiguous copy.
 
 What is fixed per stencil is worked out once when it is built: the
-column of quotient denominators 2 eps, the center weights c0, whether
-every read slot has weight 1 (integer mode, where the weight product,
-exact anyway, is skipped) and whether any pair has correction slots
-(without them the picked correction sum is the scalar 0.0).  The kernel
-opens no `np.errstate`: each solve opens one for all its sweeps (see
-`inflap.solver`), and the public `inf_lap_field`, `apply_inf_lap` and
-`residual_field` open their own.
+center weights c0, whether every read slot has weight 1 (integer mode,
+where the weight product, exact anyway, is skipped) and whether any
+pair has correction slots (without them the picked correction sum is
+the scalar 0.0).  The kernel opens no `np.errstate`: each solve opens
+one for all its sweeps (see `inflap.solver`), and the public
+`inf_lap_field`, `apply_inf_lap` and `residual_field` open their own.
 """
 
 from dataclasses import dataclass
@@ -149,16 +153,24 @@ def _build_pairs(params, N, h):
 class _Table:
     """Gather indices of every pair at a fixed node set (`Stencil.gather`).
 
-    flat holds the nodes' indices into values.ravel().  idx[j, k, i]
+    flat holds the nodes' indices into values.ravel().  idx[j, i, k]
     indexes values.ravel() with a NaN slot and a 0 slot appended: slot j
-    of pair k at node i, in the layout of `Stencil`.
+    of pair k at node i, in the layout of `Stencil`, pairs minor.  What
+    the pick reads besides is fixed per table: rows holds the row offsets
+    i K into an (n, K) array, and eps2 the denominators 2 eps of pair k,
+    tiled to (n, K) so that the quotient is one flat division.
     """
     flat: np.ndarray     # (n,)
-    idx: np.ndarray      # (J, K, n)
+    idx: np.ndarray      # (J, n, K)
+    rows: np.ndarray     # (n,)
+    eps2: np.ndarray     # (n, K)
 
     def part(self, lo, hi):
-        """The table of nodes lo..hi-1 (views, nothing rebuilt)."""
-        return _Table(self.flat[lo:hi], self.idx[:, :, lo:hi])
+        """The table of nodes lo..hi-1, its indices copied to a
+        contiguous array once (a strided view gathers about 3x slower)."""
+        return _Table(self.flat[lo:hi],
+                      np.ascontiguousarray(self.idx[:, lo:hi]),
+                      self.rows[:hi - lo], self.eps2[lo:hi])
 
 
 class Stencil:
@@ -213,7 +225,6 @@ class Stencil:
         self._eps = np.array([p.eps for p in self.pairs])
         self._tail = np.array([np.nan, 0.0])
         # per-stencil constants of the kernel (see the module docstring)
-        self._eps2 = (2.0 * self._eps)[:, None]
         self._unit = bool((wts[used] == 1.0).all())
         self._corr = J > 2 * P
         self.interior = self.gather(domain.interior)
@@ -229,10 +240,12 @@ class Stencil:
             nodes = np.nonzero(nodes)
         flat = np.ravel_multi_index(tuple(np.atleast_1d(c) for c in nodes),
                                     self.domain.dims)
-        ok = self.avail.reshape(len(self.pairs), -1)[:, flat]
-        idx = np.where(self._used[:, :, None] & ok,
-                       flat + self._delta[:, :, None], self._fill[:, :, None])
-        return _Table(flat, idx)
+        K = len(self.pairs)
+        ok = self.avail.reshape(K, -1)[:, flat].T
+        idx = np.where(self._used[:, None] & ok, flat[:, None]
+                       + self._delta[:, None], self._fill[:, None])
+        return _Table(flat, idx, np.arange(flat.size) * K,
+                      np.tile(2.0 * self._eps, (flat.size, 1)))
 
     def pair_arrays(self, values, nodes):
         """Arm values and corrected center per pair at a node set.
@@ -251,14 +264,15 @@ class Stencil:
         eps : (K,) physical arm lengths
 
         Columns follow the order of the node set (np.nonzero order for a
-        mask).
+        mask).  The (K, n) arrays are transposed views of C-ordered
+        (n, K) arrays, pairs minor, which `_pick` reads back with `.T`.
         """
         tab = nodes if isinstance(nodes, _Table) else self.gather(nodes)
         if values.shape != self.domain.dims:
             raise ValueError("values must have the shape of the grid")
         g = np.concatenate((values.ravel(), self._tail))[tab.idx]
         if not self._unit:
-            g *= self._wts[:, :, None]
+            g *= self._wts[:, None]
         P = self._P
         # slot by slot in pattern order: the sums of a per-node loop
         arm_p, arm_m = g[0], g[P]
@@ -268,27 +282,27 @@ class Stencil:
         csum = np.zeros(arm_p.shape)
         for j in range(2 * P, self._J, 2):
             csum = csum + (g[j] + g[j + 1])
-        return arm_p, arm_m, self._c0, csum, self._eps
+        return arm_p.T, arm_m.T, self._c0, csum.T, self._eps
 
 
-def _select(arm_p, arm_m, eps2):
+def _select(arm_p, arm_m, table):
     """Steepest pair per node, by largest centered quotient magnitude.
 
-    Takes (K, n) arm arrays and the (K, 1) column of 2 eps; ties go to
-    the lowest k, the lexicographically smallest offset, and an
+    Takes (n, K) arm arrays, pairs minor, at the nodes of `table`; ties
+    go to the lowest k, the lexicographically smallest offset, and an
     unavailable (NaN) pair is never picked over an available one.
     Returns (k, pick, phat): the pair index per node, the flat indices
-    that pick each node's steepest entry out of a C-ordered (K, n) array
-    (`a.take(pick)`), and the steepest centered quotient.  Opens no
-    `np.errstate`: the caller ignores invalid operations (arms that are
-    both infinite).
+    that pick each node's steepest entry out of a C-ordered (n, K) array
+    (`a.take(pick)`, `table.rows + k`), and the steepest centered
+    quotient.  Opens no `np.errstate`: the caller ignores invalid
+    operations (arms that are both infinite).
     """
     dc = arm_p - arm_m
-    dc /= eps2
+    dc /= table.eps2
     # fmax maps NaN to -1, below every |dc|
     mag = np.abs(dc)
-    k = np.fmax(mag, -1.0, out=mag).argmax(axis=0)
-    pick = k * k.size + np.arange(k.size)
+    k = np.fmax(mag, -1.0, out=mag).argmax(axis=1)
+    pick = table.rows + k
     return k, pick, dc.take(pick)
 
 
@@ -299,11 +313,13 @@ def _pick(stencil, values, table):
     along the pair `_select` picks the sum of the two arm values, the
     correction sum (the scalar 0.0 when no pair has correction slots), the
     arm length and the center weight (the arguments of `_second_diff`),
-    its flat indices into the (K, n) arrays and the centered slope.
+    its flat indices into (n, K) arrays (`table.rows + k`) and the
+    centered slope.
     """
     arm_p, arm_m, _, csum, _ = stencil.pair_arrays(values, table)
-    k, pick, phat = _select(arm_p, arm_m, stencil._eps2)
-    cs = csum.take(pick) if stencil._corr else 0.0
+    arm_p, arm_m = arm_p.T, arm_m.T
+    k, pick, phat = _select(arm_p, arm_m, table)
+    cs = csum.T.take(pick) if stencil._corr else 0.0
     return (values.take(table.flat), arm_p.take(pick) + arm_m.take(pick),
             cs, stencil._eps.take(k), stencil._c0.take(k), pick, phat)
 

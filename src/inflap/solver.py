@@ -195,9 +195,10 @@ def _local_solve(g, lo, hi, t0):
 class _Group(NamedTuple):
     """One update group: its gather table and what stays fixed per solve.
 
-    For x-only f, fx is f at the group's nodes and floor the (K, n) table
-    of slope floors max((eps_k |f|)^(2/3) / (2 sigma), delta_reg), which
-    the steepest pair picks from; for t-dependent f, coefs holds the
+    For x-only f, fx is f at the group's nodes and floor the (n, K) table
+    of slope floors max((eps_k |f|)^(2/3) / (2 sigma), delta_reg), pairs
+    minor like the kernel's arrays, from which `_steep` takes the
+    steepest pair's entry; for t-dependent f, coefs holds the
     coefficient values at the nodes.
     """
     tab: object
@@ -218,8 +219,9 @@ class _Sweeper:
 
     One gather table covers the interior with the update groups laid end
     to end in sweep order: color 0 then color 1, or in lexicographic
-    order one group per node, in grid order.  `groups` are slices of it,
-    and `fp_residual` reads the whole table in one `pair_arrays` pass and
+    order one group per node, in grid order.  `groups` are its parts
+    (`_Table.part`, each copied to contiguous indices once per solve), and
+    `fp_residual` reads the whole table in one `pair_arrays` pass and
     hands the first group's data on (`full_sweep(values, head)`; see the
     module docstring).  Implicit solves bracket at the iterate's range
     +- 1, or in lexicographic order at u0 +- 1, and count failures in
@@ -255,7 +257,7 @@ class _Sweeper:
             fx = f.eval_grid(domain, np.zeros(domain.dims)).take(table.flat)
             eps = np.array([p.eps for p in stencil.pairs])
             self.all = _Group(table, fx=fx, floor=_floor(
-                eps[:, None], fx, stencil.params.delta_reg))
+                eps, fx[:, None], stencil.params.delta_reg))
         self.groups = [self._part(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
     def _part(self, a, b):
@@ -264,8 +266,7 @@ class _Sweeper:
         if g.coefs is not None:
             return _Group(g.tab.part(a, b), coefs={
                 k: v[a:b] if np.ndim(v) else v for k, v in g.coefs.items()})
-        return _Group(g.tab.part(a, b), fx=g.fx[a:b],
-                      floor=np.ascontiguousarray(g.floor[:, a:b]))
+        return _Group(g.tab.part(a, b), fx=g.fx[a:b], floor=g.floor[a:b])
 
     def _steep(self, values, grp):
         """Steepest-pair data at a group's nodes, in its order.

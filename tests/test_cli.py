@@ -363,10 +363,26 @@ class TestPerronAndProbe:
         ("solve", {"problem": {"domain": BALL, "h": "x"}}, "problem.h"),
         ("verify", {"verify": {"checks": [
             {"type": "harnack", "h_sup_plus": 0.0, "z": [0.0, 0.0],
-             "r": "x"}]}}, "verify check 'harnack': h_sup_plus and r")])
+             "r": "x"}]}}, "verify check 'harnack': h_sup_plus and r"),
+        ("perron", {"perron": {"sub": {"power": {"gamma": "x", "R": 0.5}}}},
+         "perron.sub.power: gamma and R must be of type float"),
+        ("perron", {"perron": {"sub": {"cone": {
+            "C": "x", "z": [0.0, 0.0], "d": 0.0, "orientation": "sub"}}}},
+         "perron.sub.cone: C and d must be of type float"),
+        ("radial", {"radial": {"m": "(exp t)", "a": "x"}},
+         "radial: a must be of type float"),
+        ("family", {"family": {"gamma": "x"}},
+         "family: gamma must be of type float"),
+        ("verify", {"verify": {"checks": [{"type": "lipschitz",
+                                           "alpha": "x"}]}},
+         "verify check 'lipschitz': alpha must be of type float"),
+        ("verify", {"verify": {"checks": [{"type": "apriori",
+                                           "h_range": "x"}]}},
+         "verify check 'apriori': h_range must be of type list of numbers")])
     def test_wrong_typed_value_exit_one(self, tmp_path, capsys, action,
                                         section, where):
-        # each of these ended in a TypeError or AttributeError traceback
+        # each of these ended in a TypeError, AttributeError or IndexError
+        # traceback
         cfg = dict({"problem": {"domain": BALL, "h": 0.25,
                                 "rhs": "(const 1)"}}, **section)
         code, out = _run(tmp_path, action, cfg)
@@ -374,6 +390,24 @@ class TestPerronAndProbe:
         err = capsys.readouterr().err
         assert err.startswith("inflap: error:") and where in err
         assert not (out / "report.json").exists()
+
+    def test_apriori_h_range_one_home(self, tmp_path):
+        # the verify check and the criteria report take one default range
+        # and reject the same malformed one
+        cfg = {"problem": {"domain": BALL, "h": 0.25, "rhs": "(const 1)"},
+               "verify": {"checks": [{"type": "apriori"}]}}
+        assert _run(tmp_path, "verify", cfg)[0] == 0
+        check = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert _run(tmp_path, "criteria", cfg)[0] == 0
+        crit = json.loads((tmp_path / "out" / "report.json").read_text())
+        details = check["checks"][0]["details"]
+        assert [details["lower"], details["upper"]] \
+            == crit["criteria"]["apriori_box"]
+        bad = dict(cfg, criteria={"h_range": [-1.0, 0.0, 2.0]},
+                   verify={"checks": [{"type": "apriori",
+                                       "h_range": [-1.0, 0.0, 2.0]}]})
+        for action in ("verify", "criteria"):
+            assert _run(tmp_path, action, bad)[0] == 1
 
     def test_criteria_null_stands_for_default(self, tmp_path):
         cfg = {"problem": {"domain": BALL, "h": 0.25, "rhs": "(const 1)"},

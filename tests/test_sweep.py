@@ -59,7 +59,8 @@ def _ref_layout(st):
 def _ref_pair_arrays(st, values, tab):
     """Frozen copy of the gather arithmetic of `Stencil.pair_arrays`."""
     P, J, wts, c0 = _ref_layout(st)
-    g = np.concatenate((values.ravel(), [np.nan, 0.0]))[tab.idx]
+    g = np.concatenate((values.ravel(), [np.nan, 0.0]))[
+        tab.idx.transpose(0, 2, 1)]
     g *= wts[:, :, None]
     # slot by slot in pattern order: the sums of a per-node loop
     arm_p, arm_m = g[0], g[P]
@@ -393,6 +394,36 @@ def test_two_gathers_per_sweep(monkeypatch, small_ball):
                                  initial_guess=guess)
         assert rep.status == "converged" and rep.sweeps > 10
         assert len(calls) == 2 * rep.sweeps + 1
+
+
+@pytest.mark.parametrize("order", ["red-black", "lexicographic"])
+@pytest.mark.parametrize("params", [SchemeParams(),
+                                    SchemeParams(w=2, refined=True)])
+def test_group_tables_pair_minor_and_contiguous(small_ball, order, params):
+    # each group gathers from its own contiguous (J, n, K) table, and a
+    # part of a table reads the full table's columns in the public (K, n)
+    # shape
+    d = small_ball
+    st = Stencil(d, params)
+    sw = _Sweeper(d, RhsSpec("(const -1)"), st, SolveOptions(order=order))
+    K = len(st.pairs)
+    J = st.interior.idx.shape[0]
+    for grp in [sw.all] + sw.groups:
+        n = grp.tab.flat.size
+        assert grp.tab.idx.shape == (J, n, K)
+        assert grp.tab.idx.flags.c_contiguous
+        assert grp.floor.shape == (n, K) and grp.floor.flags.c_contiguous
+    vals = np.random.default_rng(5).uniform(-1.0, 1.0, d.dims)
+    vals[~d.nonexterior] = np.nan
+    full = st.pair_arrays(vals, sw.all.tab)
+    lo = 0
+    for grp in sw.groups:
+        hi = lo + grp.tab.flat.size
+        part = st.pair_arrays(vals, grp.tab)
+        for j in (0, 1, 3):
+            assert part[j].shape == (K, hi - lo)
+            assert part[j].tobytes() == full[j][:, lo:hi].tobytes()
+        lo = hi
 
 
 @pytest.mark.parametrize("params, N, h", [
