@@ -20,7 +20,8 @@ import sys
 
 import numpy as np
 
-from .core import BoundaryTrace, RhsSpec, ScalarField, build_domain
+from .core import (BoundaryTrace, RhsSpec, ScalarField, _write_rows,
+                   build_domain)
 from .scheme import SchemeParams
 from .solver import (SolveOptions, perron_solve, probe_nonexistence,
                      solve_dirichlet)
@@ -272,13 +273,11 @@ def write_report(report, path):
 
 def write_field(u, path):
     d = u.domain
-    idx = np.argwhere(d.nonexterior)
-    pts = idx * d.h + d.origin
+    ne = d.nonexterior
+    table = np.column_stack((np.argwhere(ne) * d.h + d.origin, u.values[ne]))
     with open(path, "w") as fh:
         fh.write(",".join("x%d" % j for j in range(d.N)) + ",value\n")
-        for p, i in zip(pts, idx):
-            row = [_fmt(c) for c in p] + [_fmt(u.values[tuple(i)])]
-            fh.write(",".join(row) + "\n")
+        _write_rows(fh, table)
 
 
 # exit codes of the iterative actions; 1 stays for usage and config errors

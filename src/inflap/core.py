@@ -5,6 +5,8 @@ Grids are axis aligned and uniform; curved boundaries are represented by a
 node mask (exterior / boundary / interior), no cut cells.
 """
 
+import math
+
 import numpy as np
 
 EXTERIOR = 0
@@ -15,6 +17,9 @@ SATURATE = 1e300
 
 # t lattice on which RhsSpec checks a declared sign or monotonicity
 _PROBE_T = np.linspace(-10.0, 10.0, 257)
+
+# 0, 1, ..., 4096: indices of rhs_range's t grid (see _t_grid)
+_T_GRID = np.arange(4097.0)
 
 # growth constant of the cone solution: Delta_inf (SIGMA |x|^(4/3)) = 1
 SIGMA = 3.0 ** (4.0 / 3.0) / 4.0
@@ -322,6 +327,21 @@ class BoundaryTrace:
         pts = np.stack([g[bd] for g in grids], axis=-1)
         vals[bd] = fn(pts)
         return cls(domain, vals)
+
+
+# -- CSV rows ---------------------------------------------------------------
+
+# rows per string format in _write_rows: the whole table at once is no
+# faster and holds every line in memory
+_CSV_BLOCK = 512
+
+
+def _write_rows(fh, table):
+    """Write each row of a 2-D float array as a "%.12e,...,%.12e" line."""
+    line = ",".join(["%.12e"] * table.shape[1]) + "\n"
+    for i in range(0, len(table), _CSV_BLOCK):
+        block = table[i:i + _CSV_BLOCK]
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 # -- right-hand sides -------------------------------------------------------
@@ -680,20 +700,43 @@ def _split_separable(tree):
     return xp, tp
 
 
-def _t_range(trees, combo, lo, hi, n=4097):
-    """Range of a product of t-only factors on [lo, hi] by candidate points."""
+def _t_grid(out, lo, hi):
+    """Write np.linspace(lo, hi, 4097) into out, by linspace's arithmetic."""
+    n = _T_GRID.size
+    step = (hi - lo) / (n - 1)
+    if step == 0:
+        np.divide(_T_GRID, n - 1, out=out)
+        out *= hi - lo
+    else:
+        np.multiply(_T_GRID, step, out=out)
+    out += lo
+    out[-1] = hi
+
+
+def _t_range(trees, combo, lo, hi):
+    """Range of a product of t-only factors on [lo, hi] by candidate points.
+
+    The samples are the 4097-point grid of `_t_grid` and the candidates
+    (both ends, the multiples of pi where cospow has its extrema, and 0),
+    in one buffer.  Constant factors multiply in as floats, in order.
+    """
     cands = [lo, hi]
-    # cospow extrema sit at multiples of pi
-    k0 = int(np.ceil(lo / np.pi))
-    k1 = int(np.floor(hi / np.pi))
+    k0 = math.ceil(lo / math.pi)
+    k1 = math.floor(hi / math.pi)
     if k1 - k0 < 64:
-        cands.extend(np.pi * k for k in range(k0, k1 + 1))
+        cands.extend(math.pi * k for k in range(k0, k1 + 1))
     cands.append(0.0) if lo <= 0.0 <= hi else None
-    t = np.clip(np.concatenate(
-        [np.linspace(lo, hi, n), np.asarray(cands, float)]), lo, hi)
-    y = np.ones_like(t)
+    n = _T_GRID.size
+    t = np.empty(n + len(cands))
+    _t_grid(t[:n], lo, hi)
+    t[n:] = cands
+    np.clip(t, lo, hi, out=t)
+    y = 1.0
     for tree in trees:
-        y = y * _eval_tree(tree, combo, t)
+        y = y * (tree[1] if tree[0] == "const"
+                 else _eval_tree(tree, combo, t))
+    if isinstance(y, float):
+        return y, y
     return float(y.min()), float(y.max())
 
 
@@ -713,9 +756,9 @@ def rhs_range(f, interval, domain=None):
     (inf, sup)
         For separable specs (a product of x-only and t-only factors) the
         factor ranges combined by interval arithmetic, each t-only range
-        sampled at 4097 points plus the ends, 0 and the multiples of pi;
-        otherwise sampled on a probe lattice.  Both are estimates: the
-        t-samples can miss an interior extremum.
+        sampled on np.linspace(lo, hi, 4097) plus the ends, 0 and the
+        multiples of pi; otherwise sampled on a probe lattice.  Both are
+        estimates: the t-samples can miss an interior extremum.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):

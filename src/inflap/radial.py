@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SIGMA, ScalarField, _eval_tree, _nodes, _parse_rhs
+from .core import (SIGMA, ScalarField, _eval_tree, _nodes, _parse_rhs,
+                   _write_rows)
 
 # 8-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
@@ -283,8 +284,7 @@ def save_profile(profile, path):
         fh.write("# RADIALPROFILE a=%.12e l=%.12e R=%.12e prefactor=%.12e\n"
                  % (profile.a, profile.ell, profile.R, profile.prefactor))
         fh.write("r,phi\n")
-        for r, p in zip(profile.r, profile.phi):
-            fh.write("%.12e,%.12e\n" % (r, p))
+        _write_rows(fh, np.column_stack((profile.r, profile.phi)))
 
 
 def cone_field(d, C, z, dshift, orientation):
@@ -298,6 +298,8 @@ def cone_field(d, C, z, dshift, orientation):
     if orientation not in ("sub", "super"):
         raise ValueError("orientation must be 'sub' or 'super'")
     z = np.asarray(z, dtype=float)
+    if z.shape != (d.N,):
+        raise ValueError("z must have %d coordinates" % d.N)
     grids = d.grid_coords()
     rr = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, z)))
     core = SIGMA * rr ** (4.0 / 3.0)

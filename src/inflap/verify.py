@@ -197,6 +197,8 @@ def check_harnack(u, h_sup_plus, z, r, tol_check=1e-6):
     if (u.values[d.nonexterior] < 0).any():
         raise ValueError("Harnack check needs u >= 0 on the domain")
     z = np.asarray(z, dtype=float)
+    if z.shape != (d.N,):
+        raise ValueError("z must have %d coordinates" % d.N)
     grids = d.grid_coords()
     dist = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, z)))
     if (dist <= 2.0 * r)[~d.nonexterior].any():

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from inflap import (MonotoneRhs1D, build_domain, build_profile, cone_field,
-                    power_subsolution, save_mask)
-from inflap.cli import ConfigError, _coord_fn, main, parse_config
+from inflap import (MonotoneRhs1D, ScalarField, build_domain, build_profile,
+                    cone_field, power_subsolution, save_mask)
+from inflap.cli import (ConfigError, _coord_fn, main, parse_config,
+                        write_field)
+from inflap.radial import RadialProfile, save_profile
 
 
 BALL = {"kind": "ball", "center": [0.0, 0.0], "R": 0.5}
@@ -439,6 +441,25 @@ class TestPerronAndProbe:
         code, _ = _run(tmp_path, "probe", cfg)
         assert code == 1
 
+    @pytest.mark.parametrize("action, section", [
+        ("perron", {"perron": {"sub": {"cone": {
+            "C": 1.0, "z": [0.0], "d": -1.0, "orientation": "sub"}}}}),
+        ("verify", {"verify": {"checks": [
+            {"type": "harnack", "h_sup_plus": 0.0, "z": [0.0],
+             "r": 0.1}]}})])
+    def test_centre_of_wrong_length_exit_one(self, tmp_path, capsys, action,
+                                             section):
+        # a one-coordinate z on the 2-D ball used to be read along x0 only
+        cfg = dict({"problem": {"domain": BALL, "h": 0.125,
+                                "rhs": "(const -1)",
+                                "boundary": {"constant": 0.0}}}, **section)
+        code, out = _run(tmp_path, action, cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("inflap: error:")
+        assert "z must have 2 coordinates" in err
+        assert not (out / "report.json").exists()
+
 
 class TestRadialAction:
     def test_profile_export(self, tmp_path):
@@ -622,3 +643,71 @@ class TestReportFormat:
         rep = json.loads(text)
         assert list(rep) == sorted(rep)
         assert list(rep["solve"]) == sorted(rep["solve"])
+
+
+def _write_field_row_by_row(u, path):
+    """`write_field` as it was before the block writer, kept as reference."""
+    d = u.domain
+    idx = np.argwhere(d.nonexterior)
+    pts = idx * d.h + d.origin
+    with open(path, "w") as fh:
+        fh.write(",".join("x%d" % j for j in range(d.N)) + ",value\n")
+        for p, i in zip(pts, idx):
+            row = (["%.12e" % float(c) for c in p]
+                   + ["%.12e" % float(u.values[tuple(i)])])
+            fh.write(",".join(row) + "\n")
+
+
+def _save_profile_row_by_row(profile, path):
+    """`save_profile` as it was before the block writer, kept as reference."""
+    with open(path, "w") as fh:
+        fh.write("# RADIALPROFILE a=%.12e l=%.12e R=%.12e prefactor=%.12e\n"
+                 % (profile.a, profile.ell, profile.R, profile.prefactor))
+        fh.write("r,phi\n")
+        for r, p in zip(profile.r, profile.phi):
+            fh.write("%.12e,%.12e\n" % (r, p))
+
+
+# values a CSV row must spell as before: signed zero, NaN, infinities and
+# numbers near the bottom of the float range
+_SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 5e-324]
+
+
+def _with_specials(rng, n):
+    vals = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+    vals[rng.choice(n, size=4 * len(_SPECIAL), replace=False)] = \
+        np.repeat(_SPECIAL, 4)
+    return vals
+
+
+class TestCsvWriters:
+    """The block writers against frozen copies of the row-by-row ones."""
+
+    @pytest.mark.parametrize("spec, h", [
+        ({"kind": "box", "lo": [-0.5], "hi": [1.0]}, 1.0 / 1024),
+        ({"kind": "ball", "center": [0.0, 0.0], "R": 1.0}, 1.0 / 32),
+        ({"kind": "ball", "center": [0.1, 0.0, -0.2], "R": 1.0}, 1.0 / 8)])
+    def test_field_bytes(self, tmp_path, spec, h):
+        d = build_domain(spec, h)
+        ne = d.nonexterior
+        assert np.count_nonzero(ne) > 1024   # more than two blocks
+        u = ScalarField.constant(d, 0.0)
+        # written past ScalarField's finiteness check on purpose
+        u.values[ne] = _with_specials(np.random.default_rng(23),
+                                      np.count_nonzero(ne))
+        write_field(u, tmp_path / "new.csv")
+        _write_field_row_by_row(u, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [1, 512, 513, 1300])
+    def test_profile_bytes(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        prof = RadialProfile(r=np.sort(rng.uniform(0.0, 2.0, n)),
+                             phi=(_with_specials(rng, n) if n > 40
+                                  else rng.normal(size=n)),
+                             a=-0.0, ell=np.nan, R=np.inf, prefactor=1e-300)
+        save_profile(prof, tmp_path / "new.csv")
+        _save_profile_row_by_row(prof, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "old.csv").read_bytes()

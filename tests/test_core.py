@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from inflap import (BOUNDARY, EXTERIOR, INTERIOR, BoundaryTrace, GridDomain,
                     RhsSpec, ScalarField, build_domain, eval_rhs, load_mask,
                     rhs_range, save_mask)
-from inflap.core import _eval_tree, _split_separable, _t_range
+from inflap.core import _eval_tree, _split_separable, _t_grid, _t_range
 
 
 class TestDomains:
@@ -247,6 +247,67 @@ class TestTRange:
     def test_matches_sorted_unique_samples(self, expr, lo, hi):
         trees = _split_separable(RhsSpec(expr).tree)[1]
         assert _t_range(trees, {}, lo, hi) == _t_range_reference(trees, lo, hi)
+
+
+def _t_range_frozen(trees, combo, lo, hi, n=4097):
+    """`_t_range` as it was before the one-buffer sampler, kept as reference:
+    np.linspace and the candidates concatenated, and the product started
+    from ones with each constant factor broadcast to an array."""
+    cands = [lo, hi]
+    k0 = int(np.ceil(lo / np.pi))
+    k1 = int(np.floor(hi / np.pi))
+    if k1 - k0 < 64:
+        cands.extend(np.pi * k for k in range(k0, k1 + 1))
+    cands.append(0.0) if lo <= 0.0 <= hi else None
+    t = np.clip(np.concatenate(
+        [np.linspace(lo, hi, n), np.asarray(cands, float)]), lo, hi)
+    y = np.ones_like(t)
+    for tree in trees:
+        y = y * _eval_tree(tree, combo, t)
+    return float(y.min()), float(y.max())
+
+
+def _seeded_intervals():
+    """Degenerate, tiny, zero-straddling and long intervals, seeded."""
+    rng = np.random.default_rng(23)
+    out = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, 5e-324),
+           (-5e-324, 0.0), (-300.0, 300.0), (-1e3, -10.0), (0.0, 1e3)]
+    for _ in range(40):
+        a = float(rng.normal() * 10.0 ** rng.uniform(-3.0, 3.0))
+        b = float(rng.normal() * 10.0 ** rng.uniform(-3.0, 3.0))
+        out += [(a, a), (a, a + 5e-324), (a, a + 1e-13),
+                (-abs(a), abs(b)), (min(a, b), max(a, b)),
+                (a, a + 64.5 * np.pi * (1.0 + abs(b)))]
+    return out
+
+
+# empty (pure-coef f), const-only, t, pow, cospow, clip, exp and neg
+_FACTOR_LISTS = ["(coef a)", "(mul (const 2.5) (neg (const 3)))", "t",
+                 "(mul (pow t 3) (const -0.5))", "(cospow 2.5)",
+                 "(clip (pow t 2) 7)", "(exp t)", "(neg (exp t))",
+                 "(mul (neg t) (mul (cospow 1) (exp t)))"]
+
+
+class TestTRangeFrozen:
+    @pytest.mark.parametrize("expr", _FACTOR_LISTS)
+    def test_matches_frozen_sampler(self, expr):
+        trees = _split_separable(RhsSpec(expr, coefs={"a": 1.0}).tree)[1]
+        with np.errstate(all="ignore"):
+            for lo, hi in _seeded_intervals():
+                assert repr(_t_range(trees, {}, lo, hi)) \
+                    == repr(_t_range_frozen(trees, {}, lo, hi)), (lo, hi)
+
+    def test_factor_lists_cover_empty_and_const_only(self):
+        kinds = [[tr[0] for tr in _split_separable(RhsSpec(
+            e, coefs={"a": 1.0}).tree)[1]] for e in _FACTOR_LISTS[:2]]
+        assert kinds == [[], ["const", "const", "const"]]
+
+    def test_grid_is_linspace(self):
+        out = np.empty(4097)
+        for lo, hi in _seeded_intervals():
+            _t_grid(out, lo, hi)
+            assert out.tobytes() == np.linspace(lo, hi, 4097).tobytes(), \
+                (lo, hi)
 
 
 def _central_difference(f, coefs, t):

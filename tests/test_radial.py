@@ -231,6 +231,12 @@ class TestBarrierFields:
         with pytest.raises(ValueError):
             cone_field(ball2d, 1.0, [0.0, 0.0], 0.0, "sideways")
 
+    @pytest.mark.parametrize("z", [[0.0], [0.0, 0.0, 0.0], 0.0])
+    def test_cone_centre_needs_n_coordinates(self, ball2d, z):
+        # a short z used to measure |x - z| along x0 alone
+        with pytest.raises(ValueError, match="z must have 2 coordinates"):
+            cone_field(ball2d, 1.0, z, 0.0, "sub")
+
     def test_power_subsolution_shape(self):
         d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 1.0},
                          1.0 / 16)

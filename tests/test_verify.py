@@ -157,6 +157,12 @@ class TestHarnack:
         with pytest.raises(ValueError):
             check_harnack(u, 0.0, [0.0, 0.0], 0.0)
 
+    @pytest.mark.parametrize("z", [[0.0], [0.0, 0.0, 0.0], 0.0])
+    def test_centre_needs_n_coordinates(self, ball2d, z):
+        u = ScalarField.constant(ball2d, 1.0)
+        with pytest.raises(ValueError, match="z must have 2 coordinates"):
+            check_harnack(u, 0.0, z, 0.3)
+
 
 class TestApriori:
     def test_solved_field_inside_box(self, small_ball):
