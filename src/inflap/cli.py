@@ -34,12 +34,16 @@ class ConfigError(ValueError):
     pass
 
 
+# the keys of problem.domain that each kind needs, and their types
+_DOMAIN_KEYS = {"ball": {"center": list, "R": float},
+                "box": {"lo": list, "hi": list}, "mask": {"path": str}}
+
 _SECTION_KEYS = {
     "": {"problem", "action", "scheme", "solve", "perron", "radial",
          "family", "criteria", "verify"},
     "problem": {"domain", "h", "rhs", "rhs_coefs", "rhs_sign",
                 "rhs_monotone", "boundary"},
-    "problem.domain": {"kind", "center", "R", "lo", "hi", "path"},
+    "problem.domain": {"kind"}.union(*_DOMAIN_KEYS.values()),
     "problem.boundary": {"constant", "expression"},
     "scheme": {f.name for f in fields(SchemeParams)},
     "solve": {f.name for f in fields(SolveOptions)},
@@ -106,10 +110,11 @@ def _options(fn, cfg, section):
     return fn(**spec)
 
 
-def _need(spec, where, **types):
+def _need(spec, where, /, **types):
     """The values of the keys of `types` in the config object `spec`, in
     that order, all required and each of its type (see `_is`).  A wrong
-    type names every key of that type."""
+    type names every key of that type.  `spec` and `where` are
+    positional-only, so that a key may have any name (rhs_coefs)."""
     if not isinstance(spec, dict):
         raise ConfigError("%s must be a JSON object" % where)
     for key in types:
@@ -135,26 +140,35 @@ def _build_problem(cfg, h_override):
     prob = cfg.get("problem")
     if prob is None:
         raise ConfigError("this action needs a problem section")
+    dom, = _need(prob, "problem", domain=dict)
+    kind, = _need(dom, "problem.domain", kind=str)
+    _need(dom, "problem.domain", **_DOMAIN_KEYS.get(kind, {}))
     h = h_override if h_override is not None else prob.get("h")
-    if "domain" not in prob \
-            or h is None and prob["domain"].get("kind") != "mask":
-        raise ConfigError("problem needs domain and h")
+    if h is None and kind != "mask":
+        raise ConfigError("problem needs 'h'")
     if h is not None and not _is(h, float):
         raise ConfigError("problem.h must be a number")
-    d = build_domain(prob["domain"], h)
+    d = build_domain(dom, h)
     # a mask file carries its own spacing
     if h is not None and h != d.h:
         raise ConfigError("h %r differs from the mask file's spacing %r"
                           % (h, d.h))
-    f = RhsSpec(prob.get("rhs", "(const 0)"),
-                coefs=prob.get("rhs_coefs"),
-                sign=prob.get("rhs_sign"),
-                monotone_in_t=prob.get("rhs_monotone"))
+    coefs = _get(prob, "problem", "rhs_coefs", dict, None) or {}
+    _need(coefs, "problem.rhs_coefs", **dict.fromkeys(coefs, float))
+    f = RhsSpec(_get(prob, "problem", "rhs", str, "(const 0)"), coefs=coefs,
+                sign=_get(prob, "problem", "rhs_sign", str, None),
+                monotone_in_t=_get(prob, "problem", "rhs_monotone", str,
+                                   None))
     bspec = prob.get("boundary", {"constant": 0.0})
+    if len(bspec) != 1:
+        raise ConfigError("problem.boundary needs exactly one of "
+                          "'constant' and 'expression'")
     if "constant" in bspec:
-        b = BoundaryTrace.constant(d, float(bspec["constant"]))
+        b = BoundaryTrace.constant(d, *_need(bspec, "problem.boundary",
+                                             constant=float))
     else:
-        b = BoundaryTrace.from_function(d, _coord_fn(bspec["expression"], d.N))
+        expr, = _need(bspec, "problem.boundary", expression=str)
+        b = BoundaryTrace.from_function(d, _coord_fn(expr, d.N))
     return d, f, b
 
 
@@ -217,7 +231,7 @@ def _coord_eval(node, names):
 
 def _field_from_spec(spec, d, where):
     if "constant" in spec:
-        return ScalarField.constant(d, float(spec["constant"]))
+        return ScalarField.constant(d, *_need(spec, where, constant=float))
     if "cone" in spec:
         return radial.cone_field(d, *_need(
             spec["cone"], where + ".cone", C=float, z=list, d=float,
@@ -274,7 +288,7 @@ def write_report(report, path):
 def write_field(u, path):
     d = u.domain
     ne = d.nonexterior
-    table = np.column_stack((np.argwhere(ne) * d.h + d.origin, u.values[ne]))
+    table = np.column_stack((d.points(ne), u.values[ne]))
     with open(path, "w") as fh:
         fh.write(",".join("x%d" % j for j in range(d.N)) + ",value\n")
         _write_rows(fh, table)
@@ -382,8 +396,8 @@ def _run_verify(cfg, out_dir, h_override):
             res = ver.check_monotone_comparison(u, v, f, tol_check=tol_check)
         elif kind == "lipschitz":
             x0 = chk.get("x0")
-            if x0 is None or x0 == "center":
-                x0 = tuple(n // 2 for n in d.dims)
+            x0 = tuple(n // 2 for n in d.dims) if x0 in (None, "center") \
+                else _get(chk, where, "x0", list, None)
             res = ver.lipschitz_bound(u, x0, _get(chk, where, "alpha",
                                                   float, 0.0), tol_check)
         elif kind == "harnack":

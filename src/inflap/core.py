@@ -69,15 +69,18 @@ class GridDomain:
 
     # -- geometry -----------------------------------------------------------
 
-    def coords(self, idx):
-        """Physical coordinates of a node index tuple."""
-        return self.origin + self.h * np.asarray(idx, dtype=float)
-
     def grid_coords(self):
         """Coordinate arrays (one per axis) broadcastable to mask shape."""
         axes = [self.origin[k] + self.h * np.arange(self.dims[k])
                 for k in range(self.N)]
         return np.meshgrid(*axes, indexing="ij")
+
+    def points(self, nodes=None):
+        """Physical coordinates, shape (n, N), of the nodes the boolean
+        grid mask `nodes` selects, in C order; every node when None."""
+        if nodes is None:
+            nodes = np.ones(self.dims, dtype=bool)
+        return np.argwhere(nodes) * self.h + self.origin
 
     @property
     def interior(self):
@@ -106,16 +109,15 @@ class GridDomain:
             return self._radii
         if not self.interior.any():
             raise ValueError("empty domain has no radii")
-        pts = np.argwhere(self.nonexterior) * self.h + self.origin
+        pts = self.points(self.nonexterior)
         center = pts.mean(axis=0)
         out_r = np.linalg.norm(pts - center, axis=1).max() \
             + self.h * np.sqrt(self.N)
         from scipy import ndimage
         dist = ndimage.distance_transform_edt(self.interior) * self.h
-        flat = int(np.argmax(dist))
-        in_idx = np.unravel_index(flat, self.dims)
-        in_r = float(dist[in_idx])
-        in_c = self.coords(in_idx)
+        in_r = float(dist.max())
+        # the first node in C order at the largest distance
+        in_c = self.points(dist == in_r)[0]
         if in_r > out_r:
             raise ValueError("in_radius exceeded out_radius")
         self._radii = (float(out_r), center, in_r, in_c)
@@ -252,6 +254,14 @@ def load_mask(path):
 
 # -- fields -----------------------------------------------------------------
 
+def _on_nodes(domain, nodes, vals):
+    """A grid array holding `vals` on the nodes that the boolean mask
+    `nodes` selects and NaN elsewhere."""
+    out = np.full(domain.dims, np.nan)
+    out[nodes] = vals
+    return out
+
+
 class ScalarField:
     """Real values on the non-exterior nodes of a grid domain.
 
@@ -270,18 +280,14 @@ class ScalarField:
 
     @classmethod
     def constant(cls, domain, c):
-        vals = np.full(domain.dims, np.nan)
-        vals[domain.nonexterior] = c
-        return cls(domain, vals)
+        return cls(domain, _on_nodes(domain, domain.nonexterior, c))
 
     @classmethod
     def from_function(cls, domain, fn):
-        grids = domain.grid_coords()
-        vals = np.full(domain.dims, np.nan)
+        """The field fn(points) on the non-exterior nodes, where `fn` maps
+        coordinates (n, N) to n values."""
         ne = domain.nonexterior
-        pts = np.stack([g[ne] for g in grids], axis=-1)
-        vals[ne] = fn(pts)
-        return cls(domain, vals)
+        return cls(domain, _on_nodes(domain, ne, fn(domain.points(ne))))
 
     def sup(self):
         return float(np.max(self.values[self.domain.nonexterior]))
@@ -315,18 +321,12 @@ class BoundaryTrace:
 
     @classmethod
     def constant(cls, domain, c):
-        vals = np.full(domain.dims, np.nan)
-        vals[domain.boundary] = c
-        return cls(domain, vals)
+        return cls(domain, _on_nodes(domain, domain.boundary, c))
 
     @classmethod
     def from_function(cls, domain, fn):
-        grids = domain.grid_coords()
-        vals = np.full(domain.dims, np.nan)
         bd = domain.boundary
-        pts = np.stack([g[bd] for g in grids], axis=-1)
-        vals[bd] = fn(pts)
-        return cls(domain, vals)
+        return cls(domain, _on_nodes(domain, bd, fn(domain.points(bd))))
 
 
 # -- CSV rows ---------------------------------------------------------------
@@ -474,6 +474,8 @@ class RhsSpec:
         self.expression = expression
         self.tree = _parse_rhs(expression)
         self.coefs = dict(coefs or {})
+        if sign not in (None, "nonneg", "nonpos", "mixed"):
+            raise ValueError("sign must be 'nonneg', 'nonpos', or 'mixed'")
         self.sign = sign
         if monotone_in_t not in (None, "nondecreasing", "nonincreasing",
                                  "none"):
@@ -551,9 +553,8 @@ class RhsSpec:
         out = {}
         for name, val in self.coefs.items():
             if callable(val):
-                grids = domain.grid_coords()
-                pts = np.stack([g.ravel() for g in grids], axis=-1)
-                out[name] = np.asarray(val(pts), float).reshape(domain.dims)
+                out[name] = np.asarray(val(domain.points()),
+                                       float).reshape(domain.dims)
             elif np.isscalar(val):
                 out[name] = float(val)
             else:
@@ -772,10 +773,8 @@ def rhs_range(f, interval, domain=None):
             if callable(vals):
                 if domain is None:
                     raise ValueError("coefficient range needs a domain")
-                grids = domain.grid_coords()
-                ne = domain.nonexterior
-                pts = np.stack([g[ne] for g in grids], axis=-1)
-                arr = np.asarray(vals(pts), float)
+                arr = np.asarray(vals(domain.points(domain.nonexterior)),
+                                 float)
             elif np.isscalar(vals):
                 arr = np.asarray([vals], float)
             else:
@@ -791,11 +790,13 @@ def rhs_range(f, interval, domain=None):
     # non-separable: sampled estimate over a probe lattice
     t = np.linspace(lo, hi, 513)
     if domain is not None and f.depends_on_x():
-        best_lo, best_hi = np.inf, -np.inf
-        for tv in t:
-            y = f.eval_grid(domain, tv)[domain.nonexterior]
-            best_lo = min(best_lo, float(y.min()))
-            best_hi = max(best_hi, float(y.max()))
-        return best_lo, best_hi
+        # coefficients resolved (and a declared sign checked) once, then
+        # one t value at a time: a stack of all 513 is slower
+        ne = domain.nonexterior
+        coefs = {name: val[ne] if np.ndim(val) else val
+                 for name, val in f.coef_grid(domain).items()}
+        ys = (f.eval_nodes(np.broadcast_to(tv, ne.sum()), coefs) for tv in t)
+        ext = np.array([(y.min(), y.max()) for y in ys])
+        return float(ext[:, 0].min()), float(ext[:, 1].max())
     y = _eval_tree(f.tree, {}, t)
     return float(np.min(y)), float(np.max(y))

@@ -300,13 +300,12 @@ def cone_field(d, C, z, dshift, orientation):
     z = np.asarray(z, dtype=float)
     if z.shape != (d.N,):
         raise ValueError("z must have %d coordinates" % d.N)
-    grids = d.grid_coords()
-    rr = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, z)))
-    core = SIGMA * rr ** (4.0 / 3.0)
-    vals = C * (core + dshift) if orientation == "sub" \
-        else C * (dshift - core)
-    vals = np.where(d.nonexterior, vals, np.nan)
-    return ScalarField(d, vals)
+
+    def cone(pts):
+        core = SIGMA * np.linalg.norm(pts - z, axis=-1) ** (4.0 / 3.0)
+        return C * (core + dshift) if orientation == "sub" \
+            else C * (dshift - core)
+    return ScalarField.from_function(d, cone)
 
 
 def power_subsolution(gamma, R, d):
@@ -322,12 +321,12 @@ def power_subsolution(gamma, R, d):
         raise ValueError("power_subsolution needs a ball domain")
     beta = 3.0 / (3.0 - gamma)
     center = np.asarray(si["center"], dtype=float)
-    grids = d.grid_coords()
-    rr = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center)))
-    core = SIGMA * (R ** (4.0 / 3.0) - rr ** (4.0 / 3.0)) / beta
-    vals = np.where(rr <= R, np.maximum(core, 0.0) ** beta, 0.0)
-    vals = np.where(d.nonexterior, vals, np.nan)
-    return ScalarField(d, vals)
+
+    def v(pts):
+        rr = np.linalg.norm(pts - center, axis=-1)
+        core = SIGMA * (R ** (4.0 / 3.0) - rr ** (4.0 / 3.0)) / beta
+        return np.where(rr <= R, np.maximum(core, 0.0) ** beta, 0.0)
+    return ScalarField.from_function(d, v)
 
 
 def family_a(gamma):
@@ -384,8 +383,6 @@ def exact_family(gamma, k, d, n=2000):
     profile = build_profile(m, a, 1.0 / np.sqrt(2.0), n=n)
     scale = float(2 * k - 1) ** (4.0 / (gamma - 3.0))
     center = np.asarray(si["center"], dtype=float)
-    grids = d.grid_coords()
-    rr = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, center)))
-    vals = scale * _phi_star(profile, (2 * k - 1) * rr)
-    vals = np.where(d.nonexterior, vals, np.nan)
-    return ScalarField(d, vals), profile
+    u = ScalarField.from_function(d, lambda pts: scale * _phi_star(
+        profile, (2 * k - 1) * np.linalg.norm(pts - center, axis=-1)))
+    return u, profile

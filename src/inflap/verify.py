@@ -149,12 +149,16 @@ def lipschitz_bound(u, x0, alpha, tol_check=1e-6):
     is undetermined when r/3 < 2h (ball too small to test on the grid).
     """
     d = u.domain
-    x0 = tuple(int(i) for i in x0)
-    if not d.interior[x0]:
-        raise ValueError("x0 must be an interior node")
-    p0 = d.coords(x0)
-    bpts = np.argwhere(d.boundary) * d.h + d.origin
-    r = float(np.linalg.norm(bpts - p0, axis=1).min())
+    x0 = np.asarray(x0)
+    if x0.shape != (d.N,) or x0.dtype.kind not in "iu" \
+            or (x0 < 0).any() or (x0 >= d.dims).any() \
+            or not d.interior[tuple(x0)]:
+        raise ValueError("x0 must be the %d integer indices of an interior "
+                         "node" % d.N)
+    idx = np.argwhere(d.nonexterior)
+    pts = d.points(d.nonexterior)
+    p0 = pts[(idx == x0).all(axis=1)][0]
+    r = float(np.linalg.norm(d.points(d.boundary) - p0, axis=1).min())
     diam = 2.0 * d.radii()[0]
     M = u.sup()
     m = u.inf()
@@ -164,8 +168,6 @@ def lipschitz_bound(u, x0, alpha, tol_check=1e-6):
                            status="undetermined",
                            details={"reason": "ball radius below 2h",
                                     "r": r, "k": k})
-    idx = np.argwhere(d.nonexterior)
-    pts = idx * d.h + d.origin
     dist0 = np.linalg.norm(pts - p0, axis=1)
     sel = dist0 <= r / 3.0
     pts, idx = pts[sel], idx[sel]
@@ -199,8 +201,7 @@ def check_harnack(u, h_sup_plus, z, r, tol_check=1e-6):
     z = np.asarray(z, dtype=float)
     if z.shape != (d.N,):
         raise ValueError("z must have %d coordinates" % d.N)
-    grids = d.grid_coords()
-    dist = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, z)))
+    dist = np.linalg.norm(d.points() - z, axis=-1).reshape(d.dims)
     if (dist <= 2.0 * r)[~d.nonexterior].any():
         raise ValueError("ball of radius 2r about z leaves the domain")
     inner = (dist <= 2.0 * r / 3.0) & d.nonexterior

@@ -380,11 +380,69 @@ class TestPerronAndProbe:
          "verify check 'lipschitz': alpha must be of type float"),
         ("verify", {"verify": {"checks": [{"type": "apriori",
                                            "h_range": "x"}]}},
-         "verify check 'apriori': h_range must be of type list of numbers")])
+         "verify check 'apriori': h_range must be of type list of numbers"),
+        ("solve", {"problem": {"domain": BALL, "h": 0.25, "boundary": {}}},
+         "problem.boundary needs exactly one of 'constant' and "
+         "'expression'"),
+        ("solve", {"problem": {"domain": BALL, "h": 0.25, "boundary": {
+            "constant": 0.0, "expression": "x0"}}},
+         "problem.boundary needs exactly one of"),
+        ("solve", {"problem": {"domain": BALL, "h": 0.25,
+                               "boundary": {"constant": [1]}}},
+         "problem.boundary: constant must be of type float"),
+        ("solve", {"problem": {"domain": BALL, "h": 0.25,
+                               "boundary": {"constant": None}}},
+         "problem.boundary: constant must be of type float"),
+        ("solve", {"problem": {"domain": BALL, "h": 0.25,
+                               "boundary": {"expression": 1}}},
+         "problem.boundary: expression must be of type str"),
+        ("solve", {"problem": {"domain": dict(BALL, R=[1]), "h": 0.25}},
+         "problem.domain: R must be of type float"),
+        ("solve", {"problem": {"domain": dict(BALL, center=None),
+                               "h": 0.25}},
+         "problem.domain: center must be of type list of numbers"),
+        ("solve", {"problem": {"domain": {"kind": "box", "lo": [0, 0],
+                                          "hi": 1}, "h": 0.25}},
+         "problem.domain: lo and hi must be of type list of numbers"),
+        ("solve", {"problem": {"domain": {"kind": "mask", "path": 5}}},
+         "problem.domain: path must be of type str"),
+        ("solve", {"problem": {"domain": {"center": [0, 0], "R": 0.5},
+                               "h": 0.25}},
+         "problem.domain needs 'kind'"),
+        ("solve", {"problem": {"domain": BALL, "h": 0.25, "rhs": 5}},
+         "problem: rhs must be of type str"),
+        ("solve", {"problem": {"domain": BALL, "h": 0.25, "rhs": None}},
+         "problem: rhs must be of type str"),
+        ("solve", {"problem": {"domain": BALL, "h": 0.25,
+                               "rhs_coefs": [1]}},
+         "problem: rhs_coefs must be of type dict"),
+        ("solve", {"problem": {"domain": BALL, "h": 0.25,
+                               "rhs": "(coef a)", "rhs_coefs": {"a": "x"}}},
+         "problem.rhs_coefs: a must be of type float"),
+        ("solve", {"problem": {"domain": BALL, "h": 0.25,
+                               "rhs_sign": "positive"}},
+         "sign must be 'nonneg', 'nonpos', or 'mixed'"),
+        ("solve", {"problem": {"domain": BALL, "h": 0.25,
+                               "rhs_monotone": 1}},
+         "problem: rhs_monotone must be of type str"),
+        ("perron", {"perron": {"sub": {"constant": [1]}}},
+         "perron.sub: constant must be of type float"),
+        ("verify", {"verify": {"checks": [{"type": "lipschitz", "x0": 5}]}},
+         "verify check 'lipschitz': x0 must be of type list of numbers"),
+        ("verify", {"verify": {"checks": [{"type": "lipschitz",
+                                           "x0": [100, 100]}]}},
+         "x0 must be the 2 integer indices of an interior node"),
+        ("verify", {"verify": {"checks": [{"type": "lipschitz",
+                                           "x0": [4]}]}},
+         "x0 must be the 2 integer indices of an interior node"),
+        ("verify", {"verify": {"checks": [{"type": "lipschitz",
+                                           "x0": [2.0, 2.0]}]}},
+         "x0 must be the 2 integer indices of an interior node")])
     def test_wrong_typed_value_exit_one(self, tmp_path, capsys, action,
                                         section, where):
-        # each of these ended in a TypeError, AttributeError or IndexError
-        # traceback
+        # each of these ended in a TypeError, AttributeError, KeyError or
+        # IndexError traceback, or (a null centre, a numeric mask path,
+        # an unknown rhs_sign) in a misleading error or none
         cfg = dict({"problem": {"domain": BALL, "h": 0.25,
                                 "rhs": "(const 1)"}}, **section)
         code, out = _run(tmp_path, action, cfg)
@@ -392,6 +450,21 @@ class TestPerronAndProbe:
         err = capsys.readouterr().err
         assert err.startswith("inflap: error:") and where in err
         assert not (out / "report.json").exists()
+
+    def test_typed_problem_keys_accepted(self, tmp_path):
+        # integers stand for floats, and a number coefficient for the
+        # constant it names; the field is that of the literal rhs
+        cfg = {"problem": {"domain": {"kind": "ball", "center": [0, 0],
+                                      "R": 1}, "h": 0.25,
+                           "rhs": "(coef a)", "rhs_coefs": {"a": -1},
+                           "rhs_sign": "nonpos", "rhs_monotone": "none",
+                           "boundary": {"constant": 1}}}
+        assert _run(tmp_path, "solve", cfg)[0] == 0
+        coef = (tmp_path / "out" / "field.csv").read_bytes()
+        cfg["problem"].update(rhs="(const -1)", rhs_coefs=None,
+                              rhs_sign=None, rhs_monotone=None)
+        assert _run(tmp_path, "solve", cfg)[0] == 0
+        assert (tmp_path / "out" / "field.csv").read_bytes() == coef
 
     def test_apriori_h_range_one_home(self, tmp_path):
         # the verify check and the criteria report take one default range

@@ -165,6 +165,13 @@ class TestRhsSpec:
         with pytest.raises(ValueError):
             RhsSpec("t", monotone_in_t=True)
 
+    def test_sign_value_checked(self):
+        # an unknown sign used to be accepted and check nothing
+        with pytest.raises(ValueError, match="'nonneg', 'nonpos', or "
+                                             "'mixed'"):
+            RhsSpec("(exp t)", sign="positive")
+        RhsSpec("t", sign="mixed")
+
     def test_rhs_range_exact(self):
         f = RhsSpec("(neg (exp t))")
         lo, hi = rhs_range(f, (0.0, 3.0))
@@ -218,6 +225,112 @@ class TestRhsRangeCoefficients:
         f = RhsSpec("(add (coef a) t)", coefs={"a": np.zeros((3, 3))})
         with pytest.raises(ValueError, match="shape mismatch"):
             f.coef_grid(ball2d)
+
+
+# an off-centre ball in each dimension and a box, none with an origin on
+# the lattice of multiples of h
+_DOMAINS = [
+    ({"kind": "ball", "center": [0.1], "R": 1.0}, 1.0 / 64),
+    ({"kind": "box", "lo": [-0.3, 0.2], "hi": [0.7, 1.1]}, 1.0 / 16),
+    ({"kind": "ball", "center": [0.1, -0.2], "R": 1.0}, 1.0 / 16),
+    ({"kind": "ball", "center": [0.1, -0.2, 0.05], "R": 1.0}, 1.0 / 6)]
+
+
+def _grid_points(d, nodes):
+    """Coordinates of the selected nodes from `grid_coords`, as
+    `from_function`, `coef_grid` and `rhs_range` took them before
+    `GridDomain.points`."""
+    return np.stack([g[nodes] for g in d.grid_coords()], axis=-1)
+
+
+def _wavy(p):
+    """A coordinate function that every last bit of p shows in."""
+    return np.sin(7.0 * p[:, 0]) * np.exp(p.sum(axis=1)) + p[:, -1] ** 3
+
+
+def _rhs_range_frozen(f, interval, domain=None):
+    """`rhs_range` before `GridDomain.points`, kept as reference."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if f._separable is not None:
+        xp, tp = f._separable
+        glo, ghi = _t_range(tp, {}, lo, hi)
+        alo, ahi = 1.0, 1.0
+        for cf in xp:
+            vals = f.coefs[cf[1]]
+            if callable(vals):
+                grids = domain.grid_coords()
+                ne = domain.nonexterior
+                pts = np.stack([g[ne] for g in grids], axis=-1)
+                arr = np.asarray(vals(pts), float)
+            elif np.isscalar(vals):
+                arr = np.asarray([vals], float)
+            else:
+                arr = np.asarray(vals, float)
+                if domain is not None and arr.shape == domain.dims:
+                    arr = arr[domain.nonexterior]
+                arr = arr[np.isfinite(arr)]
+            prods = [alo * arr.min(), alo * arr.max(),
+                     ahi * arr.min(), ahi * arr.max()]
+            alo, ahi = min(prods), max(prods)
+        prods = [alo * glo, alo * ghi, ahi * glo, ahi * ghi]
+        return min(prods), max(prods)
+    t = np.linspace(lo, hi, 513)
+    if domain is not None and f.depends_on_x():
+        best_lo, best_hi = np.inf, -np.inf
+        for tv in t:
+            y = f.eval_grid(domain, tv)[domain.nonexterior]
+            best_lo = min(best_lo, float(y.min()))
+            best_hi = max(best_hi, float(y.max()))
+        return best_lo, best_hi
+    y = _eval_tree(f.tree, {}, t)
+    return float(np.min(y)), float(np.max(y))
+
+
+@pytest.mark.parametrize("spec, h", _DOMAINS)
+class TestPointsFrozen:
+    """`GridDomain.points` and its callers against the coordinates of
+    `grid_coords`, byte for byte."""
+
+    def test_points_are_grid_coords(self, spec, h):
+        d = build_domain(spec, h)
+        every = np.ones(d.dims, dtype=bool)
+        for nodes in (d.nonexterior, d.boundary, d.interior, every):
+            pts = d.points(nodes)
+            assert pts.shape == (np.count_nonzero(nodes), d.N)
+            assert pts.tobytes() == _grid_points(d, nodes).tobytes()
+        assert d.points().tobytes() == _grid_points(d, every).tobytes()
+
+    def test_from_function(self, spec, h):
+        d = build_domain(spec, h)
+        for cls, nodes in ((ScalarField, d.nonexterior),
+                           (BoundaryTrace, d.boundary)):
+            ref = np.full(d.dims, np.nan)
+            ref[nodes] = _wavy(_grid_points(d, nodes))
+            got = cls.from_function(d, _wavy).values
+            assert got.tobytes() == ref.tobytes()
+
+    def test_coef_grid(self, spec, h):
+        d = build_domain(spec, h)
+        every = np.ones(d.dims, dtype=bool)
+        f = RhsSpec("(mul (coef a) t)", coefs={"a": _wavy})
+        ref = _wavy(_grid_points(d, every)).reshape(d.dims)
+        assert f.coef_grid(d)["a"].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("expr", [
+        "(mul (coef a) (exp t))", "(add (mul (coef a) t) (cospow 2))",
+        "(clip (add (coef a) (pow t 3)) 4)"])
+    def test_rhs_range(self, spec, h, expr):
+        # the product is separable; the sum and the clip are sampled
+        d = build_domain(spec, h)
+        grid = np.where(d.nonexterior, _wavy(_grid_points(
+            d, np.ones(d.dims, dtype=bool))).reshape(d.dims), 1e6)
+        # a declared sign is probed on the domain's coefficient values
+        for coef, sign, interval in [
+                (_wavy, None, (-3.0, 7.0)), (_wavy, "mixed", (0.25, 0.25)),
+                (grid, None, (-3.0, 7.0)), (-1.5, None, (-1.0, 0.5))]:
+            f = RhsSpec(expr, coefs={"a": coef}, sign=sign)
+            assert repr(rhs_range(f, interval, d)) \
+                == repr(_rhs_range_frozen(f, interval, d))
 
 
 def _t_range_reference(trees, lo, hi, n=4097):

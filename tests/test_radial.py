@@ -20,7 +20,7 @@ from inflap import (
     zeta,
     zeta_bounds,
 )
-from inflap.radial import RadialProfile, _H_table
+from inflap.radial import RadialProfile, _H_table, _phi_star
 
 
 class TestMonotoneRhs1D:
@@ -252,3 +252,66 @@ class TestBarrierFields:
                           "hi": [1.0, 1.0]}, 1.0 / 8)
         with pytest.raises(ValueError):
             power_subsolution(1.0, 1.0, d)
+
+
+# off-centre balls in 1-D, 2-D and 3-D
+_BALLS = [({"kind": "ball", "center": [0.1], "R": 1.0}, 1.0 / 64),
+          ({"kind": "ball", "center": [0.1, -0.2], "R": 1.0}, 1.0 / 16),
+          ({"kind": "ball", "center": [0.1, -0.2, 0.05], "R": 1.0}, 1.0 / 6)]
+
+
+def _grid_distance(d, z):
+    """|x - z| on every node, as the fields took it from `grid_coords`."""
+    return np.sqrt(sum((g - c) ** 2 for g, c in zip(d.grid_coords(), z)))
+
+
+def _cone_frozen(d, C, z, dshift, orientation):
+    core = SIGMA * _grid_distance(d, z) ** (4.0 / 3.0)
+    vals = C * (core + dshift) if orientation == "sub" \
+        else C * (dshift - core)
+    return np.where(d.nonexterior, vals, np.nan)
+
+
+def _power_frozen(gamma, R, d):
+    beta = 3.0 / (3.0 - gamma)
+    rr = _grid_distance(d, d.shape_info["center"])
+    core = SIGMA * (R ** (4.0 / 3.0) - rr ** (4.0 / 3.0)) / beta
+    vals = np.where(rr <= R, np.maximum(core, 0.0) ** beta, 0.0)
+    return np.where(d.nonexterior, vals, np.nan)
+
+
+def _family_frozen(gamma, k, d, n):
+    a = family_a(gamma)
+    m = MonotoneRhs1D("(pow t %.17g)" % gamma, 0.0)
+    profile = build_profile(m, a, 1.0 / np.sqrt(2.0), n=n)
+    scale = float(2 * k - 1) ** (4.0 / (gamma - 3.0))
+    rr = _grid_distance(d, d.shape_info["center"])
+    vals = scale * _phi_star(profile, (2 * k - 1) * rr)
+    return np.where(d.nonexterior, vals, np.nan)
+
+
+@pytest.mark.parametrize("spec, h", _BALLS)
+class TestFieldsFrozen:
+    """The fields built through `ScalarField.from_function` against frozen
+    copies of their grid-wide evaluation, byte for byte."""
+
+    def test_cone_field(self, spec, h):
+        d = build_domain(spec, h)
+        z = np.array([0.3, -0.05, 0.2][:d.N])
+        for orientation in ("sub", "super"):
+            u = cone_field(d, 1.3, z, 0.7, orientation)
+            assert u.values.tobytes() \
+                == _cone_frozen(d, 1.3, z, 0.7, orientation).tobytes()
+
+    def test_power_subsolution(self, spec, h):
+        d = build_domain(spec, h)
+        for gamma, R in ((1.0, 1.0), (2.5, 0.6)):
+            assert power_subsolution(gamma, R, d).values.tobytes() \
+                == _power_frozen(gamma, R, d).tobytes()
+
+    def test_exact_family(self, spec, h):
+        d = build_domain(spec, h)
+        for k in (1, 2, 3):
+            u, _ = exact_family(7.0, k, d, n=500)
+            assert u.values.tobytes() \
+                == _family_frozen(7.0, k, d, 500).tobytes()

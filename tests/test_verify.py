@@ -17,7 +17,8 @@ from inflap import (
     lipschitz_bound,
     solve_dirichlet,
 )
-from inflap.verify import _zero_levels
+from inflap import SIGMA, build_domain
+from inflap.verify import _result, _zero_levels
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,17 @@ class TestLipschitz:
         assert res.status == "undetermined"
 
 
+    @pytest.mark.parametrize("x0", [5, (100, 100), (-1, 16), (4,),
+                                    (16, 16, 16), (16.0, 16.0), "center"])
+    def test_x0_checked(self, ball2d, x0):
+        # these ended in TypeError, IndexError or numpy's "truth value of
+        # an array is ambiguous"; a negative index wrapped around
+        u = ScalarField.constant(ball2d, 0.0)
+        with pytest.raises(ValueError, match="x0 must be the 2 integer "
+                                             "indices of an interior node"):
+            lipschitz_bound(u, x0, alpha=0.0)
+
+
 class TestHarnack:
     def test_constant_field_identity(self, ball2d):
         # for u == c > 0 and h == 0 the margin is exactly 8c
@@ -185,3 +197,79 @@ class TestApriori:
         d = check_apriori(u, (-1.0, 1.0)).to_dict()
         assert d["name"] == "apriori"
         assert d["passed"] is True
+
+
+# off-centre balls in 1-D, 2-D and 3-D, fine enough that the Lipschitz
+# ball about the centre node is at least 2h wide
+_BALLS = [({"kind": "ball", "center": [0.1], "R": 1.0}, 1.0 / 64),
+          ({"kind": "ball", "center": [0.1, -0.2], "R": 1.0}, 1.0 / 16),
+          ({"kind": "ball", "center": [0.1, -0.2, 0.05], "R": 1.0}, 1.0 / 8)]
+
+
+def _lipschitz_frozen(u, x0, alpha, tol_check):
+    """`lipschitz_bound` before `GridDomain.points`, kept as reference."""
+    d = u.domain
+    x0 = tuple(int(i) for i in x0)
+    p0 = d.origin + d.h * np.asarray(x0, dtype=float)
+    bpts = np.argwhere(d.boundary) * d.h + d.origin
+    r = float(np.linalg.norm(bpts - p0, axis=1).min())
+    diam = 2.0 * d.radii()[0]
+    k = 2.0 * (u.sup() - u.inf()) / r + 1.0 + abs(alpha) * diam
+    idx = np.argwhere(d.nonexterior)
+    pts = idx * d.h + d.origin
+    sel = np.linalg.norm(pts - p0, axis=1) <= r / 3.0
+    pts, idx = pts[sel], idx[sel]
+    vals = u.values[tuple(idx.T)]
+    dmat = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    slack = k * dmat - np.abs(vals[:, None] - vals[None, :])
+    np.fill_diagonal(slack, np.inf)
+    i, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
+    witness = [[int(t) for t in idx[i]], [int(t) for t in idx[j]]]
+    return _result("lipschitz", float(slack[i, j]), tol_check, witness,
+                   {"k": k, "r": r})
+
+
+def _harnack_frozen(u, h_sup_plus, z, r, tol_check):
+    """`check_harnack` before `GridDomain.points`, kept as reference."""
+    d = u.domain
+    grids = d.grid_coords()
+    dist = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, z)))
+    assert not (dist <= 2.0 * r)[~d.nonexterior].any()
+    inner = (dist <= 2.0 * r / 3.0) & d.nonexterior
+    bvals = u.values[inner]
+    margin = (9.0 * float(bvals.min())
+              + 12.0 * SIGMA * (r ** 4 * h_sup_plus) ** (1.0 / 3.0)
+              - float(bvals.max()))
+    i = int(np.argmax(bvals))
+    witness = [int(k) for k in np.argwhere(inner)[i]]
+    return _result("harnack", margin, tol_check, witness,
+                   {"r": r, "h_sup_plus": h_sup_plus})
+
+
+@pytest.mark.parametrize("spec, h", _BALLS)
+class TestCheckersFrozen:
+    """Checkers that measure distances, against frozen copies: the same
+    margin, witness and details to the last bit."""
+
+    @staticmethod
+    def _field(d):
+        vals = np.full(d.dims, np.nan)
+        vals[d.nonexterior] = np.random.default_rng(d.N).uniform(
+            0.0, 2.0, np.count_nonzero(d.nonexterior))
+        return ScalarField(d, vals)
+
+    def test_lipschitz_bound(self, spec, h):
+        d = build_domain(spec, h)
+        u = self._field(d)
+        x0 = tuple(n // 2 for n in d.dims)
+        res = lipschitz_bound(u, x0, 0.5, 1e-6)
+        assert res.status != "undetermined"
+        assert repr(res) == repr(_lipschitz_frozen(u, x0, 0.5, 1e-6))
+
+    def test_check_harnack(self, spec, h):
+        d = build_domain(spec, h)
+        u = self._field(d)
+        z = np.array(spec["center"]) + [0.05, -0.03, 0.02][:d.N]
+        for hs, r in ((0.0, 0.3), (2.0, 0.41)):
+            assert repr(check_harnack(u, hs, z, r, 1e-6)) \
+                == repr(_harnack_frozen(u, hs, z, r, 1e-6))
