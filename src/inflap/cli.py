@@ -37,6 +37,16 @@ class ConfigError(ValueError):
 # the keys of problem.domain that each kind needs, and their types
 _DOMAIN_KEYS = {"ball": {"center": list, "R": float},
                 "box": {"lo": list, "hi": list}, "mask": {"path": str}}
+# the keys of a cone or power field spec, and their types
+_FIELD_KEYS = {"cone": {"C": float, "z": list, "d": float,
+                        "orientation": str},
+               "power": {"gamma": float, "R": float}}
+# the keys each verify check type reads besides "type"
+_CHECK_KEYS = {"comparison": {"rhs2", "mode"},
+               "monotone-comparison": {"v_constant"},
+               "lipschitz": {"x0", "alpha"},
+               "harnack": {"h_sup_plus", "z", "r"},
+               "apriori": {"h_range"}}
 
 _SECTION_KEYS = {
     "": {"problem", "action", "scheme", "solve", "perron", "radial",
@@ -57,14 +67,30 @@ _SECTION_KEYS = {
 }
 
 
+def _only(spec, where, keys):
+    """The one key check: `spec` is a config object with no key outside
+    `keys`."""
+    if not isinstance(spec, dict):
+        raise ConfigError("%s must be a JSON object" % where)
+    for key in spec:
+        if key not in keys:
+            raise ConfigError("unknown key %r in %s" % (key, where))
+
+
+def _one_of(spec, where, kinds):
+    """The one key of the config object `spec`, which names one of
+    `kinds` (a tuple)."""
+    _only(spec, where, kinds)
+    if len(spec) != 1:
+        raise ConfigError("%s needs exactly one of %s and %r" % (
+            where, ", ".join(map(repr, kinds[:-1])), kinds[-1]))
+    return next(iter(spec))
+
+
 def _check_keys(obj, section):
     """Every section a JSON object, with only its known keys."""
-    where = section or "top level"
-    if not isinstance(obj, dict):
-        raise ConfigError("%s must be a JSON object" % where)
+    _only(obj, section or "top level", _SECTION_KEYS[section])
     for key in obj:
-        if key not in _SECTION_KEYS[section]:
-            raise ConfigError("unknown key %r in %s" % (key, where))
         sub = (section + "." + key) if section else key
         if sub in _SECTION_KEYS:
             _check_keys(obj[key], sub)
@@ -142,7 +168,11 @@ def _build_problem(cfg, h_override):
         raise ConfigError("this action needs a problem section")
     dom, = _need(prob, "problem", domain=dict)
     kind, = _need(dom, "problem.domain", kind=str)
-    _need(dom, "problem.domain", **_DOMAIN_KEYS.get(kind, {}))
+    if kind not in _DOMAIN_KEYS:
+        raise ConfigError("unknown shape kind: %r" % (kind,))
+    _only(dom, "problem.domain of kind %r" % kind,
+          {"kind", *_DOMAIN_KEYS[kind]})
+    _need(dom, "problem.domain", **_DOMAIN_KEYS[kind])
     h = h_override if h_override is not None else prob.get("h")
     if h is None and kind != "mask":
         raise ConfigError("problem needs 'h'")
@@ -160,10 +190,8 @@ def _build_problem(cfg, h_override):
                 monotone_in_t=_get(prob, "problem", "rhs_monotone", str,
                                    None))
     bspec = prob.get("boundary", {"constant": 0.0})
-    if len(bspec) != 1:
-        raise ConfigError("problem.boundary needs exactly one of "
-                          "'constant' and 'expression'")
-    if "constant" in bspec:
+    if _one_of(bspec, "problem.boundary",
+               ("constant", "expression")) == "constant":
         b = BoundaryTrace.constant(d, *_need(bspec, "problem.boundary",
                                              constant=float))
     else:
@@ -230,17 +258,16 @@ def _coord_eval(node, names):
 
 
 def _field_from_spec(spec, d, where):
-    if "constant" in spec:
+    kind = _one_of(spec, where, ("constant", "cone", "power"))
+    if kind == "constant":
         return ScalarField.constant(d, *_need(spec, where, constant=float))
-    if "cone" in spec:
-        return radial.cone_field(d, *_need(
-            spec["cone"], where + ".cone", C=float, z=list, d=float,
-            orientation=str))
-    if "power" in spec:
-        gamma, R = _need(spec["power"], where + ".power", gamma=float,
-                         R=float)
-        return radial.power_subsolution(gamma, R, d)
-    raise ConfigError("unknown field spec in %s" % where)
+    where += "." + kind
+    _only(spec[kind], where, _FIELD_KEYS[kind])
+    args = _need(spec[kind], where, **_FIELD_KEYS[kind])
+    if kind == "cone":
+        return radial.cone_field(d, *args)
+    gamma, R = args
+    return radial.power_subsolution(gamma, R, d)
 
 
 def _fmt(x):
@@ -386,7 +413,10 @@ def _run_verify(cfg, out_dir, h_override):
     results = []
     for chk in cfg.get("verify", {}).get("checks", []):
         kind, = _need(chk, "verify check", type=str)
+        if kind not in _CHECK_KEYS:
+            raise ConfigError("unknown check type: %r" % (kind,))
         where = "verify check %r" % kind
+        _only(chk, where, {"type"} | _CHECK_KEYS[kind])
         if kind == "comparison":
             rhs2, mode = _need(chk, where, rhs2=str, mode=str)
             v, _ = solve_dirichlet(d, RhsSpec(rhs2), b, opts, params)
@@ -403,13 +433,11 @@ def _run_verify(cfg, out_dir, h_override):
         elif kind == "harnack":
             hs, z, r = _need(chk, where, h_sup_plus=float, z=list, r=float)
             res = ver.check_harnack(u, hs, z, r, tol_check)
-        elif kind == "apriori":
+        else:   # apriori
             lo, hi = crit.apriori_range(
                 f, b, d, _get(chk, where, "h_range", list, None))
             box = crit.apriori_box(lo, hi, b, d.out_in_radii()[0])
             res = ver.check_apriori(u, box, tol_check)
-        else:
-            raise ConfigError("unknown check type: %r" % (kind,))
         results.append(res)
     write_report({"action": "verify", "solve": asdict(rep),
                   "checks": [r.to_dict() for r in results]},

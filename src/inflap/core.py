@@ -161,6 +161,9 @@ def build_domain(spec, h):
         raise ValueError("spacing h must be positive")
     if kind == "ball":
         center = np.atleast_1d(np.asarray(spec["center"], dtype=float))
+        if center.ndim != 1 or not center.size:
+            raise ValueError("ball center needs one coordinate per axis, "
+                             "and at least one")
         R = float(spec["R"])
         if R <= 0:
             raise ValueError("ball radius must be positive")
@@ -175,6 +178,9 @@ def build_domain(spec, h):
     elif kind == "box":
         lo = np.atleast_1d(np.asarray(spec["lo"], dtype=float))
         hi = np.atleast_1d(np.asarray(spec["hi"], dtype=float))
+        if lo.ndim != 1 or not lo.size or lo.shape != hi.shape:
+            raise ValueError("box lo and hi need one coordinate per axis "
+                             "each, and at least one")
         if not (hi > lo).all():
             raise ValueError("box needs hi > lo componentwise")
         origin = lo
@@ -798,5 +804,9 @@ def rhs_range(f, interval, domain=None):
         ys = (f.eval_nodes(np.broadcast_to(tv, ne.sum()), coefs) for tv in t)
         ext = np.array([(y.min(), y.max()) for y in ys])
         return float(ext[:, 0].min()), float(ext[:, 1].max())
-    y = _eval_tree(f.tree, {}, t)
+    # scalar coefficients need no domain
+    coefs = {name: f.coefs[name] for name in f.coef_names}
+    if not all(np.isscalar(v) for v in coefs.values()):
+        raise ValueError("coefficient range needs a domain")
+    y = _eval_tree(f.tree, {k: float(v) for k, v in coefs.items()}, t)
     return float(np.min(y)), float(np.max(y))

@@ -58,16 +58,13 @@ from .core import EXTERIOR, ScalarField
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Scheme knobs: stencil width, slope regularizer, stencil mode."""
+    """Scheme knobs: stencil width and stencil mode."""
     w: int = 2
-    delta_reg: float = 1e-10
     refined: bool = False
 
     def __post_init__(self):
         if self.w < 1:
             raise ValueError("stencil width w must be >= 1")
-        if self.delta_reg <= 0:
-            raise ValueError("delta_reg must be positive")
 
 
 @dataclass(frozen=True)

@@ -7,31 +7,34 @@ scale-aware floor: p_floor^2 = (eps * |f|)^(2/3) / (2 sigma), so that a
 flat iterate grows by sigma |f|^(1/3) eps^(4/3) per step, the growth rate
 of the exact cone solution across one stencil arm, instead of exploding.
 For x-only f the update has a closed form; for t-dependent f it is found
-by a bracketed, safeguarded Newton solve (`_local_solve`).  Where the
+by a bracketed, safeguarded Newton solve (`_local_solve`) whose bracket
+starts at the node's own value u0 +- 1, in every sweep order.  Where the
 bracket search finds no sign change (the local blow-up mechanism) the
 update is the bracket edge, which the divergence rule then catches; such
-nodes are counted in `SolveReport.bracket_failures`.
+nodes are counted in `SolveReport.bracket_failures`.  A node at its edge
+widens no other node's bracket, so a blow-up stays local.
 
 A sweep updates its groups in turn (the two colors, or each node in
-lexicographic order), and each update and the residual need the same
-steepest-pair data: one `Stencil.pair_arrays` gather and one
-`scheme._select`.  The groups sit end to end in one gather table, which
-the residual reads whole; the values do not change between the residual
-and the next sweep's first group, so that group takes its slice of the
-residual's data instead of gathering again, and a sweep costs two kernel
-passes instead of three.  For x-only f the slope floor is a table over
-pairs and nodes, worked out once per solve.  The kernel and the local
-update, the implicit one's `_local_solve` too, open no `np.errstate` of
-their own, a few microseconds per call: `solve_dirichlet`,
-`perron_solve` and `local_update` each open one block that ignores
-invalid operations, overflow and division by zero.  Every sweep runs
-in one loop, `_iterate` (sweep, residual, divergence test, tolerance
-test, within a budget): the f == 0 start, the solve, `_newton`'s
-fallback bursts and `perron_solve`, whose ascent and clamped phases are
-the sweep it passes in.  One rule, `_Sweeper.diverged`, also tested
-after each Newton step, ends a run as diverged: a residual that is not
-finite, or max |u| over the non-exterior nodes (the boundary ones too)
-above `alarm_bound`, which must therefore exceed sup|b|.
+lexicographic order; the order chooses nothing else), and each update
+and the residual need the same steepest-pair data: one
+`Stencil.pair_arrays` gather and one `scheme._select`.  The groups sit
+end to end in one gather table, which the residual reads whole; the
+values do not change between the residual and the next sweep's first
+group, so that group takes its slice of the residual's data instead of
+gathering again, and a sweep costs two kernel passes instead of three.
+For x-only f the slope floor is a table over pairs and nodes, worked
+out once per solve.  The kernel and the local update, the implicit
+one's `_local_solve` too, open no `np.errstate` of their own, a few
+microseconds per call: `solve_dirichlet`, `perron_solve` and
+`local_update` each open one block that ignores invalid operations,
+overflow and division by zero.  Every sweep runs in one loop,
+`_iterate` (sweep, residual, divergence test, tolerance test, within a
+budget): the f == 0 start, the solve, `_newton`'s fallback bursts and
+`perron_solve`, whose ascent and clamped phases are the sweep it passes
+in.  One rule, `_Sweeper.diverged`, also tested after each Newton step,
+ends a run as diverged: a residual that is not finite, or max |u| over
+the non-exterior nodes (the boundary ones too) above `alarm_bound`,
+which must therefore exceed sup|b|.
 
 In 1-D with an x-only f there is one direction pair, and the residual
 F = S * p2 - f is piecewise smooth in the values with a tridiagonal
@@ -54,6 +57,8 @@ from .scheme import SchemeParams, Stencil, _pick, _second_diff
 
 # a local-solve step this small relative to 1 + |t| is rounding noise
 _STEP_TOL = 4.0 * np.finfo(float).eps
+# the least squared slope the update divides by, whatever f is
+_DELTA_REG = 1e-10
 # 1-D Newton: tridiagonal solves before the Gauss-Seidel handoff, sweeps
 # after a failed line search, the Armijo constant on ||F||^2 and the
 # shortest step the backtracking tries
@@ -196,7 +201,7 @@ class _Group(NamedTuple):
     """One update group: its gather table and what stays fixed per solve.
 
     For x-only f, fx is f at the group's nodes and floor the (n, K) table
-    of slope floors max((eps_k |f|)^(2/3) / (2 sigma), delta_reg), pairs
+    of slope floors max((eps_k |f|)^(2/3) / (2 sigma), _DELTA_REG), pairs
     minor like the kernel's arrays, from which `_steep` takes the
     steepest pair's entry; for t-dependent f, coefs holds the
     coefficient values at the nodes.
@@ -207,11 +212,11 @@ class _Group(NamedTuple):
     coefs: dict = None
 
 
-def _floor(eps, fx, delta_reg):
-    """Slope floor max(p_floor^2, delta_reg), where p_floor^2 is
+def _floor(eps, fx):
+    """Slope floor max(p_floor^2, _DELTA_REG), where p_floor^2 is
     (eps |f|)^(2/3) / (2 sigma)."""
     return np.maximum((eps * np.abs(fx)) ** (2.0 / 3.0) / (2.0 * SIGMA),
-                      delta_reg)
+                      _DELTA_REG)
 
 
 class _Sweeper:
@@ -223,9 +228,9 @@ class _Sweeper:
     (`_Table.part`, each copied to contiguous indices once per solve), and
     `fp_residual` reads the whole table in one `pair_arrays` pass and
     hands the first group's data on (`full_sweep(values, head)`; see the
-    module docstring).  Implicit solves bracket at the iterate's range
-    +- 1, or in lexicographic order at u0 +- 1, and count failures in
-    both orders.
+    module docstring).  The order chooses the groups and nothing else:
+    the implicit update brackets each node's root at its own value u0 +- 1
+    and counts the nodes where no sign change is found.
     """
 
     def __init__(self, domain, f, stencil, opts):
@@ -236,8 +241,7 @@ class _Sweeper:
         # so a t-dependent f defaults to averaging damping
         self.theta = opts.damping if opts.damping is not None \
             else (0.5 if f.depends_on_t else 1.0)
-        self.sequential = opts.order == "lexicographic"
-        if self.sequential:
+        if opts.order == "lexicographic":
             table = stencil.interior
             cuts = range(table.flat.size + 1)
         else:
@@ -256,8 +260,7 @@ class _Sweeper:
         else:
             fx = f.eval_grid(domain, np.zeros(domain.dims)).take(table.flat)
             eps = np.array([p.eps for p in stencil.pairs])
-            self.all = _Group(table, fx=fx, floor=_floor(
-                eps, fx[:, None], stencil.params.delta_reg))
+            self.all = _Group(table, fx=fx, floor=_floor(eps, fx[:, None]))
         self.groups = [self._part(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
     def _part(self, a, b):
@@ -282,24 +285,19 @@ class _Sweeper:
                                                      grp.tab)
         if self.f.depends_on_t:
             fx = self.f.eval_nodes(u, grp.coefs)
-            floor = _floor(eps_s, fx, self.stencil.params.delta_reg)
+            floor = _floor(eps_s, fx)
         else:
             fx, floor = grp.fx, grp.floor.take(pick)
         return u, apm, cs, eps_s, c0_s, np.maximum(phat ** 2, floor), fx, phat
 
-    def _candidate(self, values, grp, data):
+    def _candidate(self, grp, data):
         """Candidate values at a group's nodes from its `_steep` data."""
         u0, apm, cs, eps_s, c0_s, p2, fx, _ = data
         A = apm - 2.0 * cs
         if not self.f.depends_on_t:
             return (A - eps_s ** 2 * fx / p2) / (2.0 * c0_s)
-        if self.sequential:
-            lo, hi = u0 - 1.0, u0 + 1.0
-        else:
-            vals = values.take(self.ne_flat)
-            lo = np.full(u0.shape, vals.min() - 1.0)
-            hi = np.full(u0.shape, vals.max() + 1.0)
-        t, failed = self._implicit(u0, A, p2, eps_s, c0_s, grp.coefs, lo, hi)
+        t, failed = self._implicit(u0, A, p2, eps_s, c0_s, grp.coefs,
+                                   u0 - 1.0, u0 + 1.0)
         self.bracket_failures += np.count_nonzero(failed)
         return t
 
@@ -380,7 +378,7 @@ class _Sweeper:
         if data is None:
             data = self._steep(values, grp)
         old = data[0]
-        t = self._candidate(values, grp, data)
+        t = self._candidate(grp, data)
         new = old + self.theta * (t - old)
         if only_up:
             new = np.maximum(old, new)
@@ -416,13 +414,12 @@ def local_update(node, u, f, s):
     node = tuple(node)
     if u.domain.mask[node] != 2:
         raise ValueError("local_update needs an interior node")
-    opts = SolveOptions(damping=1.0, order="lexicographic")
-    sw = _Sweeper(u.domain, f, s, opts)
-    # one group per interior node, in grid order
-    grp = sw.groups[int(np.searchsorted(
-        sw.all.tab.flat, np.ravel_multi_index(node, u.domain.dims)))]
+    sw = _Sweeper(u.domain, f, s, SolveOptions())
+    i = int(np.flatnonzero(
+        sw.all.tab.flat == np.ravel_multi_index(node, u.domain.dims))[0])
+    grp = sw._part(i, i + 1)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        t = float(sw._candidate(u.values, grp, sw._steep(u.values, grp))[0])
+        t = float(sw._candidate(grp, sw._steep(u.values, grp))[0])
     if sw.bracket_failures:
         raise ValueError("bracket failure in local update")
     return t

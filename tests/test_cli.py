@@ -437,7 +437,48 @@ class TestPerronAndProbe:
          "x0 must be the 2 integer indices of an interior node"),
         ("verify", {"verify": {"checks": [{"type": "lipschitz",
                                            "x0": [2.0, 2.0]}]}},
-         "x0 must be the 2 integer indices of an interior node")])
+         "x0 must be the 2 integer indices of an interior node"),
+        # keys that the kind, spec or check type does not read, and lists
+        # of the wrong length: these exited 0, but the empty centre (an
+        # AttributeError)
+        ("solve", {"problem": {"domain": dict(BALL, lo=[3]), "h": 0.25}},
+         "unknown key 'lo' in problem.domain of kind 'ball'"),
+        ("solve", {"problem": {"domain": {"kind": "box", "lo": [0, 0],
+                                          "hi": [1, 1], "R": 1},
+                               "h": 0.25}},
+         "unknown key 'R' in problem.domain of kind 'box'"),
+        ("perron", {"perron": {"sub": {"constant": -1.0,
+                                       "power": {"gamma": 1.5, "R": 0.5}}}},
+         "perron.sub needs exactly one of 'constant', 'cone' and 'power'"),
+        ("perron", {"perron": {"sub": {"constant": -1.0},
+                               "super": {"cone": {
+                                   "C": 1.0, "z": [0.0, 0.0], "d": 0.0,
+                                   "orientation": "super", "zz": 1}}}},
+         "unknown key 'zz' in perron.super.cone"),
+        ("perron", {"perron": {"sub": {"power": {"gamma": 1.5, "R": 0.5,
+                                                 "C": 1}}}},
+         "unknown key 'C' in perron.sub.power"),
+        ("verify", {"verify": {"checks": [{"type": "lipschitz",
+                                           "alhpa": 0.5}]}},
+         "unknown key 'alhpa' in verify check 'lipschitz'"),
+        ("verify", {"verify": {"checks": [{"type": "apriori", "r": 0.1}]}},
+         "unknown key 'r' in verify check 'apriori'"),
+        ("solve", {"problem": {"domain": {"kind": "box", "lo": [0],
+                                          "hi": [1, 1]}, "h": 0.25}},
+         "box lo and hi need one coordinate per axis each"),
+        ("solve", {"problem": {"domain": dict(BALL, center=[]), "h": 0.25}},
+         "ball center needs one coordinate per axis"),
+        # these exited 1 already, with another message or from later code
+        ("solve", {"problem": {"domain": {"kind": "box", "lo": [], "hi": []},
+                               "h": 0.25}},
+         "box lo and hi need one coordinate per axis each"),
+        ("perron", {"perron": {"sub": {}}},
+         "perron.sub needs exactly one of"),
+        ("solve", {"problem": {"domain": {"kind": "disc", "R": 1},
+                               "h": 0.25}},
+         "unknown shape kind: 'disc'"),
+        ("verify", {"verify": {"checks": [{"type": "holder"}]}},
+         "unknown check type: 'holder'")])
     def test_wrong_typed_value_exit_one(self, tmp_path, capsys, action,
                                         section, where):
         # each of these ended in a TypeError, AttributeError, KeyError or

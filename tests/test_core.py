@@ -41,6 +41,18 @@ class TestDomains:
         with pytest.raises(ValueError):
             build_domain({"kind": "pentagon"}, 0.1)
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "ball", "center": [], "R": 1.0},
+        {"kind": "ball", "center": [[0.0, 0.0]], "R": 1.0},
+        {"kind": "box", "lo": [0.0], "hi": [1.0, 1.0]},
+        {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0]},
+        {"kind": "box", "lo": [], "hi": []}])
+    def test_list_lengths_checked(self, spec):
+        # an empty centre ended in an AttributeError, and a box with more
+        # upper than lower bounds built a box in fewer dimensions
+        with pytest.raises(ValueError, match="one coordinate per axis"):
+            build_domain(spec, 0.25)
+
     def test_isolated_interior_rejected(self):
         mask = np.zeros((5, 5), dtype=np.int8)
         mask[2, 2] = INTERIOR
@@ -220,6 +232,20 @@ class TestRhsRangeCoefficients:
         f = RhsSpec("(mul (coef a) (exp t))", coefs={"a": lambda p: p[:, 0]})
         with pytest.raises(ValueError, match="needs a domain"):
             rhs_range(f, (0.0, 1.0))
+
+    def test_non_separable_without_domain(self, ball2d):
+        # a scalar coefficient needs no domain (this raised KeyError);
+        # any other kind does, in the sampled branch as in the separable
+        f = RhsSpec("(add (coef a) (exp t))", coefs={"a": 2.0})
+        lo, hi = rhs_range(f, (0, 1))
+        assert (lo, hi) == rhs_range(f, (0, 1), ball2d)
+        assert (lo, hi) == rhs_range(RhsSpec("(add (const 2) (exp t))"),
+                                     (0, 1))
+        for kind in ("grid", "callable"):
+            f = RhsSpec("(add (coef a) (exp t))",
+                        coefs={"a": _coef_kinds(ball2d)[kind]})
+            with pytest.raises(ValueError, match="needs a domain"):
+                rhs_range(f, (0, 1))
 
     def test_grid_coefficient_shape_checked(self, ball2d):
         f = RhsSpec("(add (coef a) t)", coefs={"a": np.zeros((3, 3))})

@@ -412,6 +412,36 @@ class TestLocalSolve:
             local_update(node, ScalarField.constant(d, 0.0), f,
                          Stencil(d, SchemeParams()))
 
+    def test_blow_up_stays_local(self, monkeypatch):
+        # f = -300 e^t on the unit ball: some nodes find no sign change
+        # and take their bracket edge (~1e18), but each node brackets at
+        # its own value +- 1, so the next half-sweep still solves where
+        # the local equation has its root (a bracket at the iterate's
+        # range +- 1 failed at every node there)
+        counts = []
+        half_sweep = _Sweeper.half_sweep
+
+        def counted(self, values, grp, *args, **kwargs):
+            before = self.bracket_failures
+            clipped = half_sweep(self, values, grp, *args, **kwargs)
+            if self.f.depends_on_t:
+                counts.append((self.bracket_failures - before,
+                               grp.tab.flat.size))
+            return clipped
+
+        monkeypatch.setattr(_Sweeper, "half_sweep", counted)
+        d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 1.0},
+                         1 / 16)
+        _, rep = solve_dirichlet(d, RhsSpec("(mul (const -300) (exp t))"),
+                                 BoundaryTrace.constant(d, 0.0),
+                                 SolveOptions(max_sweeps=4))
+        assert len(counts) == 8
+        first = next(i for i, (k, _) in enumerate(counts) if k)
+        assert counts[first][0] < counts[first][1]
+        nxt, size = counts[first + 1]
+        assert 0 < nxt < size
+        assert rep.bracket_failures == sum(k for k, _ in counts)
+
 
 class TestSeedValues:
     """Implicit local updates agree with the earlier fixed 60 + 100-step

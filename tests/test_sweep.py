@@ -150,9 +150,13 @@ def _ref_g(f, coefs, A, p2, eps2, c0_s):
     return g
 
 
-def _p2(phat, eps, fx, delta_reg):
+# the solver's least squared slope, frozen
+_DELTA_REG = 1e-10
+
+
+def _p2(phat, eps, fx):
     floor = (eps * np.abs(fx)) ** (2.0 / 3.0) / (2.0 * SIGMA)
-    return np.maximum(np.maximum(phat ** 2, floor), delta_reg)
+    return np.maximum(np.maximum(phat ** 2, floor), _DELTA_REG)
 
 
 class _RefSweeper:
@@ -162,8 +166,7 @@ class _RefSweeper:
         self.d, self.f, self.st = d, f, st
         self.theta = opts.damping if opts.damping is not None \
             else (0.5 if f.depends_on_t else 1.0)
-        self.seq = opts.order == "lexicographic"
-        if self.seq:
+        if opts.order == "lexicographic":
             self.tables = [st.gather(tuple(i))
                            for i in np.argwhere(d.interior)]
         else:
@@ -175,27 +178,22 @@ class _RefSweeper:
         self.coefs = f.coef_grid(d)
 
     def candidate(self, values, tab):
-        f, delta = self.f, self.st.params.delta_reg
+        f = self.f
         arm_p, arm_m, c0, csum, eps = _ref_pair_arrays(self.st, values, tab)
         k, pick, phat = _ref_select(arm_p, arm_m, eps)
         A = arm_p.take(pick) + arm_m.take(pick) - 2.0 * csum.take(pick)
         eps_s, c0_s = eps[k], c0[k]
         if not f.depends_on_t:
             fx = self.fx0.take(tab.flat)
-            p2 = _p2(phat, eps_s, fx, delta)
+            p2 = _p2(phat, eps_s, fx)
             return (A - eps_s ** 2 * fx / p2) / (2.0 * c0_s)
         u0 = values.take(tab.flat)
         coefs = {n: v.take(tab.flat) if np.ndim(v) else v
                  for n, v in self.coefs.items()}
-        if self.seq:
-            lo, hi = u0 - 1.0, u0 + 1.0
-        else:
-            vals = values[self.d.nonexterior]
-            lo = np.full(u0.shape, vals.min() - 1.0)
-            hi = np.full(u0.shape, vals.max() + 1.0)
-        p2 = _p2(phat, eps_s, f.eval_nodes(u0, coefs), delta)
+        p2 = _p2(phat, eps_s, f.eval_nodes(u0, coefs))
         g = _ref_g(f, coefs, A, p2, eps_s ** 2, c0_s)
-        t, failed = _ref_local_solve(g, lo, hi, u0)
+        # every node brackets at its own value +- 1, in either order
+        t, failed = _ref_local_solve(g, u0 - 1.0, u0 + 1.0, u0)
         self.failures += int(failed.sum())
         return t
 
@@ -205,7 +203,7 @@ class _RefSweeper:
             fx = self.f.eval_grid(self.d, values) if self.f.depends_on_t \
                 else self.fx0
         fx = fx.take(self.st.interior.flat)
-        p2 = _p2(phat, eps_s, fx, self.st.params.delta_reg)
+        p2 = _p2(phat, eps_s, fx)
         return float(np.abs(S * p2 - fx).max())
 
     def sweep(self, values, only_up=False, cap=None):
@@ -475,9 +473,9 @@ FAMILIES = [("(neg (exp t))", False, False),
 def test_implicit_update_matches_frozen_solve(small_ball8, expr, coef,
                                               at_zero):
     # the implicit update against the frozen solve on g built as before,
-    # with seeded random nodes; brackets as in red-black order (the
-    # range +- 1), lexicographic order (u0 +- 1) and narrow ones that
-    # must widen
+    # with seeded random nodes; brackets at the range of u0 +- 1, at
+    # each node's own u0 +- 1 (the update's) and narrow ones that must
+    # widen
     f = _rhs(expr)
     sw = _Sweeper(small_ball8, f, Stencil(small_ball8, SchemeParams()),
                   SolveOptions())
