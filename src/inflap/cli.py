@@ -404,6 +404,10 @@ def _run_criteria(cfg, out_dir, h_override):
 
 
 def _run_verify(cfg, out_dir, h_override):
+    checks = cfg.get("verify", {}).get("checks", [])
+    if not (isinstance(checks, list)
+            and all(isinstance(chk, dict) for chk in checks)):
+        raise ConfigError("verify.checks must be a list of JSON objects")
     d, f, b = _build_problem(cfg, h_override)
     opts = _options(SolveOptions, cfg, "solve")
     params = _options(SchemeParams, cfg, "scheme")
@@ -411,7 +415,7 @@ def _run_verify(cfg, out_dir, h_override):
     write_field(u, os.path.join(out_dir, "field.csv"))
     tol_check = 10.0 * opts.tol_for(b) + d.h
     results = []
-    for chk in cfg.get("verify", {}).get("checks", []):
+    for chk in checks:
         kind, = _need(chk, "verify check", type=str)
         if kind not in _CHECK_KEYS:
             raise ConfigError("unknown check type: %r" % (kind,))

@@ -474,6 +474,10 @@ class RhsSpec:
     depends_on_t : bool
         Whether the tree has a t, pow, exp or cospow node.  The solver
         takes the closed-form local update when it is False.
+    bound : float
+        An upper bound on |f| from the tree alone (`_bound`; inf when
+        there is none).  Where it is at most SATURATE, `eval_nodes` has
+        nothing to clamp and skips the test.
     """
 
     def __init__(self, expression, coefs=None, sign=None, monotone_in_t=None):
@@ -492,6 +496,7 @@ class RhsSpec:
         self.depends_on_t = any(n[0] in ("t", "pow", "exp", "cospow")
                                 for n in _nodes(self.tree))
         self._separable = _split_separable(self.tree)
+        self.bound = _bound(self.tree)
         for name in sorted(self.coef_names):
             if name not in self.coefs:
                 raise ValueError("missing coefficient samples for %r" % name)
@@ -605,16 +610,18 @@ class RhsSpec:
         Returns
         -------
         f, or the pair (f, df/dt).  Values beyond +/-1e300 are clamped,
-        and df/dt is 0 where f is clamped.
+        and df/dt is 0 where f is clamped.  A tree whose `bound` is at
+        most SATURATE cannot get there, and the clamp test is skipped.
         """
         out = _eval_tree(self.tree, coefs, np.asarray(t, dtype=float), dt)
         y, dy = out if dt else (out, None)
         y = np.asarray(y, dtype=float)
-        big = np.abs(y) > SATURATE
-        if np.count_nonzero(big):
-            y = np.clip(y, -SATURATE, SATURATE)
-            if dt:
-                dy = np.where(big, 0.0, dy)
+        if not self.bound <= SATURATE:      # NaN: no bound either
+            big = np.abs(y) > SATURATE
+            if np.count_nonzero(big):
+                y = np.clip(y, -SATURATE, SATURATE)
+                if dt:
+                    dy = np.where(big, 0.0, dy)
         return (y, dy) if dt else y
 
 
@@ -676,6 +683,36 @@ def _eval_tree(tree, combo, t, dt=False):
         # flat (derivative 0) where clipped
         return (yc, np.where(np.abs(y) <= C, dy, 0.0)) if dt else yc
     raise ValueError("bad tree node %r" % (op,))
+
+
+def _bound(tree):
+    """An upper bound on |f| over every x and t, from the tree alone.
+
+    exp is capped at SATURATE, const is |c|, neg passes its child's
+    bound on and clip caps it at C (a negative C clips everything to
+    +-C), cospow with 0 <= g < 996 is at most 2^g (below SATURATE), add
+    sums its children's bounds and mul multiplies them; t, coef and pow
+    have none (inf), nor has a product of inf and 0 (NaN).  Rounding is
+    monotone, so the sums and products of the evaluation stay within the
+    same sums and products of the bounds.
+    """
+    op = tree[0]
+    if op == "exp":
+        return SATURATE
+    if op == "const":
+        return abs(tree[1])
+    if op == "cospow":
+        return 2.0 ** tree[1] if 0 <= tree[1] < 996 else math.inf
+    if op == "neg":
+        return _bound(tree[1])
+    if op == "clip":
+        C = tree[2]
+        return min(_bound(tree[1]), C) if C >= 0 else -C
+    if op == "add":
+        return sum(_bound(c) for c in tree[1])
+    if op == "mul":
+        return math.prod(_bound(c) for c in tree[1])
+    return math.inf
 
 
 def eval_rhs(f, x, t):

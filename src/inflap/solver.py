@@ -8,7 +8,9 @@ flat iterate grows by sigma |f|^(1/3) eps^(4/3) per step, the growth rate
 of the exact cone solution across one stencil arm, instead of exploding.
 For x-only f the update has a closed form; for t-dependent f it is found
 by a bracketed, safeguarded Newton solve (`_local_solve`) whose bracket
-starts at the node's own value u0 +- 1, in every sweep order.  Where the
+starts at the node's own value u0 +- 1, in every sweep order.  Newton
+starts at u0 too, where `_Sweeper._steep` has evaluated f and df/dt in
+one tree walk, so its first step takes g and g' from them.  Where the
 bracket search finds no sign change (the local blow-up mechanism) the
 update is the bracket edge, which the divergence rule then catches; such
 nodes are counted in `SolveReport.bracket_failures`.  A node at its edge
@@ -124,28 +126,34 @@ def _at(coefs, flat):
     return {k: v.take(flat) if np.ndim(v) else v for k, v in coefs.items()}
 
 
-def _local_solve(g, lo, hi, t0):
+def _local_solve(g, lo, hi, t0, first=None):
     """Safeguarded Newton solve of g(t) = 0, one equation per node.
 
     `g(t)` gives g on the node array t and `g(t, dt=True)` the pair
     (g, dg/dt).  The bracket [lo, hi] is first widened, by doubling
     steps, until g(lo) <= 0 <= g(hi) (at most 60 widenings).  Newton then
-    starts from t0 clipped into the bracket.  Each step shrinks the
-    bracket by the sign of g, and a step that leaves the bracket (its
-    ends count as inside), is not finite or comes from a slope that is
-    not finite becomes a bisection step.  A step shorter than the
-    rounding level h = 4 eps (1 + |t|) is lengthened to h, so that near
-    a root the bracket closes; a node stops, at the step from its last
-    point, once g vanishes there or the bracket is at most 2 h wide, and
-    after at most 100 steps.  A node where no sign change was found
+    starts from t0 clipped into the bracket.  `first`, when given, is
+    the pair g(t0, dt=True) the caller already has, and the first step
+    uses it instead of evaluating g there again; t0 must then lie in
+    [lo, hi], so that the clip leaves it as it is (widening only moves
+    the ends outward).  Each step shrinks the bracket by the sign of g,
+    and a step that leaves the bracket (its ends count as inside), is
+    not finite or comes from a slope that is not finite becomes a
+    bisection step.  A step shorter than the rounding level
+    h = 4 eps (1 + |t|) is lengthened to h, so that near a root the
+    bracket closes; a node stops, at the step from its last point, once
+    g vanishes there or the bracket is at most 2 h wide, and after at
+    most 100 steps.  A node where no sign change was found
     (f outgrowing the linear term, the local blow-up mechanism) returns
     the bracket edge on the side where g has the wrong sign, hi first.
 
     The arrays hold a few dozen nodes, so the number of numpy calls per
-    step sets the cost, not the arithmetic: each test is one mask, and
-    the bisection and the lengthened steps are built only in a step where
-    some node needs them.  Opens no `np.errstate`: the caller ignores
-    invalid operations, overflow and division by zero.
+    step sets the cost, not the arithmetic: each test is one mask, the
+    bisection and the lengthened steps are built only in a step where
+    some node needs them, the edges only where some node failed, and the
+    selection of the live nodes' steps only once some node has stopped.
+    Opens no `np.errstate`: the caller ignores invalid operations,
+    overflow and division by zero.
 
     Returns
     -------
@@ -158,18 +166,21 @@ def _local_solve(g, lo, hi, t0):
         bad_lo = g(lo) > 0
         bad_hi = g(hi) < 0
         failed = bad_lo | bad_hi
-        if k == 60 or not count(failed):
+        n_failed = count(failed)
+        if k == 60 or not n_failed:
             break
         span *= 2.0
         lo = np.where(bad_lo, lo - span, lo)
         hi = np.where(bad_hi, hi + span, hi)
-    edge = np.where(bad_hi, hi, lo)
+    edge = np.where(bad_hi, hi, lo) if n_failed else None
     t = np.minimum(np.maximum(t0, lo), hi)
     live = ~failed
     for _ in range(100):
-        if not count(live):
+        n_live = count(live)
+        if not n_live:
             break
-        gt, dg = g(t, dt=True)
+        gt, dg = g(t, dt=True) if first is None else first
+        first = None
         up = gt > 0.0
         hi = np.where(up, t, hi)
         lo = np.where(up, lo, t)
@@ -192,9 +203,9 @@ def _local_solve(g, lo, hi, t0):
         short = (np.abs(tn - t) < h) & go_on
         if count(short):
             tn = np.where(short, np.where(up, t - h, t + h), tn)
-        t = np.where(live, tn, t)
+        t = tn if n_live == live.size else np.where(live, tn, t)
         live &= go_on
-    return np.where(failed, edge, t), failed
+    return (np.where(failed, edge, t) if n_failed else t), failed
 
 
 class _Group(NamedTuple):
@@ -230,10 +241,12 @@ class _Sweeper:
     hands the first group's data on (`full_sweep(values, head)`; see the
     module docstring).  The order chooses the groups and nothing else:
     the implicit update brackets each node's root at its own value u0 +- 1
-    and counts the nodes where no sign change is found.
+    and counts the nodes where no sign change is found.  Given `node`, one
+    node's index tuple, the table is that node's alone (`local_update`),
+    and the floor and the coefficients are taken there only.
     """
 
-    def __init__(self, domain, f, stencil, opts):
+    def __init__(self, domain, f, stencil, opts, node=None):
         self.f = f
         self.stencil = stencil
         # undamped colored sweeps can enter a period-2 cycle when f
@@ -241,7 +254,10 @@ class _Sweeper:
         # so a t-dependent f defaults to averaging damping
         self.theta = opts.damping if opts.damping is not None \
             else (0.5 if f.depends_on_t else 1.0)
-        if opts.order == "lexicographic":
+        if node is not None:
+            table = stencil.gather(node)
+            cuts = (0, 1)
+        elif opts.order == "lexicographic":
             table = stencil.interior
             cuts = range(table.flat.size + 1)
         else:
@@ -274,54 +290,62 @@ class _Sweeper:
     def _steep(self, values, grp):
         """Steepest-pair data at a group's nodes, in its order.
 
-        Returns the tuple (u, apm, cs, eps, c0, p2, fx, phat) of node
-        arrays: the values, the sum of the two arm values and the
+        Returns the tuple (u, apm, cs, eps, c0, p2, fx, phat, dfx) of
+        node arrays: the values, the sum of the two arm values and the
         correction sum (the scalar 0.0 without correction slots) along the
         pair `scheme._select` picks, its arm length and center weight, the
-        floored squared slope, f at the values and the signed centered
-        slope.
+        floored squared slope, f at the values, the signed centered slope
+        and df/dt at the values (the scalar 0.0 for x-only f).  A
+        t-dependent f is evaluated with its derivative, in one tree walk
+        that gives the same f; the implicit update starts from the pair.
         """
         u, apm, cs, eps_s, c0_s, pick, phat = _pick(self.stencil, values,
                                                      grp.tab)
         if self.f.depends_on_t:
-            fx = self.f.eval_nodes(u, grp.coefs)
+            fx, dfx = self.f.eval_nodes(u, grp.coefs, dt=True)
             floor = _floor(eps_s, fx)
         else:
-            fx, floor = grp.fx, grp.floor.take(pick)
-        return u, apm, cs, eps_s, c0_s, np.maximum(phat ** 2, floor), fx, phat
+            fx, dfx, floor = grp.fx, 0.0, grp.floor.take(pick)
+        return (u, apm, cs, eps_s, c0_s, np.maximum(phat ** 2, floor), fx,
+                phat, dfx)
 
     def _candidate(self, grp, data):
         """Candidate values at a group's nodes from its `_steep` data."""
-        u0, apm, cs, eps_s, c0_s, p2, fx, _ = data
+        u0, apm, cs, eps_s, c0_s, p2, fx, _, dfx = data
         A = apm - 2.0 * cs
         if not self.f.depends_on_t:
             return (A - eps_s ** 2 * fx / p2) / (2.0 * c0_s)
         t, failed = self._implicit(u0, A, p2, eps_s, c0_s, grp.coefs,
-                                   u0 - 1.0, u0 + 1.0)
+                                   u0 - 1.0, u0 + 1.0, (fx, dfx))
         self.bracket_failures += np.count_nonzero(failed)
         return t
 
-    def _implicit(self, u0, A, p2, eps_s, c0_s, coefs, lo, hi):
+    def _implicit(self, u0, A, p2, eps_s, c0_s, coefs, lo, hi, f0=None):
         """Implicit local update at a set of nodes (1-D arrays).
 
         Solves 2 c0 t - A + eps^2 f(x, t) / p2 = 0 by `_local_solve`
         from the bracket [lo, hi], warm-started at the current values u0,
         with the gradient floor in p2 frozen at the incoming value; at a
         Gauss-Seidel fixed point the frozen floor equals the current one,
-        so fp_residual vanishes there.  Returns (t, failed) as
-        `_local_solve` does.
+        so fp_residual vanishes there.  `f0`, the pair (f, df/dt) at u0
+        that `_steep` found (u0 inside [lo, hi]), makes the first Newton
+        step's g and g' without a second evaluation of f.  Returns
+        (t, failed) as `_local_solve` does.
         """
         f = self.f
         eps2 = eps_s ** 2
         c2 = 2.0 * c0_s
 
+        def pair(t, ft, dft):
+            return c2 * t - A + eps2 * ft / p2, c2 + eps2 * dft / p2
+
         def g(t, dt=False):
             if not dt:
                 return c2 * t - A + eps2 * f.eval_nodes(t, coefs) / p2
-            ft, dft = f.eval_nodes(t, coefs, dt=True)
-            return c2 * t - A + eps2 * ft / p2, c2 + eps2 * dft / p2
+            return pair(t, *f.eval_nodes(t, coefs, dt=True))
 
-        return _local_solve(g, lo, hi, u0)
+        first = None if f0 is None else pair(u0, *f0)
+        return _local_solve(g, lo, hi, u0, first)
 
     def fp_residual(self, values):
         """Sup-norm of the regularized residual S * phat2_eff - f.
@@ -335,7 +359,7 @@ class _Sweeper:
         first update group, for the next `full_sweep` on these values.
         """
         data = self._steep(values, self.all)
-        u, apm, cs, eps_s, c0_s, p2, fx, _ = data
+        u, apm, cs, eps_s, c0_s, p2, fx, _, _ = data
         F = _second_diff(u, apm, cs, eps_s, c0_s) * p2 - fx
         n = self.groups[0].tab.flat.size
         return float(np.abs(F).max()), _rows(data, slice(n))
@@ -360,7 +384,7 @@ class _Sweeper:
 
         Returns (F, ab), ab in the layout of `solve_banded((1, 1), ...)`.
         """
-        u, apm, cs, eps_s, c0_s, p2, fx, phat = _rows(
+        u, apm, cs, eps_s, c0_s, p2, fx, phat, _ = _rows(
             self._steep(values, self.all), order)
         S = _second_diff(u, apm, cs, eps_s, c0_s)
         F = S * p2 - fx
@@ -409,17 +433,15 @@ def local_update(node, u, f, s):
 
     Returns the value t with (u+ - 2t~ + u-) * phat^2 / eps^2 = f(x, t),
     where t~ is t adjusted by the stencil's center correction and phat is
-    frozen from the current iterate.
+    frozen from the current iterate.  Gathers that node alone, and raises
+    ValueError where the bracket search finds no sign change.
     """
     node = tuple(node)
     if u.domain.mask[node] != 2:
         raise ValueError("local_update needs an interior node")
-    sw = _Sweeper(u.domain, f, s, SolveOptions())
-    i = int(np.flatnonzero(
-        sw.all.tab.flat == np.ravel_multi_index(node, u.domain.dims))[0])
-    grp = sw._part(i, i + 1)
+    sw = _Sweeper(u.domain, f, s, SolveOptions(), node=node)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        t = float(sw._candidate(grp, sw._steep(u.values, grp))[0])
+        t = float(sw._candidate(sw.all, sw._steep(u.values, sw.all))[0])
     if sw.bracket_failures:
         raise ValueError("bracket failure in local update")
     return t

@@ -333,6 +333,20 @@ class TestPerronAndProbe:
         assert where in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("checks", [5, "apriori", None,
+                                        {"type": "apriori"}, [5],
+                                        [{"type": "apriori"}, "lipschitz"]])
+    def test_checks_not_a_list_of_objects_exit_one(self, tmp_path, capsys,
+                                                   checks):
+        # a number here ended in a TypeError traceback
+        cfg = {"problem": {"domain": BALL, "h": 0.25, "rhs": "(const 1)"},
+               "verify": {"checks": checks}}
+        code, out = _run(tmp_path, "verify", cfg)
+        assert code == 1
+        assert "inflap: error: verify.checks must be a list of JSON " \
+            "objects" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("section, where", [
         ({"solve": {"max_sweeps": "x"}}, "solve.max_sweeps"),
         ({"solve": {"max_sweeps": 5.5}}, "solve.max_sweeps"),

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from inflap import (BOUNDARY, EXTERIOR, INTERIOR, BoundaryTrace, GridDomain,
                     RhsSpec, ScalarField, build_domain, eval_rhs, load_mask,
                     rhs_range, save_mask)
-from inflap.core import _eval_tree, _split_separable, _t_grid, _t_range
+from inflap.core import (SATURATE, _eval_tree, _split_separable, _t_grid,
+                         _t_range)
 
 
 class TestDomains:
@@ -511,3 +512,71 @@ class TestRhsDerivative:
         np.testing.assert_array_equal(dy, [0.0, 0.0, 3.0, 3.0, 0.0, 0.0])
         np.testing.assert_allclose(dy, _central_difference(f, {}, t),
                                    atol=1e-8)
+
+
+class TestRhsBound:
+    """RhsSpec.bound, the |f| bound that lets eval_nodes skip its clamp."""
+
+    @pytest.mark.parametrize("expr, bound", [
+        ("(exp t)", 1e300),
+        ("(const -2.5)", 2.5),
+        ("(const 0)", 0.0),
+        ("(neg (exp t))", 1e300),
+        ("(neg (const -3))", 3.0),
+        ("(clip (exp t) 1.5)", 1.5),
+        ("(clip (const 0.5) 2)", 0.5),
+        ("(clip t 2)", 2.0),
+        ("(clip (const 0) -5)", 5.0),       # clips everything to -5
+        ("(cospow 2)", 4.0),
+        ("(cospow 0)", 1.0),
+        ("(cospow 995.5)", 2.0 ** 995.5),
+        ("(cospow 996)", np.inf),
+        ("(cospow -0.5)", np.inf),          # infinite where cos t = -1
+        ("(add (const 1) (cospow 3) (neg (const 2)))", 11.0),
+        ("(mul (const -0.5) (exp t) (cospow 2))", 2e300),
+        ("(mul (const 1e-300) (exp t))", 1.0),
+        ("t", np.inf),
+        ("(coef a)", np.inf),
+        ("(pow t 3)", np.inf),
+        ("(pow t 0)", np.inf),
+        ("(add (exp t) t)", np.inf),
+        ("(mul (const 2) (pow t 0.5))", np.inf),
+    ])
+    def test_bound_per_op(self, expr, bound):
+        f = RhsSpec(expr, coefs={"a": 1.0})
+        assert f.bound == bound
+
+    def test_zero_times_unbounded_has_no_bound(self):
+        # inf * 0 is NaN, which is not <= SATURATE: the clamp stays
+        f = RhsSpec("(mul (const 0) t)")
+        assert not f.bound <= SATURATE
+
+    T = np.array([np.inf, -np.inf, np.nan, 700.0, -700.0, 1e308, -1e308,
+                  0.0, -0.0] + [k * np.pi for k in range(-4, 5)])
+
+    @pytest.mark.parametrize("expr", [
+        "(exp t)", "(neg (exp t))", "(clip (exp t) 1.5)", "(cospow 2)",
+        "(cospow 0)", "(add (const 1) (neg (exp t)))",
+        "(mul (const -0.5) (exp t) (cospow 2))", "(clip t -2)",
+        "(mul (coef a) (neg (exp t)))", "t", "(pow t 3)", "(pow t 0.5)",
+        "(cospow -0.5)", "(cospow 1000)", "(mul (const 1e10) (exp t))",
+        "(add (exp t) (exp t))", "(mul (const 0) t)"])
+    def test_skipped_clamp_changes_no_byte(self, expr):
+        # against the clamp applied on every tree: the bytes
+        # of f and df/dt at infinities, NaN, the exp cap, overflow, signed
+        # zeros and the multiples of pi where cospow has its extrema
+        f = RhsSpec(expr, coefs={"a": 2.0})
+        coefs = {"a": np.linspace(0.5, 3.0, self.T.size)}
+        with np.errstate(all="ignore"):
+            y, dy = _eval_tree(f.tree, coefs, self.T, True)
+            y = np.asarray(y, dtype=float)
+            big = np.abs(y) > SATURATE
+            if np.count_nonzero(big):
+                y = np.clip(y, -SATURATE, SATURATE)
+                dy = np.where(big, 0.0, dy)
+            got = f.eval_nodes(self.T, coefs, dt=True)
+            assert f.eval_nodes(self.T, coefs).tobytes() == y.tobytes()
+        assert got[0].tobytes() == y.tobytes()
+        assert np.asarray(got[1]).tobytes() == np.asarray(dy).tobytes()
+        if f.bound <= SATURATE:
+            assert not big.any()

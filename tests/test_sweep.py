@@ -540,3 +540,72 @@ def test_local_solve_matches_frozen_solve(g, lo, hi, t0):
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         got = _local_solve(g, *args)
     _same_bits(got, _ref_local_solve(g, *args))
+
+
+def _recorded(g):
+    """g, and the log of its calls: (dt, bytes of t) in call order."""
+    log = []
+
+    def rec(t, dt=False):
+        log.append((dt, np.asarray(t).tobytes()))
+        return g(t, dt)
+    return rec, log
+
+
+def _first_round_matches(g, lo, hi, t0):
+    # given g(t0, dt=True), the solve must return the reference's bits
+    # and evaluate g exactly where the reference does, less the
+    # reference's first evaluation with dg/dt, which is at t0 (t0 lies
+    # in the bracket, so the clip leaves it as it is)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        first = g(t0, dt=True)
+        g_ref, ref_log = _recorded(g)
+        want = _ref_local_solve(g_ref, lo, hi, t0)
+        g_new, new_log = _recorded(g)
+        got = _local_solve(g_new, lo, hi, t0, first)
+    _same_bits(got, want)
+    k = next((i for i, (dt, _) in enumerate(ref_log) if dt), None)
+    if k is None:
+        assert new_log == ref_log
+        return 0
+    assert ref_log[k] == (True, t0.tobytes())
+    assert new_log == ref_log[:k] + ref_log[k + 1:]
+    return 1
+
+
+@pytest.mark.parametrize("expr, coef, at_zero", FAMILIES)
+def test_first_round_reuses_f_at_u0(small_ball8, expr, coef, at_zero):
+    f = _rhs(expr)
+    sw = _Sweeper(small_ball8, f, Stencil(small_ball8, SchemeParams()),
+                  SolveOptions())
+    rng = np.random.default_rng(sum(map(ord, expr)) + 1)
+    saved = 0
+    for trial in range(24):
+        n = int(rng.integers(1, 90))
+        u0 = np.zeros(n) if at_zero else rng.uniform(-1.0, 1.0, n)
+        A = rng.uniform(-3.0, 3.0, n)
+        c0 = rng.uniform(0.5, 2.0, n)
+        eps = rng.uniform(1 / 32, 1 / 4, n)
+        p2 = 10.0 ** rng.uniform(-6.0, 1.0, n)
+        coefs = {"a": rng.uniform(0.5, 2.0, n)} if coef else {}
+        lo, hi = [(u0 - 1.0, u0 + 1.0), (u0 - 1e-3, u0 + 1e-3)][trial % 2]
+        g = _ref_g(f, coefs, A, p2, eps ** 2, c0)
+        saved += _first_round_matches(g, lo, hi, u0)
+        # the update's own path: f and df/dt at u0 as `_steep` has them
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            f0 = f.eval_nodes(u0, coefs, dt=True)
+            got = sw._implicit(u0, A, p2, eps, c0, coefs, lo, hi, f0)
+        _same_bits(got, _ref_local_solve(g, lo, hi, u0))
+    assert saved > 0
+
+
+@pytest.mark.parametrize("g, lo, hi, t0", [
+    (_cycle, [-3.0], [3.0], [0.0]),
+    (_cycle, [0.5], [3.0], [1.0]),
+    (_sqrt, [-1.0, -0.5], [1.0, 2.0], [0.0, 0.0]),
+    (_line, [-1.0, 0.375, 2.0], [1.0, 1.0, 3.0], [0.0, 0.375, 2.5]),
+    (_edges, [-1.0] * 3, [1.0] * 3, [0.0] * 3),
+    (_edges, [-1.0] * 3, [1.0] * 3, [-1.0, 1.0, 1.0])])
+def test_first_round_reuses_g_at_t0(g, lo, hi, t0):
+    args = [np.array(a) for a in (lo, hi, t0)]
+    assert _first_round_matches(g, *args) == 1
