@@ -6,15 +6,19 @@ along the currently steepest pair.  Division by phat^2 is guarded by a
 scale-aware floor: p_floor^2 = (eps * |f|)^(2/3) / (2 sigma), so that a
 flat iterate grows by sigma |f|^(1/3) eps^(4/3) per step, the growth rate
 of the exact cone solution across one stencil arm, instead of exploding.
-For x-only f the update has a closed form; for t-dependent f it is found
-by a bracketed, safeguarded Newton solve (`_local_solve`) whose bracket
-starts at the node's own value u0 +- 1, in every sweep order.  Newton
-starts at u0 too, where `_Sweeper._steep` has evaluated f and df/dt in
-one tree walk, so its first step takes g and g' from them.  Where the
-bracket search finds no sign change (the local blow-up mechanism) the
-update is the bracket edge, which the divergence rule then catches; such
-nodes are counted in `SolveReport.bracket_failures`.  A node at its edge
-widens no other node's bracket, so a blow-up stays local.
+For x-only f the update has a closed form; for t-dependent f it is one
+safeguarded Newton step (`_local_solve` with one round) from the node's
+own value u0, inside a bracket that starts at u0 +- 1, in every sweep
+order.  The step takes g and g' from the f and df/dt at u0 that
+`_Sweeper._steep` has evaluated in one tree walk, and it is zero exactly
+where g(u0) = 0, so the sweeps have the fixed points of sweeps that solve
+each node to its root (one-step SOR-Newton, Ortega and Rheinboldt 1970,
+sections 7.4 and 10.3) while they evaluate f only for the bracket checks;
+`local_update` solves its one node to the root.  Where the bracket
+search finds no sign change (the local blow-up mechanism) the update is
+the bracket edge, which the divergence rule then catches; such nodes are
+counted in `SolveReport.bracket_failures`.  A node at its edge widens no
+other node's bracket, so a blow-up stays local.
 
 A sweep updates its groups in turn (the two colors, or each node in
 lexicographic order; the order chooses nothing else), and each update
@@ -59,6 +63,9 @@ from .scheme import SchemeParams, Stencil, _pick, _second_diff
 
 # a local-solve step this small relative to 1 + |t| is rounding noise
 _STEP_TOL = 4.0 * np.finfo(float).eps
+# the most Newton steps of a local solve to the root (`local_update`);
+# a sweep takes one step per node
+_ROOT_ROUNDS = 100
 # the least squared slope the update divides by, whatever f is
 _DELTA_REG = 1e-10
 # 1-D Newton: tridiagonal solves before the Gauss-Seidel handoff, sweeps
@@ -126,7 +133,7 @@ def _at(coefs, flat):
     return {k: v.take(flat) if np.ndim(v) else v for k, v in coefs.items()}
 
 
-def _local_solve(g, lo, hi, t0, first=None):
+def _local_solve(g, lo, hi, t0, first=None, rounds=_ROOT_ROUNDS):
     """Safeguarded Newton solve of g(t) = 0, one equation per node.
 
     `g(t)` gives g on the node array t and `g(t, dt=True)` the pair
@@ -139,13 +146,18 @@ def _local_solve(g, lo, hi, t0, first=None):
     the ends outward).  Each step shrinks the bracket by the sign of g,
     and a step that leaves the bracket (its ends count as inside), is
     not finite or comes from a slope that is not finite becomes a
-    bisection step.  A step shorter than the rounding level
-    h = 4 eps (1 + |t|) is lengthened to h, so that near a root the
-    bracket closes; a node stops, at the step from its last point, once
-    g vanishes there or the bracket is at most 2 h wide, and after at
-    most 100 steps.  A node where no sign change was found
-    (f outgrowing the linear term, the local blow-up mechanism) returns
-    the bracket edge on the side where g has the wrong sign, hi first.
+    bisection step.  A node stops, at the step from its last point, once
+    g vanishes there or the bracket is at most 2 h wide, h = 4 eps
+    (1 + |t|) the rounding level, and after at most `rounds` steps.  A
+    step shorter than h is lengthened to h, so that near a root the
+    bracket closes, except in the last round: the lengthened step only
+    serves the next round's stop test.  So `rounds=1` (the sweeps'
+    update) is one safeguarded Newton step from t0: the Newton point
+    when it is finite and inside the bracket, else the bisection
+    midpoint, and t0 itself where g(t0) = 0.  A node where no sign change
+    was found (f outgrowing the linear term, the local blow-up
+    mechanism) returns the bracket edge on the side where g has the
+    wrong sign, hi first.
 
     The arrays hold a few dozen nodes, so the number of numpy calls per
     step sets the cost, not the arithmetic: each test is one mask, the
@@ -157,7 +169,8 @@ def _local_solve(g, lo, hi, t0, first=None):
 
     Returns
     -------
-    (t, failed) : ndarray roots and the mask of nodes without sign change
+    (t, failed) : ndarray roots (or steps) and the mask of nodes without
+    sign change
     """
     count = np.count_nonzero
     span = 1.0
@@ -175,7 +188,7 @@ def _local_solve(g, lo, hi, t0, first=None):
     edge = np.where(bad_hi, hi, lo) if n_failed else None
     t = np.minimum(np.maximum(t0, lo), hi)
     live = ~failed
-    for _ in range(100):
+    for k in range(rounds - 1, -1, -1):    # k rounds follow this one
         n_live = count(live)
         if not n_live:
             break
@@ -194,17 +207,19 @@ def _local_solve(g, lo, hi, t0, first=None):
             & (np.isfinite(dg) | root)
         if count(newton) < newton.size:
             tn = np.where(newton, tn, 0.5 * (lo + hi))
-        h = _STEP_TOL * (1.0 + np.abs(t))
-        go_on = ~(root | (hi - lo <= 2.0 * h))
-        # a step below rounding level is no proof of a root (a huge
-        # slope far from it gives one too): step h toward the root,
-        # which closes the bracket if the root is that near; t is a
-        # bracket end and the other end is over 2 h away
-        short = (np.abs(tn - t) < h) & go_on
-        if count(short):
-            tn = np.where(short, np.where(up, t - h, t + h), tn)
+        if k:
+            h = _STEP_TOL * (1.0 + np.abs(t))
+            go_on = ~(root | (hi - lo <= 2.0 * h))
+            # a step below rounding level is no proof of a root (a huge
+            # slope far from it gives one too): step h toward the root,
+            # which closes the bracket if the root is that near; t is a
+            # bracket end and the other end is over 2 h away
+            short = (np.abs(tn - t) < h) & go_on
+            if count(short):
+                tn = np.where(short, np.where(up, t - h, t + h), tn)
         t = tn if n_live == live.size else np.where(live, tn, t)
-        live &= go_on
+        if k:
+            live &= go_on
     return (np.where(failed, edge, t) if n_failed else t), failed
 
 
@@ -240,10 +255,11 @@ class _Sweeper:
     `fp_residual` reads the whole table in one `pair_arrays` pass and
     hands the first group's data on (`full_sweep(values, head)`; see the
     module docstring).  The order chooses the groups and nothing else:
-    the implicit update brackets each node's root at its own value u0 +- 1
-    and counts the nodes where no sign change is found.  Given `node`, one
-    node's index tuple, the table is that node's alone (`local_update`),
-    and the floor and the coefficients are taken there only.
+    the implicit update brackets each node's root at its own value u0 +- 1,
+    takes one Newton step from u0 and counts the nodes where no sign
+    change is found.  Given `node`, one node's index tuple, the table is
+    that node's alone (`local_update`), the floor and the coefficients
+    are taken there only, and the implicit update is solved to the root.
     """
 
     def __init__(self, domain, f, stencil, opts, node=None):
@@ -268,6 +284,9 @@ class _Sweeper:
                                          for c in zip(*colors)))
             cuts = (0, colors[0][0].size, table.flat.size)
         self.bracket_failures = 0
+        # one Newton step per node and sweep; one node's update
+        # (`local_update`) is solved to the root
+        self.rounds = 1 if node is None else _ROOT_ROUNDS
         self.ne_flat = np.flatnonzero(domain.nonexterior)
         if f.depends_on_t:
             # coefficient values, resolved once per solve
@@ -310,27 +329,33 @@ class _Sweeper:
                 phat, dfx)
 
     def _candidate(self, grp, data):
-        """Candidate values at a group's nodes from its `_steep` data."""
+        """Candidate values at a group's nodes from its `_steep` data: the
+        closed form for x-only f, else `_implicit` with `self.rounds`
+        Newton steps (one in a sweep, to the root for `local_update`)."""
         u0, apm, cs, eps_s, c0_s, p2, fx, _, dfx = data
         A = apm - 2.0 * cs
         if not self.f.depends_on_t:
             return (A - eps_s ** 2 * fx / p2) / (2.0 * c0_s)
         t, failed = self._implicit(u0, A, p2, eps_s, c0_s, grp.coefs,
-                                   u0 - 1.0, u0 + 1.0, (fx, dfx))
-        self.bracket_failures += np.count_nonzero(failed)
+                                   u0 - 1.0, u0 + 1.0, (fx, dfx),
+                                   self.rounds)
+        self.bracket_failures += int(np.count_nonzero(failed))
         return t
 
-    def _implicit(self, u0, A, p2, eps_s, c0_s, coefs, lo, hi, f0=None):
+    def _implicit(self, u0, A, p2, eps_s, c0_s, coefs, lo, hi, f0=None,
+                  rounds=_ROOT_ROUNDS):
         """Implicit local update at a set of nodes (1-D arrays).
 
         Solves 2 c0 t - A + eps^2 f(x, t) / p2 = 0 by `_local_solve`
         from the bracket [lo, hi], warm-started at the current values u0,
         with the gradient floor in p2 frozen at the incoming value; at a
         Gauss-Seidel fixed point the frozen floor equals the current one,
-        so fp_residual vanishes there.  `f0`, the pair (f, df/dt) at u0
-        that `_steep` found (u0 inside [lo, hi]), makes the first Newton
-        step's g and g' without a second evaluation of f.  Returns
-        (t, failed) as `_local_solve` does.
+        so fp_residual vanishes there.  `rounds` caps the Newton steps:
+        the default solves to the root, and a sweep takes one step.
+        `f0`, the pair (f, df/dt) at u0 that `_steep` found (u0 inside
+        [lo, hi]), makes the first Newton step's g and g' without a
+        second evaluation of f.  Returns (t, failed) as `_local_solve`
+        does.
         """
         f = self.f
         eps2 = eps_s ** 2
@@ -345,7 +370,7 @@ class _Sweeper:
             return pair(t, *f.eval_nodes(t, coefs, dt=True))
 
         first = None if f0 is None else pair(u0, *f0)
-        return _local_solve(g, lo, hi, u0, first)
+        return _local_solve(g, lo, hi, u0, first, rounds)
 
     def fp_residual(self, values):
         """Sup-norm of the regularized residual S * phat2_eff - f.
@@ -433,8 +458,9 @@ def local_update(node, u, f, s):
 
     Returns the value t with (u+ - 2t~ + u-) * phat^2 / eps^2 = f(x, t),
     where t~ is t adjusted by the stencil's center correction and phat is
-    frozen from the current iterate.  Gathers that node alone, and raises
-    ValueError where the bracket search finds no sign change.
+    frozen from the current iterate.  Gathers that node alone, solves an
+    implicit update to the root (a sweep takes one Newton step there),
+    and raises ValueError where the bracket search finds no sign change.
     """
     node = tuple(node)
     if u.domain.mask[node] != 2:

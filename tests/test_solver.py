@@ -443,6 +443,116 @@ class TestLocalSolve:
         assert rep.bracket_failures == sum(k for k, _ in counts)
 
 
+class TestOneStepSweeps:
+    """A sweep takes one safeguarded Newton step per node from its value
+    u0, with f and df/dt at u0 from the steepest-pair step."""
+
+    def test_half_sweep_evaluates_no_newton_round(self, monkeypatch,
+                                                  small_ball8):
+        # f once with df/dt in `_steep`, then g(lo) and g(hi) for each
+        # bracket check; the step itself evaluates nothing
+        calls = []
+        eval_nodes = RhsSpec.eval_nodes
+
+        def counted(self, t, coefs, dt=False):
+            calls.append(dt)
+            return eval_nodes(self, t, coefs, dt=dt)
+
+        d = small_ball8
+        b = BoundaryTrace.constant(d, 0.0)
+        f = RhsSpec("(neg (exp t))")
+        u, _ = solve_dirichlet(d, f, b, SolveOptions(max_sweeps=5))
+        sw = _Sweeper(d, f, Stencil(d, SchemeParams()), SolveOptions())
+        monkeypatch.setattr(RhsSpec, "eval_nodes", counted)
+        for grp in sw.groups:
+            calls.clear()
+            sw.half_sweep(u.values, grp)
+            assert calls == [True, False, False]
+
+    def test_step_keeps_a_root(self):
+        # g(u0) = 0 exactly at nodes 0 and 1 (u0 = 0 and -0.0, where
+        # 2 c0 u0 - A + eps^2 f / p2 = 0 + 1 - 1): they return u0 bit for
+        # bit; node 2 (u0 = -0.5) moves
+        d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 0.5},
+                         1.0 / 8)
+        f = RhsSpec("(neg (exp t))")
+        sw = _Sweeper(d, f, Stencil(d, SchemeParams()), SolveOptions())
+        u0 = np.array([0.0, -0.0, -0.5])
+        A, c0 = np.full(3, -1.0), np.ones(3)
+        eps, p2 = np.full(3, 0.25), np.full(3, 0.0625)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            t, failed = sw._implicit(u0, A, p2, eps, c0, {}, u0 - 1.0,
+                                     u0 + 1.0, f.eval_nodes(u0, {}, dt=True),
+                                     rounds=1)
+        assert not failed.any()
+        assert t[:2].tobytes() == u0[:2].tobytes()
+        assert t[2] != u0[2]
+
+    def test_one_step_is_safeguarded(self):
+        # node 0: the Newton point from 0 leaves the bracket [-3, 0] of
+        # t^3 - 2t + 2, so the step is its midpoint; node 1: a line, whose
+        # Newton point is its root; node 2: no sign change, the edge;
+        # node 3: a step far below rounding level is taken as it is (the
+        # lengthened step only serves a next round's stop test)
+        def g(t, dt=False):
+            e = np.exp(np.minimum(t, 700.0))
+            val = np.array([t[0] ** 3 - 2 * t[0] + 2, t[1] - 0.375,
+                            1 + e[2], t[3] - 1e-300])
+            der = np.array([3 * t[0] ** 2 - 2, 1.0, e[2], 1.0])
+            return (val, der) if dt else val
+
+        lo, hi, t0 = np.full(4, -3.0), np.full(4, 3.0), np.zeros(4)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            t, failed = _bare_local_solve(g, lo, hi, t0, g(t0, dt=True),
+                                          rounds=1)
+        assert failed.tolist() == [False, False, True, False]
+        assert t[0] == -1.5 and t[1] == 0.375 and t[3] == 1e-300
+        assert t[2] == -3.0 - (2.0 ** 61 - 2.0)
+
+    def test_dirichlet_and_perron_agree(self, small_ball):
+        from inflap import SIGMA, cone_field
+
+        d = small_ball
+        tol = 1e-8
+        b = BoundaryTrace.constant(d, -0.05)
+        f = RhsSpec("(neg (exp t))", monotone_in_t="nonincreasing")
+        opts = SolveOptions(tol=tol, max_sweeps=5000)
+        u, rep = solve_dirichlet(d, f, b, opts)
+        sub = ScalarField.constant(d, -0.05)
+        cone = cone_field(d, 1.3, [0.0, 0.0], SIGMA * 0.5 ** (4.0 / 3.0),
+                          "super")
+        sup = ScalarField(d, cone.values - 0.05)
+        v, prep = perron_solve(d, f, b, sub, sup, opts)
+        assert rep.status == prep.status == "converged"
+        ne = d.nonexterior
+        assert np.abs(u.values[ne] - v.values[ne]).max() <= 10 * tol
+
+    def test_flat_clip_converges(self):
+        # f = -min(e^t, 1.5) on the unit ball: a solve to the root in
+        # every sweep ran out of 5000 sweeps at residual 0.21; one step
+        # per node converges in 2871
+        d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 1.0},
+                         1.0 / 16)
+        _, rep = solve_dirichlet(d, RhsSpec("(neg (clip (exp t) 1.5))"),
+                                 BoundaryTrace.constant(d, 0.0),
+                                 SolveOptions(max_sweeps=5000))
+        assert rep.status == "converged" and rep.bracket_failures == 0
+
+    @pytest.mark.parametrize("expr", ["(const -1)", "(neg (exp t))"])
+    def test_bracket_failures_is_int(self, small_ball8, expr):
+        # x-only and implicit paths, Dirichlet and Perron
+        d = small_ball8
+        b = BoundaryTrace.constant(d, 0.0)
+        _, rep = solve_dirichlet(d, RhsSpec(expr), b,
+                                 SolveOptions(max_sweeps=3))
+        assert type(rep.bracket_failures) is int
+        _, rep = perron_solve(d, RhsSpec(expr), b,
+                              ScalarField.constant(d, -1.0), None,
+                              SolveOptions(max_sweeps=3))
+        assert type(rep.bracket_failures) is int
+        assert "np." not in repr(rep)
+
+
 class TestSeedValues:
     """Implicit local updates agree with the earlier fixed 60 + 100-step
     bisection to within 1e-12; reference figures recorded from it."""
@@ -456,13 +566,15 @@ class TestSeedValues:
                      -0.0866286944177721, 0.10491971790855228],
                     0.27225042843151753, 11.350520632186777),
     }
+    # sweeps take one Newton step per node: figures recorded from
+    # `tests/test_sweep.py::_ref_dirichlet`
     LEX = {
-        "(neg (exp t))": ([0.08166334240633578, 0.12953382053119653,
-                           0.05098918773187, 0.17473637998308017],
-                          2.9822268215503804, 39.636300822226325),
-        "(exp t)": ([-0.07408031031001085, -0.14493348489171975,
-                     -0.12127837606546205, -0.04464384630240052],
-                    -2.7364624254116015, -28.946155122396473),
+        "(neg (exp t))": ([0.0815125696415684, 0.12909963316265374,
+                           0.05089886347648526, 0.17553183525710825],
+                          2.967068020818888, 39.41885535554104),
+        "(exp t)": ([-0.07393880366576339, -0.13284952956370996,
+                     -0.12114769196105937, -0.04459289244812789],
+                    -2.716139384319727, -28.77631639644542),
     }
 
     @staticmethod
