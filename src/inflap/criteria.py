@@ -304,6 +304,18 @@ def eigen_bracket(a_field, d):
     return float(lam_lower), float(lam_upper)
 
 
+def _default_m(f):
+    """The default h of the nonexistence radius for a t-only f: the radial
+    construction solves Delta_inf u = -h(u) with h >= 0 nondecreasing, so
+    h = -f, which only a nonincreasing f gives.  Any other declared
+    monotonicity raises ValueError with the skip reason."""
+    if f.monotone_in_t != "nonincreasing":
+        raise ValueError("no default m for f declared %r in t: the default "
+                         "m = (neg f) needs a nonincreasing f"
+                         % f.monotone_in_t)
+    return "(neg %s)" % f.expression
+
+
 @dataclass
 class CriteriaReport:
     """The criteria's numbers and verdicts; `asdict` gives the JSON object."""
@@ -331,7 +343,9 @@ class CriteriaReport:
 
         The keywords are the CLI's `criteria` section: the etas of the
         C(eta) table; m, the t-only h behind the nonexistence radius
-        (default f itself when it is t-only and monotone); the (lo, hi)
+        (default (neg f) for a t-only nonincreasing f, see `_default_m`,
+        and none otherwise, with the reason in
+        `nonexistence_radius_skipped`); the (lo, hi)
         range of f for the a priori box (default: see `apriori_range`);
         a_sup, the bound on the cubic coefficient of the smallness test;
         and eigen, whether to also bracket the eigenvalue of the
@@ -356,8 +370,9 @@ class CriteriaReport:
                 % (rep.diam_actual, rep.diam_threshold))
         if m is not None or (not f.depends_on_x() and f.monotone_in_t):
             try:
-                M_f = nonexistence_radius(MonotoneRhs1D(
-                    f.expression if m is None else m, b.ell))
+                if m is None:
+                    m = _default_m(f)
+                M_f = nonexistence_radius(MonotoneRhs1D(m, b.ell))
             except ValueError as e:
                 rep.nonexistence_radius_skipped = str(e)
             else:

@@ -27,24 +27,28 @@ node set into one (J, n, K) table of flat indices into values.ravel(),
 pairs minor, with a NaN slot (the arms of a pair cut off at that node)
 and a 0 slot (padding, and the corrections of a cut-off pair) appended;
 the table also holds what the pick needs at those nodes, the row
-offsets i K and the quotient denominators 2 eps tiled to (n, K).
+offsets i K and the quotient denominators 2 eps tiled to (n, K), and a
+read-only (n, K) array of zeros that starts every correction sum.
 `Stencil.pair_arrays` reads a table in one fancy-index gather, touching
 only the requested nodes, into C-ordered (n, K) arrays, and returns
-them as (K, n) views.  `_select` picks the steepest pair from the
-gathered arms along the contiguous pair axis, and `_pick` (one gather,
-one pick and the picked arms) serves every caller: the solver's local
-update and residual, `inf_lap_field` and `apply_inf_lap`;
-`_second_diff` is the one copy of the second difference S they share.
-A part of a table (`_Table.part`, one update group of the solver) is
-a contiguous copy.
+them as (K, n) views.  `_select` picks the steepest pair from the gathered arms along
+the contiguous pair axis, and `_pick` (one gather, one pick and the
+picked arms, with the pair index k and its flat indices) serves every
+caller: the solver's local update and residual, `inf_lap_field` and
+`apply_inf_lap`.  Each caller reads the per-pair constants it needs at
+k; `_second_diff` is the one copy of the second difference S they
+share.  A part of a table (`_Table.part`, one update group of the
+solver) is a contiguous copy.
 
 What is fixed per stencil is worked out once when it is built: the
 center weights c0, whether every read slot has weight 1 (integer mode,
 where the weight product, exact anyway, is skipped) and whether any
-pair has correction slots (without them the picked correction sum is
-the scalar 0.0).  The kernel opens no `np.errstate`: each solve opens
-one for all its sweeps (see `inflap.solver`), and the public
-`inf_lap_field`, `apply_inf_lap` and `residual_field` open their own.
+pair has correction slots.  Without them the correction sum is the
+table's zeros, the picked one is the scalar 0.0, and every c0 is 1, so
+that `_second_diff` skips the product c0 u.  The kernel opens no
+`np.errstate`: each solve opens one for all its sweeps (see
+`inflap.solver`), and the public `inf_lap_field`, `apply_inf_lap` and
+`residual_field` open their own.
 """
 
 from dataclasses import dataclass
@@ -154,20 +158,24 @@ class _Table:
     indexes values.ravel() with a NaN slot and a 0 slot appended: slot j
     of pair k at node i, in the layout of `Stencil`, pairs minor.  What
     the pick reads besides is fixed per table: rows holds the row offsets
-    i K into an (n, K) array, and eps2 the denominators 2 eps of pair k,
-    tiled to (n, K) so that the quotient is one flat division.
+    i K into an (n, K) array, and two_eps the denominators 2 eps of pair
+    k, tiled to (n, K) so that the quotient is one flat division.  zero
+    is a read-only (n, K) array of zeros, the start of every correction
+    sum, and the correction sum itself when no pair has correction slots.
     """
     flat: np.ndarray     # (n,)
     idx: np.ndarray      # (J, n, K)
     rows: np.ndarray     # (n,)
-    eps2: np.ndarray     # (n, K)
+    two_eps: np.ndarray  # (n, K)
+    zero: np.ndarray     # (n, K), read-only
 
     def part(self, lo, hi):
         """The table of nodes lo..hi-1, its indices copied to a
         contiguous array once (a strided view gathers about 3x slower)."""
         return _Table(self.flat[lo:hi],
                       np.ascontiguousarray(self.idx[:, lo:hi]),
-                      self.rows[:hi - lo], self.eps2[lo:hi])
+                      self.rows[:hi - lo], self.two_eps[lo:hi],
+                      self.zero[lo:hi])
 
 
 class Stencil:
@@ -241,8 +249,10 @@ class Stencil:
         ok = self.avail.reshape(K, -1)[:, flat].T
         idx = np.where(self._used[:, None] & ok, flat[:, None]
                        + self._delta[:, None], self._fill[:, None])
+        zero = np.zeros((flat.size, K))
+        zero.flags.writeable = False
         return _Table(flat, idx, np.arange(flat.size) * K,
-                      np.tile(2.0 * self._eps, (flat.size, 1)))
+                      np.tile(2.0 * self._eps, (flat.size, 1)), zero)
 
     def pair_arrays(self, values, nodes):
         """Arm values and corrected center per pair at a node set.
@@ -257,7 +267,8 @@ class Stencil:
         arm_p, arm_m : (K, n) arrays, NaN where the pair is unavailable
         c0 : (K,) center weight after correction
         csum : (K, n) correction contribution from neighbor values, 0
-            where the pair is unavailable
+            where the pair is unavailable; without correction slots, the
+            table's read-only zeros
         eps : (K,) physical arm lengths
 
         Columns follow the order of the node set (np.nonzero order for a
@@ -276,7 +287,7 @@ class Stencil:
         for j in range(1, P):
             arm_p = arm_p + g[j]
             arm_m = arm_m + g[P + j]
-        csum = np.zeros(arm_p.shape)
+        csum = tab.zero
         for j in range(2 * P, self._J, 2):
             csum = csum + (g[j] + g[j + 1])
         return arm_p.T, arm_m.T, self._c0, csum.T, self._eps
@@ -288,14 +299,16 @@ def _select(arm_p, arm_m, table):
     Takes (n, K) arm arrays, pairs minor, at the nodes of `table`; ties
     go to the lowest k, the lexicographically smallest offset, and an
     unavailable (NaN) pair is never picked over an available one.
+    The quotients divide by the table's `two_eps` in one flat division.
     Returns (k, pick, phat): the pair index per node, the flat indices
     that pick each node's steepest entry out of a C-ordered (n, K) array
-    (`a.take(pick)`, `table.rows + k`), and the steepest centered
-    quotient.  Opens no `np.errstate`: the caller ignores invalid
-    operations (arms that are both infinite).
+    (`a.take(pick)`, `table.rows + k`; the solver's per-group (n, K)
+    tables are read with them too), and the steepest centered quotient.
+    Opens no `np.errstate`: the caller ignores invalid operations (arms
+    that are both infinite).
     """
     dc = arm_p - arm_m
-    dc /= table.eps2
+    dc /= table.two_eps
     # fmax maps NaN to -1, below every |dc|
     mag = np.abs(dc)
     k = np.fmax(mag, -1.0, out=mag).argmax(axis=1)
@@ -306,26 +319,42 @@ def _select(arm_p, arm_m, table):
 def _pick(stencil, values, table):
     """One gather and one pick at the nodes of a table.
 
-    Returns (u, apm, cs, eps, c0, pick, phat): the node values, then
-    along the pair `_select` picks the sum of the two arm values, the
-    correction sum (the scalar 0.0 when no pair has correction slots), the
-    arm length and the center weight (the arguments of `_second_diff`),
-    its flat indices into (n, K) arrays (`table.rows + k`) and the
-    centered slope.
+    Returns (u, apm, cs, k, pick, phat): the node values, then along the
+    pair `_select` picks the sum of the two arm values and the correction
+    sum (the scalar 0.0 when no pair has correction slots), then the pair
+    index, its flat indices into (n, K) arrays (`table.rows + k`) and the
+    centered slope.  The per-pair constants of `_second_diff` are read
+    at k by the caller.
     """
     arm_p, arm_m, _, csum, _ = stencil.pair_arrays(values, table)
     arm_p, arm_m = arm_p.T, arm_m.T
     k, pick, phat = _select(arm_p, arm_m, table)
     cs = csum.T.take(pick) if stencil._corr else 0.0
     return (values.take(table.flat), arm_p.take(pick) + arm_m.take(pick),
-            cs, stencil._eps.take(k), stencil._c0.take(k), pick, phat)
+            cs, k, pick, phat)
 
 
-def _second_diff(u, apm, cs, eps, c0):
+def _second_diff(u, apm, cs, eps_sq, c0):
     """S = (apm - 2 (c0 u + cs)) / eps^2, the corrected second difference
-    along the picked pair.  + cs also when cs is the scalar 0.0: it turns
+    along the picked pair, from its squared arm length eps_sq.  c0 is
+    None where every center weight is 1 (no pair has correction slots):
+    c0 u is then u itself.  + cs also when cs is the scalar 0.0: it turns
     -0.0 into 0.0, as adding a zero correction sum always did."""
-    return (apm - 2.0 * (c0 * u + cs)) / eps ** 2
+    return (apm - 2.0 * ((u if c0 is None else c0 * u) + cs)) / eps_sq
+
+
+def _c0_at(stencil, k):
+    """The center weights of the pairs k, for `_second_diff`: None when
+    every weight is 1."""
+    return stencil._c0.take(k) if stencil._corr else None
+
+
+def _steepest(stencil, values, table):
+    """(S, phat) at the nodes of a table: the second difference along the
+    picked pair and its centered slope."""
+    u, apm, cs, k, _, phat = _pick(stencil, values, table)
+    return _second_diff(u, apm, cs, stencil._eps.take(k) ** 2,
+                        _c0_at(stencil, k)), phat
 
 
 def inf_lap_field(values, stencil):
@@ -335,8 +364,8 @@ def inf_lap_field(values, stencil):
     elsewhere.
     """
     with np.errstate(invalid="ignore"):
-        *data, _, phat = _pick(stencil, values, stencil.interior)
-        lap = _second_diff(*data) * phat ** 2
+        S, phat = _steepest(stencil, values, stencil.interior)
+        lap = S * phat ** 2
     out = np.full(stencil.domain.dims, np.nan)
     out.put(stencil.interior.flat, lap)
     return out
@@ -355,8 +384,8 @@ def apply_inf_lap(u, node, s):
     if u.domain.mask[node] != 2:
         raise ValueError("apply_inf_lap needs an interior node")
     with np.errstate(invalid="ignore"):
-        *data, _, phat = _pick(s, u.values, s.gather(node))
-        return float(_second_diff(*data)[0] * phat[0] ** 2)
+        S, phat = _steepest(s, u.values, s.gather(node))
+        return float(S[0] * phat[0] ** 2)
 
 
 def residual_field(u, f, s):

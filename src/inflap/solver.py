@@ -26,21 +26,29 @@ and the residual need the same steepest-pair data: one
 `Stencil.pair_arrays` gather and one `scheme._select`.  The groups sit
 end to end in one gather table, which the residual reads whole; the
 values do not change between the residual and the next sweep's first
-group, so that group takes its slice of the residual's data instead of
-gathering again, and a sweep costs two kernel passes instead of three.
-For x-only f the slope floor is a table over pairs and nodes, worked
-out once per solve.  The kernel and the local update, the implicit
-one's `_local_solve` too, open no `np.errstate` of their own, a few
-microseconds per call: `solve_dirichlet`, `perron_solve` and
-`local_update` each open one block that ignores invalid operations,
-overflow and division by zero.  Every sweep runs in one loop,
+group, so that group takes the slice of the residual's data that its
+update reads instead of gathering again, and a sweep costs two kernel
+passes instead of three.  What the update and the residual read at the
+picked pair k is worked out once per solve: eps, eps^2, c0 and 2 c0 per
+pair, and for x-only f two tables over nodes and pairs, the slope floor
+and the numerator E = eps_k^2 f_i of the closed form
+(A - E / p2) / (2 c0), so that a sweep only picks their entries: the
+same operations on the same operands as working them out per sweep.
+An undamped update (theta 1) skips the relaxation product, and A is
+apm itself where no pair has correction slots.  The kernel and the
+local update, the implicit one's `_local_solve` too, open no
+`np.errstate` of their own, a few microseconds per call:
+`solve_dirichlet`, `perron_solve` and `local_update` each open one
+block that ignores invalid operations, overflow and division by zero.
+Every sweep runs in one loop,
 `_iterate` (sweep, residual, divergence test, tolerance test, within a
 budget): the f == 0 start, the solve, `_newton`'s fallback bursts and
 `perron_solve`, whose ascent and clamped phases are the sweep it passes
 in.  One rule, `_Sweeper.diverged`, also tested after each Newton step,
 ends a run as diverged: a residual that is not finite, or max |u| over
-the non-exterior nodes (the boundary ones too) above `alarm_bound`,
-which must therefore exceed sup|b|.
+the non-exterior nodes (the boundary ones too) above `alarm_bound`.
+The alarm bounds |u|, so it must exceed sup|b|, and a start (`sub`, or
+`initial_guess`) above it is an error too (`_tol`, `_check_start`).
 
 In 1-D with an x-only f there is one direction pair, and the residual
 F = S * p2 - f is piecewise smooth in the values with a tridiagonal
@@ -59,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SIGMA, RhsSpec, ScalarField
-from .scheme import SchemeParams, Stencil, _pick, _second_diff
+from .scheme import SchemeParams, Stencil, _c0_at, _pick, _second_diff
 
 # a local-solve step this small relative to 1 + |t| is rounding noise
 _STEP_TOL = 4.0 * np.finfo(float).eps
@@ -120,12 +128,6 @@ class SolveReport:
     bracket_failures: int = 0    # local solves that found no sign change
     newton_steps: int = 0        # 1-D Newton steps, the harmonic start's too
     start_sweeps: int = 0        # f == 0 start sweeps that `sweeps` leaves out
-
-
-def _rows(data, ix):
-    """`_Sweeper._steep` data at the nodes `ix` indexes; a scalar (the
-    correction sum without correction slots) stays as it is."""
-    return tuple(a if isinstance(a, float) else a[ix] for a in data)
 
 
 def _at(coefs, flat):
@@ -226,15 +228,17 @@ def _local_solve(g, lo, hi, t0, first=None, rounds=_ROOT_ROUNDS):
 class _Group(NamedTuple):
     """One update group: its gather table and what stays fixed per solve.
 
-    For x-only f, fx is f at the group's nodes and floor the (n, K) table
-    of slope floors max((eps_k |f|)^(2/3) / (2 sigma), _DELTA_REG), pairs
-    minor like the kernel's arrays, from which `_steep` takes the
-    steepest pair's entry; for t-dependent f, coefs holds the
+    For x-only f, fx is f at the group's nodes, floor the (n, K) table of
+    slope floors max((eps_k |f|)^(2/3) / (2 sigma), _DELTA_REG) and E the
+    (n, K) table eps_k^2 f_i of the closed form's numerators, pairs minor
+    like the kernel's arrays, from which `_steep` and `_candidate` take
+    the steepest pair's entries; for t-dependent f, coefs holds the
     coefficient values at the nodes.
     """
     tab: object
     fx: np.ndarray = None
     floor: np.ndarray = None
+    E: np.ndarray = None
     coefs: dict = None
 
 
@@ -253,13 +257,16 @@ class _Sweeper:
     order one group per node, in grid order.  `groups` are its parts
     (`_Table.part`, each copied to contiguous indices once per solve), and
     `fp_residual` reads the whole table in one `pair_arrays` pass and
-    hands the first group's data on (`full_sweep(values, head)`; see the
-    module docstring).  The order chooses the groups and nothing else:
-    the implicit update brackets each node's root at its own value u0 +- 1,
-    takes one Newton step from u0 and counts the nodes where no sign
-    change is found.  Given `node`, one node's index tuple, the table is
-    that node's alone (`local_update`), the floor and the coefficients
-    are taken there only, and the implicit update is solved to the root.
+    hands the first group the data its update reads
+    (`full_sweep(values, head)`; see the module docstring).  The per-pair
+    constants the update and the residual read at the picked pair, eps,
+    eps^2, c0 and 2 c0, are arrays over the pairs, worked out once per
+    solve.  The order chooses the groups and nothing else: the implicit
+    update brackets each node's root at its own value u0 +- 1, takes one
+    Newton step from u0 and counts the nodes where no sign change is
+    found.  Given `node`, one node's index tuple, the table is that
+    node's alone (`local_update`), the floor and the coefficients are
+    taken there only, and the implicit update is solved to the root.
     """
 
     def __init__(self, domain, f, stencil, opts, node=None):
@@ -288,14 +295,17 @@ class _Sweeper:
         # (`local_update`) is solved to the root
         self.rounds = 1 if node is None else _ROOT_ROUNDS
         self.ne_flat = np.flatnonzero(domain.nonexterior)
+        self.eps, self.c0 = stencil._eps, stencil._c0
+        self.eps_sq, self.c2 = self.eps ** 2, 2.0 * self.c0
         if f.depends_on_t:
             # coefficient values, resolved once per solve
             self.all = _Group(table, coefs=_at(f.coef_grid(domain),
                                                table.flat))
         else:
             fx = f.eval_grid(domain, np.zeros(domain.dims)).take(table.flat)
-            eps = np.array([p.eps for p in stencil.pairs])
-            self.all = _Group(table, fx=fx, floor=_floor(eps, fx[:, None]))
+            self.all = _Group(table, fx=fx,
+                              floor=_floor(self.eps, fx[:, None]),
+                              E=self.eps_sq * fx[:, None])
         self.groups = [self._part(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
     def _part(self, a, b):
@@ -304,41 +314,47 @@ class _Sweeper:
         if g.coefs is not None:
             return _Group(g.tab.part(a, b), coefs={
                 k: v[a:b] if np.ndim(v) else v for k, v in g.coefs.items()})
-        return _Group(g.tab.part(a, b), fx=g.fx[a:b], floor=g.floor[a:b])
+        return _Group(g.tab.part(a, b), fx=g.fx[a:b], floor=g.floor[a:b],
+                      E=g.E[a:b])
 
     def _steep(self, values, grp):
         """Steepest-pair data at a group's nodes, in its order.
 
-        Returns the tuple (u, apm, cs, eps, c0, p2, fx, phat, dfx) of
-        node arrays: the values, the sum of the two arm values and the
-        correction sum (the scalar 0.0 without correction slots) along the
-        pair `scheme._select` picks, its arm length and center weight, the
-        floored squared slope, f at the values, the signed centered slope
-        and df/dt at the values (the scalar 0.0 for x-only f).  A
-        t-dependent f is evaluated with its derivative, in one tree walk
-        that gives the same f; the implicit update starts from the pair.
+        Returns the tuple (u, A, k, pick, p2, fx, dfx, apm, cs, phat).
+        The first seven are the update's data (`_candidate`): the values,
+        A = apm - 2 cs (apm itself when cs is the scalar 0.0, which has
+        no correction slots to subtract), the index of the pair
+        `scheme._select` picks and its flat indices into the group's
+        (n, K) tables, the floored squared slope, f at the values and
+        df/dt at the values (the scalar 0.0 for x-only f).  The last three
+        are what the residual and the Newton system read besides: the sum
+        of the two arm values and the correction sum along the pair and
+        the signed centered slope.  A t-dependent f is evaluated with its
+        derivative, in one tree walk that gives the same f; the implicit
+        update starts from the pair.
         """
-        u, apm, cs, eps_s, c0_s, pick, phat = _pick(self.stencil, values,
-                                                     grp.tab)
+        u, apm, cs, k, pick, phat = _pick(self.stencil, values, grp.tab)
         if self.f.depends_on_t:
             fx, dfx = self.f.eval_nodes(u, grp.coefs, dt=True)
-            floor = _floor(eps_s, fx)
+            floor = _floor(self.eps.take(k), fx)
         else:
             fx, dfx, floor = grp.fx, 0.0, grp.floor.take(pick)
-        return (u, apm, cs, eps_s, c0_s, np.maximum(phat ** 2, floor), fx,
-                phat, dfx)
+        A = apm - 2.0 * cs if self.stencil._corr else apm
+        return (u, A, k, pick, np.maximum(phat ** 2, floor), fx, dfx, apm,
+                cs, phat)
 
     def _candidate(self, grp, data):
-        """Candidate values at a group's nodes from its `_steep` data: the
-        closed form for x-only f, else `_implicit` with `self.rounds`
-        Newton steps (one in a sweep, to the root for `local_update`)."""
-        u0, apm, cs, eps_s, c0_s, p2, fx, _, dfx = data
-        A = apm - 2.0 * cs
+        """Candidate values at a group's nodes from the update's data
+        (the first seven entries of `_steep`'s tuple): the closed form
+        (A - E / p2) / (2 c0) for x-only f, from the group's E table and
+        the per-pair 2 c0, else `_implicit` with `self.rounds` Newton
+        steps (one in a sweep, to the root for `local_update`)."""
+        u0, A, k, pick, p2, fx, dfx = data[:7]
         if not self.f.depends_on_t:
-            return (A - eps_s ** 2 * fx / p2) / (2.0 * c0_s)
-        t, failed = self._implicit(u0, A, p2, eps_s, c0_s, grp.coefs,
-                                   u0 - 1.0, u0 + 1.0, (fx, dfx),
-                                   self.rounds)
+            return (A - grp.E.take(pick) / p2) / self.c2.take(k)
+        t, failed = self._implicit(u0, A, p2, self.eps.take(k),
+                                   self.c0.take(k), grp.coefs, u0 - 1.0,
+                                   u0 + 1.0, (fx, dfx), self.rounds)
         self.bracket_failures += int(np.count_nonzero(failed))
         return t
 
@@ -380,14 +396,17 @@ class _Sweeper:
         where the discrete gradient degenerates (e.g. interior extrema,
         where the raw S * phat^2 residual cannot go below |f|).
 
-        Returns (residual, head): head is the steepest-pair data of the
-        first update group, for the next `full_sweep` on these values.
+        Returns (residual, head): head is the update's data at the first
+        update group's nodes, for the next `full_sweep` on these values.
         """
-        data = self._steep(values, self.all)
-        u, apm, cs, eps_s, c0_s, p2, fx, _, _ = data
-        F = _second_diff(u, apm, cs, eps_s, c0_s) * p2 - fx
+        u, A, k, pick, p2, fx, dfx, apm, cs, _ = self._steep(values,
+                                                             self.all)
+        F = _second_diff(u, apm, cs, self.eps_sq.take(k),
+                         _c0_at(self.stencil, k)) * p2 - fx
         n = self.groups[0].tab.flat.size
-        return float(np.abs(F).max()), _rows(data, slice(n))
+        head = (u[:n], A[:n], k[:n], pick[:n], p2[:n], fx[:n],
+                dfx[:n] if self.f.depends_on_t else dfx)
+        return float(np.abs(F, out=F).max()), head
 
     def diverged(self, values, res, alarm):
         """The one divergence rule: the residual is not finite (it is so
@@ -408,27 +427,33 @@ class _Sweeper:
         floor binds; boundary neighbours drop out.
 
         Returns (F, ab), ab in the layout of `solve_banded((1, 1), ...)`.
+        The entries are worked out node by node in table order and only
+        then sorted, which gives the same values.
         """
-        u, apm, cs, eps_s, c0_s, p2, fx, phat, _ = _rows(
-            self._steep(values, self.all), order)
-        S = _second_diff(u, apm, cs, eps_s, c0_s)
-        F = S * p2 - fx
-        arm = p2 / eps_s ** 2
-        slope = np.where(phat ** 2 < p2, 0.0, S * phat / eps_s)
+        u, _, k, _, p2, fx, _, apm, cs, phat = self._steep(values, self.all)
+        eps_sq = self.eps_sq.take(k)
+        S = _second_diff(u, apm, cs, eps_sq, _c0_at(self.stencil, k))
+        arm = p2 / eps_sq
+        slope = np.where(phat ** 2 < p2, 0.0, S * phat / self.eps.take(k))
+        F, arm, slope, diag = ((S * p2 - fx)[order], arm[order],
+                               slope[order],
+                               (-2.0 * self.c0.take(k) * arm)[order])
         ab = np.zeros((3, F.size))
         ab[0, 1:] = np.where(link, (arm + slope)[:-1], 0.0)
-        ab[1] = -2.0 * c0_s * arm
+        ab[1] = diag
         ab[2, :-1] = np.where(link, (arm - slope)[1:], 0.0)
         return F, ab
 
-    def half_sweep(self, values, grp, data=None, only_up=False, cap=None):
-        """Update one group; `data` is its `_steep` data at these values,
-        gathered here when not given."""
-        if data is None:
-            data = self._steep(values, grp)
-        old = data[0]
-        t = self._candidate(grp, data)
-        new = old + self.theta * (t - old)
+    def half_sweep(self, values, grp, head=None, only_up=False, cap=None):
+        """Update one group; `head` is its update data at these values
+        (what `fp_residual` hands on), found here when not given."""
+        if head is None:
+            head = self._steep(values, grp)
+        old = head[0]
+        t = self._candidate(grp, head)
+        # theta 1.0 relaxes nothing: 1.0 * x is x exactly
+        new = old + (t - old) if self.theta == 1.0 \
+            else old + self.theta * (t - old)
         if only_up:
             new = np.maximum(old, new)
         clipped = False
@@ -481,6 +506,19 @@ def _tol(opts, b):
         raise ValueError("alarm_bound %r must exceed sup|b| = %r"
                          % (opts.alarm_bound, top))
     return opts.tol_for(b)
+
+
+def _check_start(sw, vals, alarm, what):
+    """Reject a start beyond the alarm: the alarm bounds |u| (see `_tol`),
+    so such a start would end the run as diverged at its first sweep,
+    whatever the sweeps do.  `vals` is the start as the run sees it, the
+    boundary data in place, and `what` names it in the message."""
+    if alarm is None:
+        return
+    top = float(np.abs(vals.take(sw.ne_flat)).max())
+    if top > alarm:
+        raise ValueError("%s: max |u| = %r over the non-exterior nodes is "
+                         "above alarm_bound %r" % (what, top, alarm))
 
 
 def _iterate(sw, vals, tol, budget, alarm, sweep=None):
@@ -609,6 +647,8 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
                          replace(opts, damping=1.0))
     vals[d.boundary] = b.values[d.boundary]
     sw = _Sweeper(d, f, stencil, opts)
+    if initial_guess is not None:
+        _check_start(sw, vals, opts.alarm_bound, "initial_guess")
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if start is not None:
             if newton:
@@ -660,6 +700,7 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
     vals[bd] = b.values[bd]
     cap = super_.values if super_ is not None else None
     sw = _Sweeper(d, f, stencil, opts)
+    _check_start(sw, vals, opts.alarm_bound, "sub")
     clipped, monotone, ascent = False, True, True
 
     def sweep(vals, head):

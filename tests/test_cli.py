@@ -562,6 +562,19 @@ class TestPerronAndProbe:
         cfg["solve"]["alarm_bound"] = 31.0
         assert _run(tmp_path, action, cfg)[0] == 0
 
+    def test_sub_beyond_alarm_exit_one(self, tmp_path, capsys):
+        # a start above the alarm is a config error, not a run that ends
+        # diverged at its first sweep
+        cfg = {"problem": {"domain": BALL, "h": 0.125, "rhs": "(const -1)",
+                           "boundary": {"constant": 0.0}},
+               "solve": {"alarm_bound": 20.0},
+               "perron": {"sub": {"constant": -25.0}}}
+        code, out = _run(tmp_path, "perron", cfg)
+        assert code == 1
+        assert "sub: max |u| = 25.0 over the non-exterior nodes is above " \
+            "alarm_bound 20.0" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_probe_needs_alarm(self, tmp_path):
         cfg = {"problem": {"domain": BALL, "h": 0.125,
                            "rhs": "(const -1)",
@@ -681,9 +694,10 @@ class TestCriteriaAction:
         assert "has a coefficient" in rep["nonexistence_radius_skipped"]
 
     @pytest.mark.parametrize("m, skipped", [
-        ("(exp t)", None), (None, "h must be nonnegative")])
+        ("(exp t)", None), (None, None)])
     def test_radius_skip_reason(self, tmp_path, m, skipped):
-        # without m the rhs -e^t itself is tried, and it is negative
+        # without m the default is (neg f) = e^t for this nonincreasing f,
+        # the h of the radial construction Delta_inf u = -h(u)
         cfg = {"problem": {"domain": BALL, "h": 0.25,
                            "rhs": "(neg (exp t))",
                            "rhs_monotone": "nonincreasing",
@@ -693,12 +707,30 @@ class TestCriteriaAction:
         code, out = _run(tmp_path, "criteria", cfg)
         assert code == 0
         rep = json.loads((out / "report.json").read_text())["criteria"]
-        if skipped is None:
-            assert rep["nonexistence_radius_skipped"] is None
-            assert 1.179 < float(rep["nonexistence_radius"]) < 1.180
-        else:
-            assert skipped in rep["nonexistence_radius_skipped"]
-            assert rep["nonexistence_radius"] is None
+        assert rep["nonexistence_radius_skipped"] is skipped
+        assert 1.179 < float(rep["nonexistence_radius"]) < 1.180
+
+    @pytest.mark.parametrize("monotone", ["nondecreasing", "none"])
+    def test_radius_default_needs_nonincreasing_f(self, tmp_path, monotone):
+        # f = e^u increases in u, so the comparison principle gives a
+        # solution on any ball: the default m used to be f itself, and
+        # the R = 1.5 ball reported the nonexistence radius as applying
+        cfg = {"problem": {"domain": {"kind": "ball", "center": [0.0, 0.0],
+                                      "R": 1.5},
+                           "h": 0.125, "rhs": "(exp t)",
+                           "rhs_monotone": monotone,
+                           "boundary": {"constant": 0.0}},
+               "criteria": {"eta_list": [1.0]}}
+        code, out = _run(tmp_path, "criteria", cfg)
+        assert code == 0
+        rep = json.loads((out / "report.json").read_text())["criteria"]
+        assert rep["nonexistence_radius"] is None
+        assert "nonexistence-radius" not in {
+            v["theorem"] for v in rep["verdicts"]}
+        reason = rep["nonexistence_radius_skipped"]
+        assert repr(monotone) in reason and "nonincreasing" in reason
+        # the rest of the block stays
+        assert rep["dd3"] is not None
 
 
 class TestVerifyAction:

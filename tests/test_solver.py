@@ -238,6 +238,27 @@ class TestSolveDirichlet:
         _, rep = solve_dirichlet(d, f, b, SolveOptions(alarm_bound=31.0))
         assert rep.status == "converged"
 
+    def test_start_beyond_alarm_is_config_error(self, small_ball8):
+        # the alarm bounds |u|, so a start above it ended a run that
+        # converges without the alarm after its first sweep
+        d = small_ball8
+        b = BoundaryTrace.constant(d, 0.0)
+        f = RhsSpec("(const -1)")
+        start = ScalarField.constant(d, -25.0)
+        opts = SolveOptions(alarm_bound=20.0)
+        with pytest.raises(ValueError, match=r"^sub: max \|u\| = 25.0 .* "
+                           "above alarm_bound 20.0$"):
+            perron_solve(d, f, b, start, None, opts)
+        with pytest.raises(ValueError, match=r"^initial_guess: max \|u\| = "
+                           "25.0 .* above alarm_bound 20.0$"):
+            solve_dirichlet(d, f, b, opts, initial_guess=start)
+        _, rep = perron_solve(d, f, b, start, None, SolveOptions())
+        assert rep.status == "converged" and rep.sweeps == 55
+        # a start at the alarm is not above it
+        _, rep = perron_solve(d, f, b, ScalarField.constant(d, -20.0), None,
+                              opts)
+        assert rep.status == "converged"
+
     def test_callable_coefficient_resolved_once(self, small_ball8):
         # the residual used to resolve the coefficient again every sweep
         calls = []

@@ -340,19 +340,54 @@ def test_dirichlet_matches_reference(order, expr, damping, params, N, R, h,
     assert rep.sweeps > 2
 
 
+# x-only cases of the closed form's per-solve tables (E = eps^2 f, 2 c0
+# and eps^2 per pair): a callable coefficient, so that f and E vary by
+# node; damping 0.7 (a relaxed update); a box; a 3-D refined stencil,
+# whose centre weights c0 differ from 1 and whose pairs have correction
+# slots; and lexicographic groups of one node
+CLOSED_FORM = [
+    # (order, rhs, damping, params, domain, h, max_sweeps)
+    ("red-black", "(mul (coef a) (const -1))", None, SchemeParams(),
+     _ball(0.5), 1 / 8, 500),
+    ("red-black", "(const -1)", 0.7, SchemeParams(), _ball(0.5), 1 / 8,
+     500),
+    ("red-black", "(const 1)", None, SchemeParams(w=3),
+     {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 0.75]}, 1 / 8, 500),
+    ("red-black", "(mul (coef a) (const -1))", 0.7,
+     SchemeParams(w=1, refined=True), _ball(1.0, 3), 1 / 4, 500),
+    ("lexicographic", "(mul (coef a) (const 1))", None,
+     SchemeParams(w=2, refined=True), _ball(0.5), 1 / 8, 300),
+]
+
+
+@pytest.mark.parametrize("order, expr, damping, params, domain, h, cap",
+                         CLOSED_FORM)
+def test_closed_form_tables_match_reference(order, expr, damping, params,
+                                            domain, h, cap):
+    d = build_domain(domain, h)
+    b = BoundaryTrace.from_function(d, lambda p: 0.1 * p[:, 0])
+    opts = SolveOptions(tol=1e-9, damping=damping, order=order,
+                        max_sweeps=cap)
+    u, rep = solve_dirichlet(d, _rhs(expr), b, opts, params)
+    _same(u, rep, *_ref_dirichlet(d, _rhs(expr), b, opts, params))
+    assert rep.sweeps > 2
+
+
 @pytest.mark.parametrize("order, expr, damping, cap, clips", [
     ("red-black", "(const 1)", None, 300, True),
     ("red-black", "(neg (exp t))", 1.0, 300, False),
     ("red-black", "(neg (exp t))", 0.5, 300, True),
     ("lexicographic", "(const 1)", None, 300, False),
-    ("lexicographic", "(neg (exp t))", 1.0, 20, False)])
+    ("lexicographic", "(neg (exp t))", 1.0, 20, False),
+    ("red-black", "(mul (coef a) (const 1))", None, 300, True),
+    ("red-black", "(mul (coef a) (const 1))", 0.7, 300, True)])
 def test_perron_clipping_matches_reference(order, expr, damping, cap, clips):
     # the super-solution is the Dirichlet solution itself, which the
     # ascent can overshoot and be clipped back to: the undamped one for
     # f = 1, the damped one for f = -e^t (one Newton step per sweep)
     d = build_domain(_ball(0.5), 1 / 8)
     b = BoundaryTrace.constant(d, 0.0)
-    f = RhsSpec(expr)
+    f = _rhs(expr)
     opts = SolveOptions(tol=1e-9, damping=damping, max_sweeps=300)
     u, _ = solve_dirichlet(d, f, b, opts)
     sub = ScalarField.constant(d, -1.0)
@@ -377,7 +412,9 @@ def test_probe_matches_reference(order):
 
 
 def test_two_gathers_per_sweep(monkeypatch, small_ball):
-    # a sweep after the first reuses the residual's gather for color 0
+    # a sweep after the first reuses the residual's gather for color 0,
+    # in both solvers and both stencil modes: the benchmark counts these
+    # gathers (`scheme.pair_arrays.calls`) next to the sweeps
     calls = []
     pair_arrays = Stencil.pair_arrays
 
@@ -388,14 +425,19 @@ def test_two_gathers_per_sweep(monkeypatch, small_ball):
     monkeypatch.setattr(Stencil, "pair_arrays", counted)
     d = small_ball
     b = BoundaryTrace.constant(d, 1.0)
-    for expr in ("(const -1)", "(neg (exp t))"):
-        calls.clear()
-        guess = ScalarField.constant(d, 1.0)
-        _, rep = solve_dirichlet(d, RhsSpec(expr), b,
-                                 SolveOptions(tol=1e-8),
-                                 initial_guess=guess)
-        assert rep.status == "converged" and rep.sweeps > 10
-        assert len(calls) == 2 * rep.sweeps + 1
+    guess = ScalarField.constant(d, 1.0)
+    for params in (SchemeParams(), SchemeParams(w=1, refined=True)):
+        for expr in ("(const -1)", "(neg (exp t))"):
+            f = RhsSpec(expr)
+            opts = SolveOptions(tol=1e-8)
+            for run in (lambda: solve_dirichlet(d, f, b, opts, params,
+                                                initial_guess=guess),
+                        lambda: perron_solve(d, f, b, guess, None, opts,
+                                             params)):
+                calls.clear()
+                _, rep = run()
+                assert rep.status == "converged" and rep.sweeps > 10
+                assert len(calls) == 2 * rep.sweeps + 1
 
 
 @pytest.mark.parametrize("order", ["red-black", "lexicographic"])
