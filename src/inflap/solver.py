@@ -8,21 +8,21 @@ flat iterate grows by sigma |f|^(1/3) eps^(4/3) per step, the growth rate
 of the exact cone solution across one stencil arm, instead of exploding.
 For x-only f the update has a closed form; for t-dependent f it is one
 safeguarded Newton step (`_local_solve` with one round) from the node's
-own value u0, inside a bracket that starts at u0 +- 1, in every sweep
-order.  The step takes g and g' from the f and df/dt at u0 that
-`_Sweeper._steep` has evaluated in one tree walk, and it is zero exactly
-where g(u0) = 0, so the sweeps have the fixed points of sweeps that solve
-each node to its root (one-step SOR-Newton, Ortega and Rheinboldt 1970,
-sections 7.4 and 10.3) while they evaluate f only for the bracket checks;
-`local_update` solves its one node to the root.  Where the bracket
-search finds no sign change (the local blow-up mechanism) the update is
-the bracket edge, which the divergence rule then catches; such nodes are
-counted in `SolveReport.bracket_failures`.  A node at its edge widens no
-other node's bracket, so a blow-up stays local.
+own value u0, inside a bracket that starts at u0 +- 1.  The step takes
+g and g' from the f and df/dt at u0 that `_Sweeper._steep` has evaluated
+in one tree walk, and it is zero exactly where g(u0) = 0, so the sweeps
+have the fixed points of sweeps that solve each node to its root
+(one-step SOR-Newton, Ortega and Rheinboldt 1970, sections 7.4 and 10.3)
+while they evaluate f only for the bracket checks; `local_update` solves
+its one node to the root.  Where the bracket search finds no sign change
+(the local blow-up mechanism) the update is the bracket edge, which the
+divergence rule then catches; such nodes are counted in
+`SolveReport.bracket_failures`.  A node at its edge widens no other
+node's bracket, so a blow-up stays local.
 
-A sweep updates its groups in turn (the two colors, or each node in
-lexicographic order; the order chooses nothing else), and each update
-and the residual need the same steepest-pair data: one
+A sweep updates the two colors in turn (red-black Gauss-Seidel, relaxed
+by at most 1, see `SolveOptions`), and each update and the residual need
+the same steepest-pair data: one
 `Stencil.pair_arrays` gather and one `scheme._select`.  The groups sit
 end to end in one gather table, which the residual reads whole; the
 values do not change between the residual and the next sweep's first
@@ -87,11 +87,15 @@ _MIN_STEP = 2.0 ** -20
 
 @dataclass
 class SolveOptions:
-    """Iteration knobs for the Dirichlet and Perron solvers."""
+    """Iteration knobs for the Dirichlet and Perron solvers.
+
+    Every sweep is red-black Gauss-Seidel.  `damping` theta moves each
+    node from u to u + theta (t - u), t the local update, with theta in
+    (0, 1]: under-relaxation only.
+    """
     max_sweeps: int = 100000
     tol: float = None            # default: see `tol_for`
     damping: float = None        # default 1.0, or 0.5 for t-dependent f
-    order: str = "red-black"     # or "lexicographic"
     alarm_bound: float = None
 
     def __post_init__(self):
@@ -99,13 +103,14 @@ class SolveOptions:
             raise ValueError("max_sweeps must be >= 1")
         if self.tol is not None and self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.order not in ("red-black", "lexicographic"):
-            raise ValueError("unknown sweep order %r" % self.order)
-        # damping 0 never moves the iterate, and outside (0, 2) the
-        # relaxation amplifies the update instead of converging; the
-        # chained comparisons are also false for NaN
-        if self.damping is not None and not 0 < self.damping < 2:
-            raise ValueError("damping must be in (0, 2)")
+        # damping 0 never moves the iterate, and over-relaxation pays
+        # only for a monotone scheme, which this one is not: on 2-D
+        # balls at h = 1/16 (tol 1e-8, 5000 sweeps), f = 1 (R = 1) and
+        # f = -e^u (R = 0.5, b = 0 and b = 0.3 x0) and f = e^u (R = 1)
+        # converge at theta 1 in 1156, 464, 401 and 780 sweeps and reach
+        # none at 1.2 or 1.5; the chained comparisons are false for NaN
+        if self.damping is not None and not 0 < self.damping <= 1:
+            raise ValueError("damping must be in (0, 1]")
         if self.alarm_bound is not None \
                 and not 0 < self.alarm_bound < np.inf:
             raise ValueError("alarm_bound must be finite and positive")
@@ -252,21 +257,20 @@ def _floor(eps, fx):
 class _Sweeper:
     """Vectorized colored Gauss-Seidel machinery shared by the solvers.
 
-    One gather table covers the interior with the update groups laid end
-    to end in sweep order: color 0 then color 1, or in lexicographic
-    order one group per node, in grid order.  `groups` are its parts
+    One gather table covers the interior with the two colors laid end to
+    end in sweep order, color 0 then color 1.  `groups` are its parts
     (`_Table.part`, each copied to contiguous indices once per solve), and
     `fp_residual` reads the whole table in one `pair_arrays` pass and
     hands the first group the data its update reads
     (`full_sweep(values, head)`; see the module docstring).  The per-pair
     constants the update and the residual read at the picked pair, eps,
     eps^2, c0 and 2 c0, are arrays over the pairs, worked out once per
-    solve.  The order chooses the groups and nothing else: the implicit
-    update brackets each node's root at its own value u0 +- 1, takes one
-    Newton step from u0 and counts the nodes where no sign change is
-    found.  Given `node`, one node's index tuple, the table is that
-    node's alone (`local_update`), the floor and the coefficients are
-    taken there only, and the implicit update is solved to the root.
+    solve.  The implicit update brackets each node's root at its own
+    value u0 +- 1, takes one Newton step from u0 and counts the nodes
+    where no sign change is found.  Given `node`, one node's index tuple,
+    the table is that node's alone (`local_update`), the floor and the
+    coefficients are taken there only, and the implicit update is solved
+    to the root.
     """
 
     def __init__(self, domain, f, stencil, opts, node=None):
@@ -278,18 +282,14 @@ class _Sweeper:
         self.theta = opts.damping if opts.damping is not None \
             else (0.5 if f.depends_on_t else 1.0)
         if node is not None:
-            table = stencil.gather(node)
-            cuts = (0, 1)
-        elif opts.order == "lexicographic":
-            table = stencil.interior
-            cuts = range(table.flat.size + 1)
+            table, cut = stencil.gather(node), 1
         else:
             parity = np.indices(domain.dims).sum(axis=0) % 2
             colors = [np.nonzero(domain.interior & (parity == c))
                       for c in (0, 1)]
             table = stencil.gather(tuple(np.concatenate(c)
                                          for c in zip(*colors)))
-            cuts = (0, colors[0][0].size, table.flat.size)
+            cut = colors[0][0].size
         self.bracket_failures = 0
         # one Newton step per node and sweep; one node's update
         # (`local_update`) is solved to the root
@@ -306,7 +306,8 @@ class _Sweeper:
             self.all = _Group(table, fx=fx,
                               floor=_floor(self.eps, fx[:, None]),
                               E=self.eps_sq * fx[:, None])
-        self.groups = [self._part(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+        # the two colors (one node and an empty group for `local_update`)
+        self.groups = [self._part(0, cut), self._part(cut, table.flat.size)]
 
     def _part(self, a, b):
         """The group of the table's nodes a..b-1."""
@@ -622,7 +623,7 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
     start and the solve use `_newton`, handing over to Gauss-Seidel
     sweeps after _NEWTON_ROUNDS rounds.  `newton_steps` and `sweeps` then
     count the start's steps and sweeps too, and all of them together stay
-    within `max_sweeps`; `order` and `damping` shape only the sweeps.
+    within `max_sweeps`; `damping` shapes only the sweeps.
     Everywhere else (2-D, 3-D, or f depending on t) the solve is the
     colored Gauss-Seidel iteration, and the start's sweeps, which the
     budget does not count, are reported as `start_sweeps`.
@@ -733,10 +734,19 @@ def probe_nonexistence(d, f, b, opts):
 
     Runs the only-increase iteration from the constant sub-solution at the
     boundary infimum with no upper clipping; crossing opts.alarm_bound is
-    reported as diverged_past_alarm (a result, not an error).
+    reported as diverged_past_alarm (a result, not an error).  That
+    constant is a sub-solution only where f(x, ell) <= 0: where f(x, ell)
+    > 0 the update lowers it, the only-increase iteration cannot move,
+    and the probe would spin to max_sweeps, so that is a ValueError.
     """
     if opts.alarm_bound is None:
         raise ValueError("probe_nonexistence needs alarm_bound set")
+    fl = f.eval_grid(d, b.ell)[d.interior]
+    if (fl > 0).any():
+        raise ValueError("probe_nonexistence: f(x, ell) > 0 at %d interior "
+                         "nodes (max %r), so the start ell = %r is no "
+                         "sub-solution" % (np.count_nonzero(fl > 0),
+                                           float(np.nanmax(fl)), b.ell))
     sub = ScalarField.constant(d, b.ell)
     _, rep = perron_solve(d, f, b, sub, None, opts)
     return rep

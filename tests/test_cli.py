@@ -252,19 +252,17 @@ class TestPerronAndProbe:
             rep = json.loads((out / "report.json").read_text())
             assert rep["solve"]["status"] == "diverged_past_alarm"
 
-    def test_probe_lexicographic_exit_three(self, tmp_path):
-        cfg = {"problem": {"domain": {"kind": "ball",
-                                      "center": [0.0, 0.0], "R": 3.0},
-                           "h": 0.25, "rhs": "(neg (exp t))",
-                           "rhs_monotone": "nonincreasing",
+    def test_probe_start_not_a_subsolution_exit_one(self, tmp_path, capsys):
+        # f = e^u is positive at ell = 0, where the probe starts: it ran
+        # its whole budget (exit 4) before it was rejected
+        cfg = {"problem": {"domain": BALL, "h": 0.125, "rhs": "(exp t)",
                            "boundary": {"constant": 0.0}},
-               "solve": {"alarm_bound": 20.0, "max_sweeps": 2000,
-                         "order": "lexicographic"}}
+               "solve": {"alarm_bound": 20.0, "max_sweeps": 2000}}
         code, out = _run(tmp_path, "probe", cfg)
-        assert code == 3
-        rep = json.loads((out / "report.json").read_text())
-        assert rep["solve"]["status"] == "diverged_past_alarm"
-        assert rep["solve"]["bracket_failures"] > 0
+        assert code == 1
+        assert "f(x, ell) > 0 at 25 interior nodes (max 1.0)" \
+            in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_non_convergence_exit_four(self, tmp_path):
         cfg = {"problem": {"domain": BALL, "h": 0.125, "rhs": "(const -1)",
@@ -283,23 +281,29 @@ class TestPerronAndProbe:
         assert code == 4
 
     def test_overflow_exit_three(self, tmp_path, capsys):
-        # damping 1.9 overflows the residual at sweep 680: a diverged
-        # solve with its report, not a config error
+        # a sub of order 1e200 overflows the residual at the first sweep:
+        # a diverged run with its report, not a config error
         cfg = {"problem": {"domain": {"kind": "ball", "center": [0.0, 0.0],
                                       "R": 1.0},
                            "h": 0.125, "rhs": "(const -1)",
-                           "boundary": {"constant": 1.0}},
-               "solve": {"damping": 1.9}}
-        code, out = _run(tmp_path, "solve", cfg)
+                           "boundary": {"constant": 0.0}},
+               "perron": {"sub": {"cone": {"C": 1e200, "z": [0.0, 0.0],
+                                           "d": 0.0,
+                                           "orientation": "super"}},
+                          "super": {"constant": 1e201}}}
+        code, out = _run(tmp_path, "perron", cfg)
         assert code == 3
         assert "error" not in capsys.readouterr().err
         rep = json.loads((out / "report.json").read_text())["solve"]
         assert rep["status"] == "diverged_past_alarm"
-        assert rep["residual"] == "inf" and rep["sweeps"] == 680
-        assert len((out / "field.csv").read_text().splitlines()) > 1
+        assert rep["residual"] is None and rep["sweeps"] == 1
+        rows = (out / "field.csv").read_text().splitlines()[1:]
+        assert rows and all(np.isfinite(float(r.split(",")[-1]))
+                            for r in rows)
 
     @pytest.mark.parametrize("solve", [{"damping": 0}, {"damping": -0.5},
-                                       {"alarm_bound": -1}])
+                                       {"alarm_bound": -1},
+                                       {"damping": 1.5}])
     def test_bad_iteration_settings_exit_one(self, tmp_path, capsys, solve):
         cfg = {"problem": {"domain": BALL, "h": 0.25, "rhs": "(const -1)",
                            "boundary": {"constant": 0.0}},
@@ -352,7 +356,7 @@ class TestPerronAndProbe:
         ({"solve": {"max_sweeps": 5.5}}, "solve.max_sweeps"),
         ({"solve": {"max_sweeps": None}}, "solve.max_sweeps"),
         ({"solve": {"tol": True}}, "solve.tol"),
-        ({"solve": {"order": 1}}, "solve.order"),
+        ({"solve": {"order": "red-black"}}, "unknown key 'order' in solve"),
         ({"scheme": {"w": "2"}}, "scheme.w"),
         ({"scheme": {"refined": 1}}, "scheme.refined")])
     def test_wrong_type_exit_one(self, tmp_path, capsys, section, where):

@@ -168,13 +168,8 @@ class _RefSweeper:
         self.d, self.f, self.st = d, f, st
         self.theta = opts.damping if opts.damping is not None \
             else (0.5 if f.depends_on_t else 1.0)
-        if opts.order == "lexicographic":
-            self.tables = [st.gather(tuple(i))
-                           for i in np.argwhere(d.interior)]
-        else:
-            parity = np.indices(d.dims).sum(axis=0) % 2
-            self.tables = [st.gather(d.interior & (parity == c))
-                           for c in (0, 1)]
+        parity = np.indices(d.dims).sum(axis=0) % 2
+        self.tables = [st.gather(d.interior & (parity == c)) for c in (0, 1)]
         self.failures = 0
         self.fx0 = f.eval_grid(d, np.zeros(d.dims))
         self.coefs = f.coef_grid(d)
@@ -194,8 +189,8 @@ class _RefSweeper:
                  for n, v in self.coefs.items()}
         p2 = _p2(phat, eps_s, f.eval_nodes(u0, coefs))
         g = _ref_g(f, coefs, A, p2, eps_s ** 2, c0_s)
-        # every node brackets at its own value +- 1, in either order,
-        # and takes one safeguarded Newton step from it
+        # every node brackets at its own value +- 1 and takes one
+        # safeguarded Newton step from it
         t, failed = _ref_local_solve(g, u0 - 1.0, u0 + 1.0, u0, rounds=1)
         self.failures += int(failed.sum())
         return t
@@ -303,22 +298,28 @@ def _same(u, rep, ref_vals, ref_rep):
     assert got == ref_rep
 
 
+# The case ids are the ones pytest gave these cases while the sweep order
+# was a column of the tables, so that a case keeps its name.
 SOLVES = [
-    # (order, rhs, damping, params, N, R, h, max_sweeps)
-    ("red-black", "(const -1)", None, SchemeParams(), 2, 0.5, 1 / 8, 500),
-    ("red-black", "(const 1)", 0.5, SchemeParams(), 2, 0.5, 1 / 8, 500),
-    ("red-black", "(neg (exp t))", None, SchemeParams(), 2, 0.5, 1 / 8,
+    # (rhs, damping, params, N, R, h, max_sweeps)
+    ("(const -1)", None, SchemeParams(), 2, 0.5, 1 / 8, 500),
+    ("(const 1)", 0.5, SchemeParams(), 2, 0.5, 1 / 8, 500),
+    ("(neg (exp t))", None, SchemeParams(), 2, 0.5, 1 / 8, 500),
+    ("(neg (exp t))", 1.0, SchemeParams(), 2, 0.5, 1 / 8, 500),
+    ("(mul (coef a) (neg (exp t)))", None, SchemeParams(), 2, 0.5, 1 / 8,
      500),
-    ("red-black", "(neg (exp t))", 1.0, SchemeParams(), 2, 0.5, 1 / 8, 500),
-    ("red-black", "(mul (coef a) (neg (exp t)))", None, SchemeParams(), 2,
-     0.5, 1 / 8, 500),
-    ("lexicographic", "(const -1)", 1.0, SchemeParams(), 2, 0.5, 1 / 8,
+    ("(const -1)", None, SchemeParams(w=2, refined=True), 2, 0.5, 1 / 8,
      500),
-    ("lexicographic", "(neg (exp t))", 0.5, SchemeParams(), 2, 0.5, 1 / 8,
-     30),
-    ("red-black", "(const -1)", None, SchemeParams(w=2, refined=True), 2,
-     0.5, 1 / 8, 500),
-    ("red-black", "(const -1)", None, SchemeParams(), 3, 1.0, 1 / 4, 500),
+    ("(const -1)", None, SchemeParams(), 3, 1.0, 1 / 4, 500),
+]
+SOLVE_IDS = [
+    "red-black-(const -1)-None-params0-2-0.5-0.125-500",
+    "red-black-(const 1)-0.5-params1-2-0.5-0.125-500",
+    "red-black-(neg (exp t))-None-params2-2-0.5-0.125-500",
+    "red-black-(neg (exp t))-1.0-params3-2-0.5-0.125-500",
+    "red-black-(mul (coef a) (neg (exp t)))-None-params4-2-0.5-0.125-500",
+    "red-black-(const -1)-None-params7-2-0.5-0.125-500",
+    "red-black-(const -1)-None-params8-3-1.0-0.25-500",
 ]
 
 
@@ -327,14 +328,12 @@ def _rhs(expr):
     return RhsSpec(expr, coefs=coefs)
 
 
-@pytest.mark.parametrize("order, expr, damping, params, N, R, h, cap",
-                         SOLVES)
-def test_dirichlet_matches_reference(order, expr, damping, params, N, R, h,
-                                     cap):
+@pytest.mark.parametrize("expr, damping, params, N, R, h, cap", SOLVES,
+                         ids=SOLVE_IDS)
+def test_dirichlet_matches_reference(expr, damping, params, N, R, h, cap):
     d = build_domain(_ball(R, N), h)
     b = BoundaryTrace.from_function(d, lambda p: 0.1 * p[:, 0])
-    opts = SolveOptions(tol=1e-9, damping=damping, order=order,
-                        max_sweeps=cap)
+    opts = SolveOptions(tol=1e-9, damping=damping, max_sweeps=cap)
     u, rep = solve_dirichlet(d, _rhs(expr), b, opts, params)
     _same(u, rep, *_ref_dirichlet(d, _rhs(expr), b, opts, params))
     assert rep.sweeps > 2
@@ -344,44 +343,52 @@ def test_dirichlet_matches_reference(order, expr, damping, params, N, R, h,
 # and eps^2 per pair): a callable coefficient, so that f and E vary by
 # node; damping 0.7 (a relaxed update); a box; a 3-D refined stencil,
 # whose centre weights c0 differ from 1 and whose pairs have correction
-# slots; and lexicographic groups of one node
+# slots; and a 2-D refined stencil with f > 0
 CLOSED_FORM = [
-    # (order, rhs, damping, params, domain, h, max_sweeps)
-    ("red-black", "(mul (coef a) (const -1))", None, SchemeParams(),
-     _ball(0.5), 1 / 8, 500),
-    ("red-black", "(const -1)", 0.7, SchemeParams(), _ball(0.5), 1 / 8,
+    # (rhs, damping, params, domain, h, max_sweeps)
+    ("(mul (coef a) (const -1))", None, SchemeParams(), _ball(0.5), 1 / 8,
      500),
-    ("red-black", "(const 1)", None, SchemeParams(w=3),
+    ("(const -1)", 0.7, SchemeParams(), _ball(0.5), 1 / 8, 500),
+    ("(const 1)", None, SchemeParams(w=3),
      {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 0.75]}, 1 / 8, 500),
-    ("red-black", "(mul (coef a) (const -1))", 0.7,
-     SchemeParams(w=1, refined=True), _ball(1.0, 3), 1 / 4, 500),
-    ("lexicographic", "(mul (coef a) (const 1))", None,
-     SchemeParams(w=2, refined=True), _ball(0.5), 1 / 8, 300),
+    ("(mul (coef a) (const -1))", 0.7, SchemeParams(w=1, refined=True),
+     _ball(1.0, 3), 1 / 4, 500),
+    ("(mul (coef a) (const 1))", None, SchemeParams(w=2, refined=True),
+     _ball(0.5), 1 / 8, 300),
+]
+CLOSED_FORM_IDS = [
+    "red-black-(mul (coef a) (const -1))-None-params0-domain0-0.125-500",
+    "red-black-(const -1)-0.7-params1-domain1-0.125-500",
+    "red-black-(const 1)-None-params2-domain2-0.125-500",
+    "red-black-(mul (coef a) (const -1))-0.7-params3-domain3-0.25-500",
+    "red-black-(mul (coef a) (const 1))-None-params4-domain4-0.125-300",
 ]
 
 
-@pytest.mark.parametrize("order, expr, damping, params, domain, h, cap",
-                         CLOSED_FORM)
-def test_closed_form_tables_match_reference(order, expr, damping, params,
-                                            domain, h, cap):
+@pytest.mark.parametrize("expr, damping, params, domain, h, cap",
+                         CLOSED_FORM, ids=CLOSED_FORM_IDS)
+def test_closed_form_tables_match_reference(expr, damping, params, domain,
+                                            h, cap):
     d = build_domain(domain, h)
     b = BoundaryTrace.from_function(d, lambda p: 0.1 * p[:, 0])
-    opts = SolveOptions(tol=1e-9, damping=damping, order=order,
-                        max_sweeps=cap)
+    opts = SolveOptions(tol=1e-9, damping=damping, max_sweeps=cap)
     u, rep = solve_dirichlet(d, _rhs(expr), b, opts, params)
     _same(u, rep, *_ref_dirichlet(d, _rhs(expr), b, opts, params))
     assert rep.sweeps > 2
 
 
-@pytest.mark.parametrize("order, expr, damping, cap, clips", [
-    ("red-black", "(const 1)", None, 300, True),
-    ("red-black", "(neg (exp t))", 1.0, 300, False),
-    ("red-black", "(neg (exp t))", 0.5, 300, True),
-    ("lexicographic", "(const 1)", None, 300, False),
-    ("lexicographic", "(neg (exp t))", 1.0, 20, False),
-    ("red-black", "(mul (coef a) (const 1))", None, 300, True),
-    ("red-black", "(mul (coef a) (const 1))", 0.7, 300, True)])
-def test_perron_clipping_matches_reference(order, expr, damping, cap, clips):
+@pytest.mark.parametrize("expr, damping, clips", [
+    ("(const 1)", None, True),
+    ("(neg (exp t))", 1.0, False),
+    ("(neg (exp t))", 0.5, True),
+    ("(mul (coef a) (const 1))", None, True),
+    ("(mul (coef a) (const 1))", 0.7, True)],
+    ids=["red-black-(const 1)-None-300-True",
+         "red-black-(neg (exp t))-1.0-300-False",
+         "red-black-(neg (exp t))-0.5-300-True",
+         "red-black-(mul (coef a) (const 1))-None-300-True",
+         "red-black-(mul (coef a) (const 1))-0.7-300-True"])
+def test_perron_clipping_matches_reference(expr, damping, clips):
     # the super-solution is the Dirichlet solution itself, which the
     # ascent can overshoot and be clipped back to: the undamped one for
     # f = 1, the damped one for f = -e^t (one Newton step per sweep)
@@ -392,18 +399,16 @@ def test_perron_clipping_matches_reference(order, expr, damping, cap, clips):
     u, _ = solve_dirichlet(d, f, b, opts)
     sub = ScalarField.constant(d, -1.0)
     sup = ScalarField(d, u.values)
-    opts = replace(opts, order=order, max_sweeps=cap)
     v, rep = perron_solve(d, f, b, sub, sup, opts)
     _same(v, rep, *_ref_perron(d, f, b, sub, sup, opts, SchemeParams()))
     assert rep.clipped == clips
 
 
-@pytest.mark.parametrize("order", ["red-black", "lexicographic"])
-def test_probe_matches_reference(order):
+def test_probe_matches_reference():
     d = build_domain(_ball(3.0), 1 / 4)
     b = BoundaryTrace.constant(d, 0.0)
     f = RhsSpec("(neg (exp t))")
-    opts = SolveOptions(alarm_bound=20.0, max_sweeps=500, order=order)
+    opts = SolveOptions(alarm_bound=20.0, max_sweeps=500)
     rep = probe_nonexistence(d, f, b, opts)
     _, ref = _ref_perron(d, f, b, ScalarField.constant(d, b.ell), None,
                          opts, SchemeParams())
@@ -440,16 +445,15 @@ def test_two_gathers_per_sweep(monkeypatch, small_ball):
                 assert len(calls) == 2 * rep.sweeps + 1
 
 
-@pytest.mark.parametrize("order", ["red-black", "lexicographic"])
 @pytest.mark.parametrize("params", [SchemeParams(),
                                     SchemeParams(w=2, refined=True)])
-def test_group_tables_pair_minor_and_contiguous(small_ball, order, params):
+def test_group_tables_pair_minor_and_contiguous(small_ball, params):
     # each group gathers from its own contiguous (J, n, K) table, and a
     # part of a table reads the full table's columns in the public (K, n)
     # shape
     d = small_ball
     st = Stencil(d, params)
-    sw = _Sweeper(d, RhsSpec("(const -1)"), st, SolveOptions(order=order))
+    sw = _Sweeper(d, RhsSpec("(const -1)"), st, SolveOptions())
     K = len(st.pairs)
     J = st.interior.idx.shape[0]
     for grp in [sw.all] + sw.groups:
