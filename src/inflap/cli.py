@@ -297,10 +297,9 @@ def _dump_json(obj, out):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        # "%.12e" writes +-inf as the strings the report quotes
+        # "%.12e" writes NaN and +-inf as the strings the report quotes
         x = float(obj)
-        out.append(_fmt(x) if np.isfinite(x)
-                   else json.dumps(None if np.isnan(x) else _fmt(x)))
+        out.append(_fmt(x) if np.isfinite(x) else json.dumps(_fmt(x)))
     else:
         out.append(json.dumps(obj))
 

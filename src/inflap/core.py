@@ -715,6 +715,22 @@ def _bound(tree):
     return math.inf
 
 
+def _finite_bound(tree):
+    """`_bound`, where it also shows that f is finite at every finite t,
+    else inf.
+
+    clip passes NaN on, and a subtree without a bound can be NaN at a
+    finite t ((pow t g) with g < 0 at t = 0, a NaN coefficient), so a
+    clip of one may be NaN where `_bound` gives C.  Every other node of
+    finite bound is finite at finite t, and so is a tree whose clips all
+    have children of finite bound.
+    """
+    if any(n[0] == "clip" and not _bound(n[1]) < math.inf
+           for n in _nodes(tree)):
+        return math.inf
+    return _bound(tree)
+
+
 def eval_rhs(f, x, t):
     """Evaluate f(x, t) at a single point, clamped as `eval_nodes` clamps."""
     combo = f.coef_value_at(np.atleast_1d(x)) if f.coefs else {}

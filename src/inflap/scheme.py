@@ -34,11 +34,11 @@ only the requested nodes, into C-ordered (n, K) arrays, and returns
 them as (K, n) views.  `_select` picks the steepest pair from the gathered arms along
 the contiguous pair axis, and `_pick` (one gather, one pick and the
 picked arms, with the pair index k and its flat indices) serves every
-caller: the solver's local update and residual, `inf_lap_field` and
-`apply_inf_lap`.  Each caller reads the per-pair constants it needs at
-k; `_second_diff` is the one copy of the second difference S they
-share.  A part of a table (`_Table.part`, one update group of the
-solver) is a contiguous copy.
+caller: the solver's local update and residual (one pass per update
+group; see `inflap.solver`), `inf_lap_field` and `apply_inf_lap`.  Each
+caller reads the per-pair constants it needs at k; `_second_diff` is the
+one copy of the second difference S they share.  A part of a table
+(`_Table.part`, one update group of the solver) is a contiguous copy.
 
 What is fixed per stencil is worked out once when it is built: the
 center weights c0, whether every read slot has weight 1 (integer mode,

@@ -22,32 +22,43 @@ node's bracket, so a blow-up stays local.
 
 A sweep updates the two colors in turn (red-black Gauss-Seidel, relaxed
 by at most 1, see `SolveOptions`), and each update and the residual need
-the same steepest-pair data: one
-`Stencil.pair_arrays` gather and one `scheme._select`.  The groups sit
-end to end in one gather table, which the residual reads whole; the
-values do not change between the residual and the next sweep's first
-group, so that group takes the slice of the residual's data that its
-update reads instead of gathering again, and a sweep costs two kernel
-passes instead of three.  What the update and the residual read at the
+the same steepest-pair data: one `Stencil.pair_arrays` gather and one
+`scheme._select`.  The groups sit end to end in one gather table, and a
+sweep takes one kernel pass over it: color 1's update, then color 0's
+part of the residual, whose data the next sweep's color 0 update reads
+as it stands, since the values do not change in between.  Color 1's part
+of the residual is taken only where it can change the outcome (see
+`_iterate`): where color 0's part is at most tol or not finite, where
+the alarm trips, at the budget's last sweep, and where max |u| is above
+a bound up to which color 1's part is certainly finite (the certificate,
+`_safe_top`, from the stencil's weights, its least arm length, the
+largest slope floor and a bound on |f|).  Everywhere else the residual
+is above tol and finite whatever color 1's part is, so every result is
+the one the residual over the whole table gives.  A t-dependent f
+without such a bound (one with a coefficient, a bare t or a power of
+it, or a clip of such a subtree) gets no certificate, and its loop
+reads the residual over the whole table after every sweep instead, in
+one pass, whose color 0 rows the next sweep reads: two kernel passes
+per sweep.  What the update and the residual read at the
 picked pair k is worked out once per solve: eps, eps^2, c0 and 2 c0 per
 pair, and for x-only f two tables over nodes and pairs, the slope floor
 and the numerator E = eps_k^2 f_i of the closed form
 (A - E / p2) / (2 c0), so that a sweep only picks their entries: the
-same operations on the same operands as working them out per sweep.
-An undamped update (theta 1) skips the relaxation product, and A is
-apm itself where no pair has correction slots.  The kernel and the
-local update, the implicit one's `_local_solve` too, open no
-`np.errstate` of their own, a few microseconds per call:
-`solve_dirichlet`, `perron_solve` and `local_update` each open one
-block that ignores invalid operations, overflow and division by zero.
-Every sweep runs in one loop,
-`_iterate` (sweep, residual, divergence test, tolerance test, within a
-budget): the f == 0 start, the solve, `_newton`'s fallback bursts and
-`perron_solve`, whose ascent and clamped phases are the sweep it passes
-in.  One rule, `_Sweeper.diverged`, also tested after each Newton step,
-ends a run as diverged: a residual that is not finite, or max |u| over
-the non-exterior nodes (the boundary ones too) above `alarm_bound`.
-The alarm bounds |u|, so it must exceed sup|b|, and a start (`sub`, or
+same operations on the same operands as working them out per sweep.  An
+undamped update (theta 1) skips the relaxation product, and A is apm
+itself where no pair has correction slots.  The kernel and the local
+update, the implicit one's `_local_solve` too, open no `np.errstate`
+of their own, a few microseconds per call: `solve_dirichlet`,
+`perron_solve` and `local_update` each open one block that ignores
+invalid operations, overflow and division by zero.  Every sweep runs
+in one loop, `_iterate` (sweep, residual, max |u|, divergence test,
+tolerance test, within a budget): the f == 0 start, the solve,
+`_newton`'s fallback bursts and `perron_solve`, whose ascent and
+clamped phases are the sweep it passes in.  One rule,
+`_Sweeper.diverged`, also tested after each Newton step, ends a run as
+diverged: a residual that is not finite, or max |u| over the
+non-exterior nodes (the boundary ones too) above `alarm_bound`.  The
+alarm bounds |u|, so it must exceed sup|b|, and a start (`sub`, or
 `initial_guess`) above it is an error too (`_tol`, `_check_start`).
 
 In 1-D with an x-only f there is one direction pair, and the residual
@@ -62,11 +73,12 @@ sweep count growing as n^2 there.  Every other solve sweeps.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import SIGMA, RhsSpec, ScalarField
+from .core import SATURATE, SIGMA, RhsSpec, ScalarField, _finite_bound
 from .scheme import SchemeParams, Stencil, _c0_at, _pick, _second_diff
 
 # a local-solve step this small relative to 1 + |t| is rounding noise
@@ -83,6 +95,9 @@ _NEWTON_ROUNDS = 50
 _FALLBACK_SWEEPS = 20
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0 ** -20
+# the most |S * p2| the certificate allows (`_safe_top`): with |f| <=
+# SATURATE the residual then stays below the largest double
+_ROOM = np.finfo(float).max / 4.0
 
 
 @dataclass
@@ -254,15 +269,49 @@ def _floor(eps, fx):
                       _DELTA_REG)
 
 
+def _safe_top(stencil, f, fx):
+    """The certificate: a max |u| over the non-exterior nodes up to which
+    every entry of the residual S * p2 - f is finite, or -inf for none.
+
+    B bounds |f|: max |fx| for an x-only f (fx its values at the table's
+    nodes), `core._finite_bound` of a t-dependent one (`f.bound` where
+    that also shows f finite at every finite t), and there is no
+    certificate unless B <= SATURATE.  No gathered value, arm or
+    correction sum, apm, second difference S or slope phat at a node
+    exceeds q M, M the max |u| over the nodes it reads and q the gain
+    max_k (sum_j |w_jk| + sum_corr |w_jk| + 2 |c0_k|) max(1, eps_min^-2)
+    from the stencil's weights w, centre weights c0 and least arm
+    length.  p2 = max(phat^2, floor) with floor at most
+    F = `_floor`(eps_max, B), so q M <= min(_ROOM^(1/3), _ROOM / F) keeps
+    every factor and |S * p2| within _ROOM, a quarter of the largest
+    double, which leaves room for rounding and for f.
+    """
+    B = _finite_bound(f.tree) if f.depends_on_t \
+        else np.abs(fx).max(initial=0.0)
+    F = _floor(stencil._eps.max(), B) if B <= SATURATE else math.inf
+    if not F < math.inf:
+        return -math.inf
+    w = np.abs(stencil._wts)
+    q = (w.sum(axis=0) + w[2 * stencil._P:].sum(axis=0)
+         + 2.0 * np.abs(stencil._c0)).max() \
+        * max(1.0, stencil._eps.min() ** -2.0)
+    return float(_ROOM ** (1.0 / 3.0) * min(1.0, _ROOM ** (2.0 / 3.0) / F)
+                 / q)
+
+
 class _Sweeper:
     """Vectorized colored Gauss-Seidel machinery shared by the solvers.
 
     One gather table covers the interior with the two colors laid end to
     end in sweep order, color 0 then color 1.  `groups` are its parts
-    (`_Table.part`, each copied to contiguous indices once per solve), and
-    `fp_residual` reads the whole table in one `pair_arrays` pass and
-    hands the first group the data its update reads
-    (`full_sweep(values, head)`; see the module docstring).  The per-pair
+    (`_Table.part`, each copied to contiguous indices once per solve).
+    `fp_residual` reads the whole table, or one group, in one
+    `pair_arrays` pass and hands color 0 the data its update reads
+    (`full_sweep(values, head)`).  With a certificate, `safe`, the max
+    |u| up to which color 1's part is certainly finite (`_safe_top`),
+    color 0's part is taken after every sweep and color 1's only where
+    it can change the outcome (`_iterate` says where); without one, the
+    whole table after every sweep.  The per-pair
     constants the update and the residual read at the picked pair, eps,
     eps^2, c0 and 2 c0, are arrays over the pairs, worked out once per
     solve.  The implicit update brackets each node's root at its own
@@ -308,6 +357,12 @@ class _Sweeper:
                               E=self.eps_sq * fx[:, None])
         # the two colors (one node and an empty group for `local_update`)
         self.groups = [self._part(0, cut), self._part(cut, table.flat.size)]
+
+    @cached_property
+    def safe(self):
+        """`_safe_top` of this solve, worked out when a sweep first asks
+        (a 1-D Newton solve never does)."""
+        return _safe_top(self.stencil, self.f, self.all.fx)
 
     def _part(self, a, b):
         """The group of the table's nodes a..b-1."""
@@ -389,7 +444,7 @@ class _Sweeper:
         first = None if f0 is None else pair(u0, *f0)
         return _local_solve(g, lo, hi, u0, first, rounds)
 
-    def fp_residual(self, values):
+    def fp_residual(self, values, grp=None):
         """Sup-norm of the regularized residual S * phat2_eff - f.
 
         This is the residual of the equation the local update actually
@@ -397,25 +452,39 @@ class _Sweeper:
         where the discrete gradient degenerates (e.g. interior extrema,
         where the raw S * phat^2 residual cannot go below |f|).
 
-        Returns (residual, head): head is the update's data at the first
-        update group's nodes, for the next `full_sweep` on these values.
+        Taken over the whole table, or at the nodes of one update group
+        `grp` (0 for an empty one): `_iterate` takes color 0's part after
+        every sweep and color 1's only when it can change the outcome,
+        or, with no certificate, the whole table after every sweep.
+        Returns (residual, head): head is the update's data (the first
+        seven entries of `_steep`'s tuple) at `grp`'s nodes, or at color
+        0's for the whole table, whose first rows they are; at color 0
+        it is the `head` of the next `full_sweep` on these values.
         """
-        u, A, k, pick, p2, fx, dfx, apm, cs, _ = self._steep(values,
-                                                             self.all)
+        data = self._steep(values, self.all if grp is None else grp)
+        u, _, k, _, p2, fx, _, apm, cs, _ = data
         F = _second_diff(u, apm, cs, self.eps_sq.take(k),
                          _c0_at(self.stencil, k)) * p2 - fx
-        n = self.groups[0].tab.flat.size
-        head = (u[:n], A[:n], k[:n], pick[:n], p2[:n], fx[:n],
-                dfx[:n] if self.f.depends_on_t else dfx)
-        return float(np.abs(F, out=F).max()), head
+        head = data[:7]
+        if grp is None:
+            n = self.groups[0].tab.flat.size
+            u, A, k, pick, p2, fx, dfx = head
+            head = (u[:n], A[:n], k[:n], pick[:n], p2[:n], fx[:n],
+                    dfx[:n] if self.f.depends_on_t else dfx)
+        return float(np.abs(F, out=F).max(initial=0.0)), head
 
-    def diverged(self, values, res, alarm):
+    def top(self, values):
+        """max |u| over the non-exterior nodes, the boundary ones too."""
+        return np.abs(values.take(self.ne_flat)).max()
+
+    def diverged(self, values, res, alarm, top=None):
         """The one divergence rule: the residual is not finite (it is so
         before the iterate overflows), or max |u| over the non-exterior
-        nodes passes `alarm` (None for no alarm)."""
+        nodes passes `alarm` (None for no alarm).  `top`, when given, is
+        that max, `self.top(values)`."""
         return not math.isfinite(res) or (
             alarm is not None
-            and np.abs(values.take(self.ne_flat)).max() > alarm)
+            and (self.top(values) if top is None else top) > alarm)
 
     def newton_system(self, values, order, link):
         """F = S * p2 - f and its tridiagonal Jacobian, in grid order (1-D).
@@ -447,7 +516,8 @@ class _Sweeper:
 
     def half_sweep(self, values, grp, head=None, only_up=False, cap=None):
         """Update one group; `head` is its update data at these values
-        (what `fp_residual` hands on), found here when not given."""
+        (what `fp_residual` hands on at color 0), found here when not
+        given."""
         if head is None:
             head = self._steep(values, grp)
         old = head[0]
@@ -468,8 +538,9 @@ class _Sweeper:
     def full_sweep(self, values, head=None, only_up=False, cap=None):
         """One sweep: each update group in turn.
 
-        `head` is what `fp_residual` returned for these same values, and
-        the first group updates from it without gathering again.
+        `head` is the data `fp_residual` returned at the first group's
+        nodes for these same values, and that group updates from it
+        without gathering again.
         """
         clipped = False
         for grp in self.groups:
@@ -516,7 +587,7 @@ def _check_start(sw, vals, alarm, what):
     boundary data in place, and `what` names it in the message."""
     if alarm is None:
         return
-    top = float(np.abs(vals.take(sw.ne_flat)).max())
+    top = float(sw.top(vals))
     if top > alarm:
         raise ValueError("%s: max |u| = %r over the non-exterior nodes is "
                          "above alarm_bound %r" % (what, top, alarm))
@@ -527,13 +598,34 @@ def _iterate(sw, vals, tol, budget, alarm, sweep=None):
     followed by the residual, stopping as `sw.diverged` says (alarm None
     for none) or at the first residual <= tol.  `sweep(vals, head)`, by
     default `sw.full_sweep`, starts from the data `fp_residual` handed
-    over.  Returns (status, sweeps, residual)."""
+    over.  Returns (status, sweeps, residual).
+
+    After a sweep the residual is taken at color 0, whose data the next
+    sweep's first group reads, and max |u| once.  Color 1's part, and
+    with it the residual over the whole table (the max of the two, NaN
+    if either is), is taken only where it can change the outcome: color
+    0's part is <= tol or not finite, the alarm trips, the sweep is the
+    budget's last, or max |u| is above `sw.safe`, up to which color 1's
+    part is certainly finite.  Elsewhere the residual is above tol and
+    finite whatever color 1's part is, so the run goes on as it would.
+    A solve without a certificate (`sw.safe` -inf) would read color 1
+    after every sweep, and reads the whole table in one pass instead.
+    """
     sweep = sweep or sw.full_sweep
-    res, head = np.inf, None
+    first, second = sw.groups
+    safe = sw.safe
+    res, head, top = np.inf, None, None
     for it in range(1, budget + 1):
         sweep(vals, head)
-        res, head = sw.fp_residual(vals)
-        if sw.diverged(vals, res, alarm):
+        if safe == -math.inf:
+            res, head = sw.fp_residual(vals)
+        else:
+            res, head = sw.fp_residual(vals, first)
+            top = sw.top(vals)
+            if not (tol < res and top <= safe
+                    and (alarm is None or top <= alarm)) or it == budget:
+                res = float(np.max((res, sw.fp_residual(vals, second)[0])))
+        if sw.diverged(vals, res, alarm, top):
             return "diverged_past_alarm", it, res
         if res <= tol:
             return "converged", it, res

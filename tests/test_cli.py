@@ -296,7 +296,7 @@ class TestPerronAndProbe:
         assert "error" not in capsys.readouterr().err
         rep = json.loads((out / "report.json").read_text())["solve"]
         assert rep["status"] == "diverged_past_alarm"
-        assert rep["residual"] is None and rep["sweeps"] == 1
+        assert rep["residual"] == "nan" and rep["sweeps"] == 1
         rows = (out / "field.csv").read_text().splitlines()[1:]
         assert rows and all(np.isfinite(float(r.split(",")[-1]))
                             for r in rows)
