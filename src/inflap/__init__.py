@@ -1,6 +1,7 @@
 """Numerical laboratory for the inhomogeneous infinity-Laplace equation.
 
-Wide-stencil discretization (not monotone) of the Dirichlet problem
+Wide-stencil discretization (one stencil of integer direction pairs up
+to a width w; not monotone) of the Dirichlet problem
 Delta_inf u = f(x, u), u = b on the boundary, with Perron-style
 iteration, explicit radial sub/super-solutions, closed-form existence
 and non-existence thresholds, and post-hoc inequality checkers.

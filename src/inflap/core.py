@@ -475,9 +475,12 @@ class RhsSpec:
         Whether the tree has a t, pow, exp or cospow node.  The solver
         takes the closed-form local update when it is False.
     bound : float
-        An upper bound on |f| from the tree alone (`_bound`; inf when
-        there is none).  Where it is at most SATURATE, `eval_nodes` has
-        nothing to clamp and skips the test.
+        An upper bound on |f| wherever f is a number, from the tree alone
+        (`_bound`; inf when there is none).  It does not show that f is
+        finite: a clip passes NaN on, so (clip (pow t -1) 5) has bound 5
+        and is NaN at t = 0 (`_finite_bound` tells the two apart).  Where
+        it is at most SATURATE, `eval_nodes` has nothing to clamp and
+        skips the test (a NaN is not clamped either way).
     """
 
     def __init__(self, expression, coefs=None, sign=None, monotone_in_t=None):
@@ -686,7 +689,10 @@ def _eval_tree(tree, combo, t, dt=False):
 
 
 def _bound(tree):
-    """An upper bound on |f| over every x and t, from the tree alone.
+    """An upper bound on |f| over every x and t where f is a number, from
+    the tree alone.  It does not show f finite: clip passes NaN on, so
+    (clip e C) has bound C even where e, and with it f, is NaN (see
+    `_finite_bound`).
 
     exp is capped at SATURATE, const is |c|, neg passes its child's
     bound on and clip caps it at C (a negative C clips everything to

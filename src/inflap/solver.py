@@ -31,24 +31,23 @@ of the residual is taken only where it can change the outcome (see
 `_iterate`): where color 0's part is at most tol or not finite, where
 the alarm trips, at the budget's last sweep, and where max |u| is above
 a bound up to which color 1's part is certainly finite (the certificate,
-`_safe_top`, from the stencil's weights, its least arm length, the
-largest slope floor and a bound on |f|).  Everywhere else the residual
-is above tol and finite whatever color 1's part is, so every result is
-the one the residual over the whole table gives.  A t-dependent f
-without such a bound (one with a coefficient, a bare t or a power of
-it, or a clip of such a subtree) gets no certificate, and its loop
-reads the residual over the whole table after every sweep instead, in
-one pass, whose color 0 rows the next sweep reads: two kernel passes
-per sweep.  What the update and the residual read at the
-picked pair k is worked out once per solve: eps, eps^2, c0 and 2 c0 per
-pair, and for x-only f two tables over nodes and pairs, the slope floor
-and the numerator E = eps_k^2 f_i of the closed form
-(A - E / p2) / (2 c0), so that a sweep only picks their entries: the
-same operations on the same operands as working them out per sweep.  An
-undamped update (theta 1) skips the relaxation product, and A is apm
-itself where no pair has correction slots.  The kernel and the local
-update, the implicit one's `_local_solve` too, open no `np.errstate`
-of their own, a few microseconds per call: `solve_dirichlet`,
+`_safe_top`, from the stencil's least arm length, the largest slope
+floor and a bound on |f|).  Everywhere else the residual is above tol
+and finite whatever color 1's part is, so every result is the one the
+residual over the whole table gives.  A t-dependent f without such a
+bound (one with a coefficient, a bare t or a power of it, or a clip of
+such a subtree) gets no certificate, and its loop reads the residual
+over the whole table after every sweep instead, in one pass, whose
+color 0 rows the next sweep reads: two kernel passes per sweep.  What
+the update and the residual read at the picked pair k is worked out
+once per solve: eps and eps^2 per pair, and for x-only f two tables
+over nodes and pairs, the slope floor and the numerator E = eps_k^2 f_i
+of the closed form (apm - E / p2) / 2, apm the sum of the two arm
+values, so that a sweep only picks their entries: the same operations
+on the same operands as working them out per sweep.  An undamped update
+(theta 1) skips the relaxation product.  The kernel and the local
+update, the implicit one's `_local_solve` too, open no `np.errstate` of
+their own, a few microseconds per call: `solve_dirichlet`,
 `perron_solve` and `local_update` each open one block that ignores
 invalid operations, overflow and division by zero.  Every sweep runs
 in one loop, `_iterate` (sweep, residual, max |u|, divergence test,
@@ -78,8 +77,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SATURATE, SIGMA, RhsSpec, ScalarField, _finite_bound
-from .scheme import SchemeParams, Stencil, _c0_at, _pick, _second_diff
+from .core import (INTERIOR, SATURATE, SIGMA, RhsSpec, ScalarField,
+                   _finite_bound)
+from .scheme import SchemeParams, Stencil, _pick, _second_diff
 
 # a local-solve step this small relative to 1 + |t| is rounding noise
 _STEP_TOL = 4.0 * np.finfo(float).eps
@@ -276,13 +276,13 @@ def _safe_top(stencil, f, fx):
     B bounds |f|: max |fx| for an x-only f (fx its values at the table's
     nodes), `core._finite_bound` of a t-dependent one (`f.bound` where
     that also shows f finite at every finite t), and there is no
-    certificate unless B <= SATURATE.  No gathered value, arm or
-    correction sum, apm, second difference S or slope phat at a node
-    exceeds q M, M the max |u| over the nodes it reads and q the gain
-    max_k (sum_j |w_jk| + sum_corr |w_jk| + 2 |c0_k|) max(1, eps_min^-2)
-    from the stencil's weights w, centre weights c0 and least arm
-    length.  p2 = max(phat^2, floor) with floor at most
-    F = `_floor`(eps_max, B), so q M <= min(_ROOM^(1/3), _ROOM / F) keeps
+    certificate unless B <= SATURATE.  No gathered value, apm, second
+    difference S or slope phat at a node exceeds q M, M the max |u| over
+    the nodes it reads and q the gain 4 max(1, eps_min^-2) from the
+    stencil's least arm length (|apm - 2 u| <= 4 M, and 4 = 2 + 2 is the
+    sum of the arm weights and the centre weight).  p2 = max(phat^2,
+    floor) with floor at most F = `_floor`(eps_max, B), so
+    q M <= min(_ROOM^(1/3), _ROOM / F) keeps
     every factor and |S * p2| within _ROOM, a quarter of the largest
     double, which leaves room for rounding and for f.
     """
@@ -291,10 +291,7 @@ def _safe_top(stencil, f, fx):
     F = _floor(stencil._eps.max(), B) if B <= SATURATE else math.inf
     if not F < math.inf:
         return -math.inf
-    w = np.abs(stencil._wts)
-    q = (w.sum(axis=0) + w[2 * stencil._P:].sum(axis=0)
-         + 2.0 * np.abs(stencil._c0)).max() \
-        * max(1.0, stencil._eps.min() ** -2.0)
+    q = 4.0 * max(1.0, stencil._eps.min() ** -2.0)
     return float(_ROOM ** (1.0 / 3.0) * min(1.0, _ROOM ** (2.0 / 3.0) / F)
                  / q)
 
@@ -311,15 +308,14 @@ class _Sweeper:
     |u| up to which color 1's part is certainly finite (`_safe_top`),
     color 0's part is taken after every sweep and color 1's only where
     it can change the outcome (`_iterate` says where); without one, the
-    whole table after every sweep.  The per-pair
-    constants the update and the residual read at the picked pair, eps,
-    eps^2, c0 and 2 c0, are arrays over the pairs, worked out once per
-    solve.  The implicit update brackets each node's root at its own
-    value u0 +- 1, takes one Newton step from u0 and counts the nodes
-    where no sign change is found.  Given `node`, one node's index tuple,
-    the table is that node's alone (`local_update`), the floor and the
-    coefficients are taken there only, and the implicit update is solved
-    to the root.
+    whole table after every sweep.  The per-pair constants the update
+    and the residual read at the picked pair, eps and eps^2, are arrays
+    over the pairs, worked out once per solve.  The implicit update
+    brackets each node's root at its own value u0 +- 1, takes one Newton
+    step from u0 and counts the nodes where no sign change is found.
+    Given `node`, one node's index tuple, the table is that node's alone
+    (`local_update`), the floor and the coefficients are taken there
+    only, and the implicit update is solved to the root.
     """
 
     def __init__(self, domain, f, stencil, opts, node=None):
@@ -344,8 +340,8 @@ class _Sweeper:
         # (`local_update`) is solved to the root
         self.rounds = 1 if node is None else _ROOT_ROUNDS
         self.ne_flat = np.flatnonzero(domain.nonexterior)
-        self.eps, self.c0 = stencil._eps, stencil._c0
-        self.eps_sq, self.c2 = self.eps ** 2, 2.0 * self.c0
+        self.eps = stencil._eps
+        self.eps_sq = self.eps ** 2
         if f.depends_on_t:
             # coefficient values, resolved once per solve
             self.all = _Group(table, coefs=_at(f.coef_grid(domain),
@@ -376,49 +372,45 @@ class _Sweeper:
     def _steep(self, values, grp):
         """Steepest-pair data at a group's nodes, in its order.
 
-        Returns the tuple (u, A, k, pick, p2, fx, dfx, apm, cs, phat).
-        The first seven are the update's data (`_candidate`): the values,
-        A = apm - 2 cs (apm itself when cs is the scalar 0.0, which has
-        no correction slots to subtract), the index of the pair
-        `scheme._select` picks and its flat indices into the group's
-        (n, K) tables, the floored squared slope, f at the values and
-        df/dt at the values (the scalar 0.0 for x-only f).  The last three
-        are what the residual and the Newton system read besides: the sum
-        of the two arm values and the correction sum along the pair and
-        the signed centered slope.  A t-dependent f is evaluated with its
-        derivative, in one tree walk that gives the same f; the implicit
-        update starts from the pair.
+        Returns the tuple (u, apm, k, pick, p2, fx, dfx, phat).  The
+        first seven are the update's data (`_candidate`) and the
+        residual's: the values, the sum of the two arm values along the
+        pair `scheme._select` picks, its index and its flat indices into
+        the group's (n, K) tables, the floored squared slope, f at the
+        values and df/dt at the values (the scalar 0.0 for x-only f).  The
+        last, the signed centered slope, is what the Newton system reads
+        besides.  A t-dependent f is evaluated with its derivative, in one
+        tree walk that gives the same f; the implicit update starts from
+        the pair.
         """
-        u, apm, cs, k, pick, phat = _pick(self.stencil, values, grp.tab)
+        u, apm, k, pick, phat = _pick(self.stencil, values, grp.tab)
         if self.f.depends_on_t:
             fx, dfx = self.f.eval_nodes(u, grp.coefs, dt=True)
             floor = _floor(self.eps.take(k), fx)
         else:
             fx, dfx, floor = grp.fx, 0.0, grp.floor.take(pick)
-        A = apm - 2.0 * cs if self.stencil._corr else apm
-        return (u, A, k, pick, np.maximum(phat ** 2, floor), fx, dfx, apm,
-                cs, phat)
+        return u, apm, k, pick, np.maximum(phat ** 2, floor), fx, dfx, phat
 
     def _candidate(self, grp, data):
         """Candidate values at a group's nodes from the update's data
         (the first seven entries of `_steep`'s tuple): the closed form
-        (A - E / p2) / (2 c0) for x-only f, from the group's E table and
-        the per-pair 2 c0, else `_implicit` with `self.rounds` Newton
-        steps (one in a sweep, to the root for `local_update`)."""
-        u0, A, k, pick, p2, fx, dfx = data[:7]
+        (apm - E / p2) / 2 for x-only f, from the group's E table, else
+        `_implicit` with `self.rounds` Newton steps (one in a sweep, to
+        the root for `local_update`)."""
+        u0, apm, k, pick, p2, fx, dfx = data[:7]
         if not self.f.depends_on_t:
-            return (A - grp.E.take(pick) / p2) / self.c2.take(k)
-        t, failed = self._implicit(u0, A, p2, self.eps.take(k),
-                                   self.c0.take(k), grp.coefs, u0 - 1.0,
-                                   u0 + 1.0, (fx, dfx), self.rounds)
+            return (apm - grp.E.take(pick) / p2) / 2.0
+        t, failed = self._implicit(u0, apm, p2, self.eps.take(k), grp.coefs,
+                                   u0 - 1.0, u0 + 1.0, (fx, dfx),
+                                   self.rounds)
         self.bracket_failures += int(np.count_nonzero(failed))
         return t
 
-    def _implicit(self, u0, A, p2, eps_s, c0_s, coefs, lo, hi, f0=None,
+    def _implicit(self, u0, apm, p2, eps_s, coefs, lo, hi, f0=None,
                   rounds=_ROOT_ROUNDS):
         """Implicit local update at a set of nodes (1-D arrays).
 
-        Solves 2 c0 t - A + eps^2 f(x, t) / p2 = 0 by `_local_solve`
+        Solves 2 t - apm + eps^2 f(x, t) / p2 = 0 by `_local_solve`
         from the bracket [lo, hi], warm-started at the current values u0,
         with the gradient floor in p2 frozen at the incoming value; at a
         Gauss-Seidel fixed point the frozen floor equals the current one,
@@ -431,14 +423,13 @@ class _Sweeper:
         """
         f = self.f
         eps2 = eps_s ** 2
-        c2 = 2.0 * c0_s
 
         def pair(t, ft, dft):
-            return c2 * t - A + eps2 * ft / p2, c2 + eps2 * dft / p2
+            return 2.0 * t - apm + eps2 * ft / p2, 2.0 + eps2 * dft / p2
 
         def g(t, dt=False):
             if not dt:
-                return c2 * t - A + eps2 * f.eval_nodes(t, coefs) / p2
+                return 2.0 * t - apm + eps2 * f.eval_nodes(t, coefs) / p2
             return pair(t, *f.eval_nodes(t, coefs, dt=True))
 
         first = None if f0 is None else pair(u0, *f0)
@@ -462,14 +453,13 @@ class _Sweeper:
         it is the `head` of the next `full_sweep` on these values.
         """
         data = self._steep(values, self.all if grp is None else grp)
-        u, _, k, _, p2, fx, _, apm, cs, _ = data
-        F = _second_diff(u, apm, cs, self.eps_sq.take(k),
-                         _c0_at(self.stencil, k)) * p2 - fx
+        u, apm, k, _, p2, fx, _, _ = data
+        F = _second_diff(u, apm, self.eps_sq.take(k)) * p2 - fx
         head = data[:7]
         if grp is None:
             n = self.groups[0].tab.flat.size
-            u, A, k, pick, p2, fx, dfx = head
-            head = (u[:n], A[:n], k[:n], pick[:n], p2[:n], fx[:n],
+            u, apm, k, pick, p2, fx, dfx = head
+            head = (u[:n], apm[:n], k[:n], pick[:n], p2[:n], fx[:n],
                     dfx[:n] if self.f.depends_on_t else dfx)
         return float(np.abs(F, out=F).max(initial=0.0)), head
 
@@ -492,7 +482,7 @@ class _Sweeper:
         `order` sorts the table's nodes into grid order (the table lists
         color 0 first), and link[j] says whether sorted nodes j and j + 1
         are grid neighbours.  With the one pair's plus arm at the next
-        node, dF_i/du_i = -2 c0 p2 / eps^2 and dF_i/du_(i+-1) =
+        node, dF_i/du_i = -2 p2 / eps^2 and dF_i/du_(i+-1) =
         p2 / eps^2 +- S phat / eps, without the S phat term where the
         floor binds; boundary neighbours drop out.
 
@@ -500,14 +490,13 @@ class _Sweeper:
         The entries are worked out node by node in table order and only
         then sorted, which gives the same values.
         """
-        u, _, k, _, p2, fx, _, apm, cs, phat = self._steep(values, self.all)
+        u, apm, k, _, p2, fx, _, phat = self._steep(values, self.all)
         eps_sq = self.eps_sq.take(k)
-        S = _second_diff(u, apm, cs, eps_sq, _c0_at(self.stencil, k))
+        S = _second_diff(u, apm, eps_sq)
         arm = p2 / eps_sq
         slope = np.where(phat ** 2 < p2, 0.0, S * phat / self.eps.take(k))
         F, arm, slope, diag = ((S * p2 - fx)[order], arm[order],
-                               slope[order],
-                               (-2.0 * self.c0.take(k) * arm)[order])
+                               slope[order], (-2.0 * arm)[order])
         ab = np.zeros((3, F.size))
         ab[0, 1:] = np.where(link, (arm + slope)[:-1], 0.0)
         ab[1] = diag
@@ -553,14 +542,14 @@ class _Sweeper:
 def local_update(node, u, f, s):
     """Solve the local scalar equation at one interior node.
 
-    Returns the value t with (u+ - 2t~ + u-) * phat^2 / eps^2 = f(x, t),
-    where t~ is t adjusted by the stencil's center correction and phat is
-    frozen from the current iterate.  Gathers that node alone, solves an
-    implicit update to the root (a sweep takes one Newton step there),
-    and raises ValueError where the bracket search finds no sign change.
+    Returns the value t with (u+ - 2t + u-) * phat^2 / eps^2 = f(x, t),
+    where phat is frozen from the current iterate.  Gathers that node
+    alone, solves an implicit update to the root (a sweep takes one
+    Newton step there), and raises ValueError where the bracket search
+    finds no sign change.
     """
     node = tuple(node)
-    if u.domain.mask[node] != 2:
+    if u.domain.mask[node] != INTERIOR:
         raise ValueError("local_update needs an interior node")
     sw = _Sweeper(u.domain, f, s, SolveOptions(), node=node)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):

@@ -44,7 +44,7 @@ def _report(num, ok, detail):
 def _cone_residual_sup(h):
     d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 1.0}, h)
     u = cone_field(d, 2.0, [0.0, 0.0], 1.0, "sub")
-    st = Stencil(d, SchemeParams(w=2, refined=True))
+    st = Stencil(d, SchemeParams(w=3))
     res = residual_field(u, RhsSpec("(const 8)"), st)
     r = np.sqrt(sum(g ** 2 for g in d.grid_coords()))
     sel = d.interior & st.avail.all(axis=0) & (r >= 3.0 / 64.0)

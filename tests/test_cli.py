@@ -358,7 +358,7 @@ class TestPerronAndProbe:
         ({"solve": {"tol": True}}, "solve.tol"),
         ({"solve": {"order": "red-black"}}, "unknown key 'order' in solve"),
         ({"scheme": {"w": "2"}}, "scheme.w"),
-        ({"scheme": {"refined": 1}}, "scheme.refined")])
+        ({"scheme": {"refined": True}}, "unknown key 'refined' in scheme")])
     def test_wrong_type_exit_one(self, tmp_path, capsys, section, where):
         cfg = dict({"problem": {"domain": BALL, "h": 0.25,
                                 "rhs": "(const 1)"},

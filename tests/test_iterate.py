@@ -7,10 +7,10 @@ part can change the outcome; the certificate `_Sweeper.safe` (from
 finite, and a solve without one reads the whole table every sweep.  The frozen loop below reads the residual over the whole table
 after every sweep, as the loop did before the split, and every status,
 sweep count, residual, count and field must match it bit for bit: on
-blow-ups with and without an alarm, overflowing starts, refined and 3-D
-stencils, trees with and without a bound on |f|, Perron's ascent and
-clamped phases, the probe, the 1-D Newton path's fallback sweeps and
-domains where one color is empty.
+blow-ups with and without an alarm, overflowing starts, a cycling solve,
+w = 1 and 3-D stencils, trees with and without a bound on |f|, Perron's
+ascent and clamped phases, the probe, the 1-D Newton path's fallback
+sweeps and domains where one color is empty.
 """
 
 import numpy as np
@@ -155,11 +155,10 @@ CASES = {
     # the alarm trips at the first sweep, the residual still finite
     "alarm": _solve(_ball(3.0, 1 / 4), "(neg (exp t))", 0.0,
                     alarm_bound=20.0),
-    "refined-w2": _solve(_ball(1.0, 1 / 16), "(const -1)", 1.0,
-                         params=SchemeParams(w=2, refined=True),
-                         max_sweeps=150),
-    "refined-w1-converged": _solve(_ball(0.5, 1 / 8), "(const -1)", 1.0,
-                                   params=SchemeParams(w=1, refined=True)),
+    # f = 1 with zero data cycles until the budget ends
+    "cycling": _solve(_ball(1.0, 1 / 24), "(const 1)", 0.0, max_sweeps=150),
+    "w1-converged": _solve(_ball(0.5, 1 / 8), "(const -1)", 1.0,
+                           params=SchemeParams(w=1)),
     "3d-neg-exp": _solve(_ball(1.0, 1 / 4, 3), "(neg (exp t))", 0.0,
                          max_sweeps=60),
     "3d-exp": _solve(_ball(1.0, 1 / 4, 3), "(exp t)", 0.0),
@@ -222,13 +221,16 @@ def test_edge_cases_reach_their_endings(monkeypatch):
 
     monkeypatch.setattr(_Sweeper, "full_sweep", recorded)
     ends = {case: [rep for _, rep in CASES[case]()]
-            for case in ("blow-up", "alarm", "start-1e200", "spike-1e200",
-                         "clip-nan-coef", "perron-overflow", "empty-color-0",
-                         "empty-color-1", "newton-fallback")}
+            for case in ("blow-up", "alarm", "cycling", "w1-converged",
+                         "start-1e200", "spike-1e200", "clip-nan-coef",
+                         "perron-overflow", "empty-color-0", "empty-color-1",
+                         "newton-fallback")}
     assert ends["blow-up"][0].status == "max_sweeps_reached"
     assert ends["blow-up"][0].residual == 1e300
     assert ends["blow-up"][0].bracket_failures > 0
     assert ends["alarm"][0].status == "diverged_past_alarm"
+    assert ends["cycling"][0].status == "max_sweeps_reached"
+    assert ends["w1-converged"][0].status == "converged"
     assert np.isnan(ends["start-1e200"][0].residual)
     assert np.isnan(ends["spike-1e200"][0].residual)
     assert ends["clip-nan-coef"][0].sweeps == 1
@@ -252,11 +254,11 @@ def test_edge_cases_reach_their_endings(monkeypatch):
 SOUND = [
     # (N, h, params, rhs)
     (2, 1 / 8, SchemeParams(), "(const -1.5)"),
-    (2, 1 / 8, SchemeParams(w=2, refined=True), "(const 2)"),
+    (2, 1 / 8, SchemeParams(w=3), "(const 2)"),
     (3, 1 / 4, SchemeParams(w=1), "(neg (exp t))"),
-    (3, 1 / 4, SchemeParams(w=1, refined=True), "(neg (exp t))"),
+    (3, 1 / 4, SchemeParams(w=3), "(neg (exp t))"),
     (2, 1 / 16, SchemeParams(w=3), "(mul (const 2) (clip (exp t) 5))"),
-    (2, 1 / 8, SchemeParams(w=2, refined=True), "(cospow 3)"),
+    (2, 1 / 8, SchemeParams(w=3), "(cospow 3)"),
     (3, 1 / 4, SchemeParams(w=2), "(const 1e300)"),
 ]
 

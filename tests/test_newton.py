@@ -57,7 +57,7 @@ def _gauss_seidel(d, f, b, tol, vals, cap=200000):
 
 
 @pytest.mark.parametrize("params", [SchemeParams(),
-                                    SchemeParams(refined=True)])
+                                    SchemeParams(w=3)])
 def test_jacobian_matches_central_differences(params):
     # slope 2 - 0.6 = 1.4 at least, so phat^2 is far above the floor
     d = _line(41)

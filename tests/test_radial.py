@@ -216,7 +216,7 @@ class TestBarrierFields:
 
         C = 1.5
         u = cone_field(ball2d, C, [0.02, 0.01], 1.0, "sub")
-        st = Stencil(ball2d, SchemeParams(refined=True))
+        st = Stencil(ball2d, SchemeParams(w=3))
         res = residual_field(u, RhsSpec("(const %.17g)" % C ** 3), st)
         r = np.sqrt((ball2d.grid_coords()[0] - 0.02) ** 2
                     + (ball2d.grid_coords()[1] - 0.01) ** 2)

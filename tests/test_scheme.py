@@ -93,19 +93,6 @@ class TestOperator:
 
 
 class TestStencilStructure:
-    def test_refined_has_more_pairs(self, coarse_ball):
-        lit = Stencil(coarse_ball, SchemeParams())
-        ref = Stencil(coarse_ball, SchemeParams(refined=True))
-        assert len(ref.pairs) > len(lit.pairs)
-
-    def test_weights_positive(self, coarse_ball):
-        ref = Stencil(coarse_ball, SchemeParams(refined=True))
-        for p in ref.pairs:
-            assert all(w > 0 for _, w in p.plus)
-            assert all(w > 0 for _, w in p.minus)
-            corr = 2.0 * sum(w for _, w in p.corr)
-            assert corr < 1.0
-
     def test_axis_pairs_always_survive(self):
         # the mask invariant guarantees every interior node keeps at
         # least the N axis pairs even on a one-node-wide strip
@@ -126,31 +113,24 @@ class TestStencilStructure:
 
 
 def _reference_pair_arrays(st, values):
-    """Full-grid (K, dims) pair arrays by a loop over nodes and patterns.
+    """Full-grid (K, dims) pair arrays by a loop over nodes and pairs.
 
-    A pair is available where every node it reads lies on the grid and is
-    not exterior; elsewhere its arms are NaN and its correction sum is 0.
+    A pair is available where both its arm nodes x + v and x - v lie on
+    the grid and are not exterior; elsewhere its arms are NaN.
     """
     d = st.domain
     K = len(st.pairs)
     arm_p = np.full((K,) + d.dims, np.nan)
     arm_m = np.full((K,) + d.dims, np.nan)
-    csum = np.zeros((K,) + d.dims)
     for k, p in enumerate(st.pairs):
-        reads = [off for off, _ in p.plus + p.minus]
-        reads += [s * np.array(off) for off, _ in p.corr for s in (1, -1)]
         for node in np.ndindex(d.dims):
-            at = [tuple(int(n + o) for n, o in zip(node, off))
-                  for off in reads]
+            at = [tuple(int(n + s * o) for n, o in zip(node, p.v))
+                  for s in (1, -1)]
             if not all(all(0 <= c < m for c, m in zip(q, d.dims))
                        and d.mask[q] != EXTERIOR for q in at):
                 continue
-            val = lambda off: values[tuple(n + o for n, o in zip(node, off))]
-            arm_p[k][node] = sum(wt * val(off) for off, wt in p.plus)
-            arm_m[k][node] = sum(wt * val(off) for off, wt in p.minus)
-            csum[k][node] = sum(wt * (val(off) + val(tuple(-o for o in off)))
-                                for off, wt in p.corr)
-    return arm_p, arm_m, csum
+            arm_p[k][node], arm_m[k][node] = values[at[0]], values[at[1]]
+    return arm_p, arm_m
 
 
 def _ball(N, h):
@@ -159,10 +139,10 @@ def _ball(N, h):
 
 class TestGatheredKernel:
     CASES = {"2d-integer": (2, 1.0 / 8, SchemeParams()),
-             "2d-refined": (2, 1.0 / 8, SchemeParams(refined=True)),
+             "2d-w1": (2, 1.0 / 8, SchemeParams(w=1)),
              "2d-w3": (2, 1.0 / 8, SchemeParams(w=3)),
              "3d-integer": (3, 0.25, SchemeParams()),
-             "3d-refined": (3, 0.25, SchemeParams(w=1, refined=True))}
+             "3d-w3": (3, 0.25, SchemeParams(w=3))}
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_full_grid_reference(self, case, rng):
@@ -170,30 +150,25 @@ class TestGatheredKernel:
         d = _ball(N, h)
         st = Stencil(d, params)
         vals = np.where(d.nonexterior, rng.standard_normal(d.dims), np.nan)
-        ref_p, ref_m, ref_c = _reference_pair_arrays(st, vals)
+        ref_p, ref_m = _reference_pair_arrays(st, vals)
         ne = np.nonzero(d.nonexterior)
         order = rng.permutation(ne[0].size)
         some = tuple(c[order[:25]] for c in ne)
         node = tuple(int(c[order[0]]) for c in ne)
         for nodes, at in ((d.nonexterior, ne), (st.gather(some), some),
                           (node, tuple(np.array([c]) for c in node))):
-            arm_p, arm_m, c0, csum, eps = st.pair_arrays(vals, nodes)
+            arm_p, arm_m = st.pair_arrays(vals, nodes)
             np.testing.assert_array_equal(arm_p, ref_p[(slice(None),) + at])
             np.testing.assert_array_equal(arm_m, ref_m[(slice(None),) + at])
-            np.testing.assert_array_equal(csum, ref_c[(slice(None),) + at])
-        assert np.array_equal(c0, [1.0 - 2 * sum(w for _, w in p.corr)
-                                   for p in st.pairs])
-        assert np.array_equal(eps, [p.eps for p in st.pairs])
-        # truncated pairs at interior nodes: NaN arms, zero correction
-        arm_p, arm_m, _, csum, _ = st.pair_arrays(vals, d.interior)
+        # truncated pairs at interior nodes: NaN arms
+        arm_p, arm_m = st.pair_arrays(vals, d.interior)
         cut = ~st.avail[:, d.interior]
         assert cut.any()
         assert np.isnan(arm_p[cut]).all() and np.isnan(arm_m[cut]).all()
-        assert (csum[cut] == 0.0).all()
         assert not np.isnan(arm_p[~cut]).any()
 
     @pytest.mark.parametrize("params", [SchemeParams(),
-                                        SchemeParams(refined=True)])
+                                        SchemeParams(w=3)])
     def test_apply_matches_field(self, coarse_ball, params, rng):
         st = Stencil(coarse_ball, params)
         vals = np.where(coarse_ball.nonexterior,

@@ -280,7 +280,7 @@ class TestLocalUpdate:
         # (u+ + u-)/2 - t = eps^2 f / (2 phat^2) with
         # phat = (u+ - u-) / (2 eps)
         d = build_domain({"kind": "box", "lo": [0.0], "hi": [1.0]}, 0.25)
-        s = Stencil(d, SchemeParams(w=1, refined=False))
+        s = Stencil(d, SchemeParams(w=1))
         u = ScalarField(d, np.linspace(0.0, 1.0, d.dims[0]) ** 2)
         node = (2,)
         f = RhsSpec("(const 1)")
@@ -486,17 +486,17 @@ class TestOneStepSweeps:
 
     def test_step_keeps_a_root(self):
         # g(u0) = 0 exactly at nodes 0 and 1 (u0 = 0 and -0.0, where
-        # 2 c0 u0 - A + eps^2 f / p2 = 0 + 1 - 1): they return u0 bit for
+        # 2 u0 - apm + eps^2 f / p2 = 0 + 1 - 1): they return u0 bit for
         # bit; node 2 (u0 = -0.5) moves
         d = build_domain({"kind": "ball", "center": [0.0, 0.0], "R": 0.5},
                          1.0 / 8)
         f = RhsSpec("(neg (exp t))")
         sw = _Sweeper(d, f, Stencil(d, SchemeParams()), SolveOptions())
         u0 = np.array([0.0, -0.0, -0.5])
-        A, c0 = np.full(3, -1.0), np.ones(3)
+        apm = np.full(3, -1.0)
         eps, p2 = np.full(3, 0.25), np.full(3, 0.0625)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            t, failed = sw._implicit(u0, A, p2, eps, c0, {}, u0 - 1.0,
+            t, failed = sw._implicit(u0, apm, p2, eps, {}, u0 - 1.0,
                                      u0 + 1.0, f.eval_nodes(u0, {}, dt=True),
                                      rounds=1)
         assert not failed.any()

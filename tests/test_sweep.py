@@ -13,7 +13,6 @@ copy of the bracketed Newton solve (`_ref_local_solve`); every field,
 residual, status and count must match it bit for bit.
 """
 
-import functools
 import math
 import re
 from dataclasses import replace
@@ -38,24 +37,12 @@ from inflap.core import SIGMA
 from inflap.solver import _local_solve, _Sweeper
 
 
-@functools.lru_cache(maxsize=None)
 def _ref_layout(st):
-    """(P, J, wts, c0) of the slot layout, rebuilt from `Stencil.pairs`:
-    plus-arm slots 0..P-1, minus-arm slots P..2P-1, then both nodes of
-    each correction entry; padding has weight 0."""
-    P = max(len(p.plus) for p in st.pairs)
-    J = 2 * P + 2 * max(len(p.corr) for p in st.pairs)
-    wts = np.zeros((J, len(st.pairs)))
-    c0 = np.ones(len(st.pairs))
-    for k, p in enumerate(st.pairs):
-        corr = []
-        for off, wt in p.corr:
-            corr += [(off, wt), (tuple(-o for o in off), wt)]
-            c0[k] -= 2 * wt
-        for j0, pattern in ((0, p.plus), (P, p.minus), (2 * P, corr)):
-            for j, (_, wt) in enumerate(pattern, j0):
-                wts[j, k] = wt
-    return P, J, wts, c0
+    """(P, J, wts, c0) of the slot layout of the integer stencil: one
+    plus-arm slot and one minus-arm slot of weight 1, no correction
+    slots, and centre weights 1."""
+    K = len(st.pairs)
+    return 1, 2, np.ones((2, K)), np.ones(K)
 
 
 def _ref_pair_arrays(st, values, tab):
@@ -310,8 +297,7 @@ SOLVES = [
     ("(neg (exp t))", 1.0, SchemeParams(), 2, 0.5, 1 / 8, 500),
     ("(mul (coef a) (neg (exp t)))", None, SchemeParams(), 2, 0.5, 1 / 8,
      500),
-    ("(const -1)", None, SchemeParams(w=2, refined=True), 2, 0.5, 1 / 8,
-     500),
+    ("(const -1)", None, SchemeParams(w=3), 2, 0.5, 1 / 8, 500),
     ("(const -1)", None, SchemeParams(), 3, 1.0, 1 / 4, 500),
 ]
 SOLVE_IDS = [
@@ -341,11 +327,10 @@ def test_dirichlet_matches_reference(expr, damping, params, N, R, h, cap):
     assert rep.sweeps > 2
 
 
-# x-only cases of the closed form's per-solve tables (E = eps^2 f, 2 c0
-# and eps^2 per pair): a callable coefficient, so that f and E vary by
-# node; damping 0.7 (a relaxed update); a box; a 3-D refined stencil,
-# whose centre weights c0 differ from 1 and whose pairs have correction
-# slots; and a 2-D refined stencil with f > 0
+# x-only cases of the closed form's per-solve tables (E = eps^2 f and
+# eps^2 per pair): a callable coefficient, so that f and E vary by node;
+# damping 0.7 (a relaxed update); a box; a relaxed 3-D solve; and a wide
+# 2-D stencil with f > 0
 CLOSED_FORM = [
     # (rhs, damping, params, domain, h, max_sweeps)
     ("(mul (coef a) (const -1))", None, SchemeParams(), _ball(0.5), 1 / 8,
@@ -353,10 +338,10 @@ CLOSED_FORM = [
     ("(const -1)", 0.7, SchemeParams(), _ball(0.5), 1 / 8, 500),
     ("(const 1)", None, SchemeParams(w=3),
      {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 0.75]}, 1 / 8, 500),
-    ("(mul (coef a) (const -1))", 0.7, SchemeParams(w=1, refined=True),
-     _ball(1.0, 3), 1 / 4, 500),
-    ("(mul (coef a) (const 1))", None, SchemeParams(w=2, refined=True),
-     _ball(0.5), 1 / 8, 300),
+    ("(mul (coef a) (const -1))", 0.7, SchemeParams(w=1), _ball(1.0, 3),
+     1 / 4, 500),
+    ("(mul (coef a) (const 1))", None, SchemeParams(w=3), _ball(0.5), 1 / 8,
+     300),
 ]
 CLOSED_FORM_IDS = [
     "red-black-(mul (coef a) (const -1))-None-params0-domain0-0.125-500",
@@ -419,8 +404,8 @@ def test_probe_matches_reference():
 
 
 def test_two_gathers_per_sweep(monkeypatch, small_ball):
-    # each sweep gathers the interior once, in both solvers and both
-    # stencil modes: color 1 for its update and color 0 for the residual,
+    # each sweep gathers the interior once, in both solvers and at two
+    # stencil widths: color 1 for its update and color 0 for the residual,
     # whose data the next sweep's color 0 update reads; the first sweep
     # gathers color 0 for its update, and color 1's part of the residual
     # is gathered again only where it can change the outcome, here the
@@ -441,7 +426,7 @@ def test_two_gathers_per_sweep(monkeypatch, small_ball):
     monkeypatch.setattr(Stencil, "pair_arrays", counted)
     b = BoundaryTrace.constant(d, 1.0)
     guess = ScalarField.constant(d, 1.0)
-    for params in (SchemeParams(), SchemeParams(w=1, refined=True)):
+    for params in (SchemeParams(), SchemeParams(w=3)):
         for expr in ("(const -1)", "(neg (exp t))"):
             f = RhsSpec(expr)
             opts = SolveOptions(tol=1e-8)
@@ -461,20 +446,18 @@ def test_two_gathers_per_sweep(monkeypatch, small_ball):
                 assert nodes == (n0 + n1) * rep.sweeps + n0 + n1 * extra
 
 
-@pytest.mark.parametrize("params", [SchemeParams(),
-                                    SchemeParams(w=2, refined=True)])
+@pytest.mark.parametrize("params", [SchemeParams(), SchemeParams(w=3)])
 def test_group_tables_pair_minor_and_contiguous(small_ball, params):
-    # each group gathers from its own contiguous (J, n, K) table, and a
+    # each group gathers from its own contiguous (2, n, K) table, and a
     # part of a table reads the full table's columns in the public (K, n)
     # shape
     d = small_ball
     st = Stencil(d, params)
     sw = _Sweeper(d, RhsSpec("(const -1)"), st, SolveOptions())
     K = len(st.pairs)
-    J = st.interior.idx.shape[0]
     for grp in [sw.all] + sw.groups:
         n = grp.tab.flat.size
-        assert grp.tab.idx.shape == (J, n, K)
+        assert grp.tab.idx.shape == (2, n, K)
         assert grp.tab.idx.flags.c_contiguous
         assert grp.floor.shape == (n, K) and grp.floor.flags.c_contiguous
     vals = np.random.default_rng(5).uniform(-1.0, 1.0, d.dims)
@@ -484,7 +467,7 @@ def test_group_tables_pair_minor_and_contiguous(small_ball, params):
     for grp in sw.groups:
         hi = lo + grp.tab.flat.size
         part = st.pair_arrays(vals, grp.tab)
-        for j in (0, 1, 3):
+        for j in (0, 1):
             assert part[j].shape == (K, hi - lo)
             assert part[j].tobytes() == full[j][:, lo:hi].tobytes()
         lo = hi
@@ -493,22 +476,26 @@ def test_group_tables_pair_minor_and_contiguous(small_ball, params):
 @pytest.mark.parametrize("params, N, h", [
     (SchemeParams(), 2, 1 / 8),
     (SchemeParams(w=3), 2, 1 / 8),
-    (SchemeParams(w=2, refined=True), 2, 1 / 8),
+    (SchemeParams(w=1), 2, 1 / 8),
     (SchemeParams(w=1), 3, 1 / 4),
-    (SchemeParams(w=1, refined=True), 3, 1 / 4)])
+    (SchemeParams(w=3), 3, 1 / 4)])
 def test_kernel_matches_frozen_reference(params, N, h):
     # values on a lattice of quarters make ties between pairs, and zeros
-    # of both signs, common
+    # of both signs, common; -0.0 but at one node gives flat pairs whose
+    # arms and centre are all -0.0, where S must be -0.0 too
     d = build_domain(_ball(1.0, N), h)
     st = Stencil(d, params)
-    rng = np.random.default_rng(N + 10 * params.w + 100 * params.refined)
-    for _ in range(4):
-        vals = np.round(rng.uniform(-1.0, 1.0, d.dims) * 4.0) / 4.0
+    rng = np.random.default_rng(N + 10 * params.w)
+    fields = [np.round(rng.uniform(-1.0, 1.0, d.dims) * 4.0) / 4.0
+              for _ in range(4)]
+    fields.append(np.full(d.dims, -0.0))
+    fields[-1][tuple(n // 2 for n in d.dims)] = 0.25
+    for vals in fields:
         vals[~d.nonexterior] = np.nan
         for tab in (st.interior, st.interior.part(3, 17)):
             got = st.pair_arrays(vals, tab)
-            want = _ref_pair_arrays(st, vals, tab)
-            for a, b in zip(got, want):
+            want = _ref_pair_arrays(st, vals, tab)[:2]
+            for a, b in zip(got, want, strict=True):
                 assert a.tobytes() == b.tobytes()
         lap = np.full(d.dims, np.nan)
         S, phat, _ = _ref_steepest(vals, st, st.interior)
@@ -555,12 +542,14 @@ def test_implicit_update_matches_frozen_solve(small_ball8, expr, coef,
         eps = rng.uniform(1 / 32, 1 / 4, n)
         p2 = 10.0 ** rng.uniform(-6.0, 1.0, n)
         coefs = {"a": rng.uniform(0.5, 2.0, n)} if coef else {}
+        # 2 c0 t - A + eps^2 f / p2 = 0 divided by c0, the update's form
+        A, p2 = A / c0, c0 * p2
         lo, hi = [(np.full(n, u0.min() - 1.0), np.full(n, u0.max() + 1.0)),
                   (u0 - 1.0, u0 + 1.0),
                   (u0 - 1e-3, u0 + 1e-3)][trial % 3]
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            got = sw._implicit(u0, A, p2, eps, c0, coefs, lo, hi)
-        g = _ref_g(f, coefs, A, p2, eps ** 2, c0)
+            got = sw._implicit(u0, A, p2, eps, coefs, lo, hi)
+        g = _ref_g(f, coefs, A, p2, eps ** 2, 1.0)
         want = _ref_local_solve(g, lo, hi, u0)
         _same_bits(got, want)
         failures += int(want[1].sum())
@@ -654,13 +643,15 @@ def test_first_round_reuses_f_at_u0(small_ball8, expr, coef, at_zero):
         eps = rng.uniform(1 / 32, 1 / 4, n)
         p2 = 10.0 ** rng.uniform(-6.0, 1.0, n)
         coefs = {"a": rng.uniform(0.5, 2.0, n)} if coef else {}
+        # 2 c0 t - A + eps^2 f / p2 = 0 divided by c0, the update's form
+        A, p2 = A / c0, c0 * p2
         lo, hi = [(u0 - 1.0, u0 + 1.0), (u0 - 1e-3, u0 + 1e-3)][trial % 2]
-        g = _ref_g(f, coefs, A, p2, eps ** 2, c0)
+        g = _ref_g(f, coefs, A, p2, eps ** 2, 1.0)
         saved += _first_round_matches(g, lo, hi, u0)
         # the update's own path: f and df/dt at u0 as `_steep` has them
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             f0 = f.eval_nodes(u0, coefs, dt=True)
-            got = sw._implicit(u0, A, p2, eps, c0, coefs, lo, hi, f0)
+            got = sw._implicit(u0, A, p2, eps, coefs, lo, hi, f0)
         _same_bits(got, _ref_local_solve(g, lo, hi, u0))
     assert saved > 0
 
