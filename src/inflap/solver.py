@@ -7,18 +7,19 @@ scale-aware floor: p_floor^2 = (eps * |f|)^(2/3) / (2 sigma), so that a
 flat iterate grows by sigma |f|^(1/3) eps^(4/3) per step, the growth rate
 of the exact cone solution across one stencil arm, instead of exploding.
 For x-only f the update has a closed form; for t-dependent f it is one
-safeguarded Newton step (`_local_solve` with one round) from the node's
-own value u0, inside a bracket that starts at u0 +- 1.  The step takes
+safeguarded Newton step (`_local_solve`) from the node's own value u0,
+inside a bracket that `_bracket` widens from u0 +- 1.  The step takes
 g and g' from the f and df/dt at u0 that `_Sweeper._steep` has evaluated
 in one tree walk, and it is zero exactly where g(u0) = 0, so the sweeps
 have the fixed points of sweeps that solve each node to its root
 (one-step SOR-Newton, Ortega and Rheinboldt 1970, sections 7.4 and 10.3)
-while they evaluate f only for the bracket checks; `local_update` solves
-its one node to the root.  Where the bracket search finds no sign change
-(the local blow-up mechanism) the update is the bracket edge, which the
-divergence rule then catches; such nodes are counted in
-`SolveReport.bracket_failures`.  A node at its edge widens no other
-node's bracket, so a blow-up stays local.
+while they evaluate f only for the bracket checks.  `local_update`
+solves its one node to the root, by Brent's method in the same bracket.
+Where the bracket search finds no sign change (the local blow-up
+mechanism) the update is the bracket edge, which the divergence rule
+then catches; such nodes are counted in `SolveReport.bracket_failures`.
+A node at its edge widens no other node's bracket, so a blow-up stays
+local.
 
 A sweep updates the two colors in turn (red-black Gauss-Seidel, relaxed
 by at most 1, see `SolveOptions`), and each update and the residual need
@@ -46,8 +47,8 @@ of the closed form (apm - E / p2) / 2, apm the sum of the two arm
 values, so that a sweep only picks their entries: the same operations
 on the same operands as working them out per sweep.  An undamped update
 (theta 1) skips the relaxation product.  The kernel and the local
-update, the implicit one's `_local_solve` too, open no `np.errstate` of
-their own, a few microseconds per call: `solve_dirichlet`,
+update, the implicit one's `_bracket` and `_local_solve` too, open no
+`np.errstate` of their own, a few microseconds per call: `solve_dirichlet`,
 `perron_solve` and `local_update` each open one block that ignores
 invalid operations, overflow and division by zero.  Every sweep runs
 in one loop, `_iterate` (sweep, residual, max |u|, divergence test,
@@ -66,7 +67,7 @@ Jacobian (`_Sweeper.newton_system`, from the same steepest-pair data).
 There `solve_dirichlet`, its f == 0 start included, runs damped Newton
 (`_newton`): one banded solve and an Armijo backtracking on ||F||_2 per
 step, a few sweeps where the line search fails, and plain sweeps for the
-rest of the budget after _NEWTON_ROUNDS rounds.  Gauss-Seidel needs a
+rest of the budget after _NEWTON_ROUNDS iterations.  Gauss-Seidel needs a
 sweep count growing as n^2 there.  Every other solve sweeps.
 """
 
@@ -81,11 +82,6 @@ from .core import (INTERIOR, SATURATE, SIGMA, RhsSpec, ScalarField,
                    _finite_bound)
 from .scheme import SchemeParams, Stencil, _pick, _second_diff
 
-# a local-solve step this small relative to 1 + |t| is rounding noise
-_STEP_TOL = 4.0 * np.finfo(float).eps
-# the most Newton steps of a local solve to the root (`local_update`);
-# a sweep takes one step per node
-_ROOT_ROUNDS = 100
 # the least squared slope the update divides by, whatever f is
 _DELTA_REG = 1e-10
 # 1-D Newton: tridiagonal solves before the Gauss-Seidel handoff, sweeps
@@ -143,7 +139,6 @@ class SolveReport:
     residual: float
     sup: float
     inf: float
-    monotone: bool
     clipped: bool = False        # the last sweep hit the super-solution
     bracket_failures: int = 0    # local solves that found no sign change
     newton_steps: int = 0        # 1-D Newton steps, the harmonic start's too
@@ -155,94 +150,75 @@ def _at(coefs, flat):
     return {k: v.take(flat) if np.ndim(v) else v for k, v in coefs.items()}
 
 
-def _local_solve(g, lo, hi, t0, first=None, rounds=_ROOT_ROUNDS):
-    """Safeguarded Newton solve of g(t) = 0, one equation per node.
+def _bracket(g, lo, hi):
+    """Widen [lo, hi], one equation g(t) = 0 per node, until g(lo) <= 0 <=
+    g(hi).
 
-    `g(t)` gives g on the node array t and `g(t, dt=True)` the pair
-    (g, dg/dt).  The bracket [lo, hi] is first widened, by doubling
-    steps, until g(lo) <= 0 <= g(hi) (at most 60 widenings).  Newton then
-    starts from t0 clipped into the bracket.  `first`, when given, is
-    the pair g(t0, dt=True) the caller already has, and the first step
-    uses it instead of evaluating g there again; t0 must then lie in
-    [lo, hi], so that the clip leaves it as it is (widening only moves
-    the ends outward).  Each step shrinks the bracket by the sign of g,
-    and a step that leaves the bracket (its ends count as inside), is
-    not finite or comes from a slope that is not finite becomes a
-    bisection step.  A node stops, at the step from its last point, once
-    g vanishes there or the bracket is at most 2 h wide, h = 4 eps
-    (1 + |t|) the rounding level, and after at most `rounds` steps.  A
-    step shorter than h is lengthened to h, so that near a root the
-    bracket closes, except in the last round: the lengthened step only
-    serves the next round's stop test.  So `rounds=1` (the sweeps'
-    update) is one safeguarded Newton step from t0: the Newton point
-    when it is finite and inside the bracket, else the bisection
-    midpoint, and t0 itself where g(t0) = 0.  A node where no sign change
-    was found (f outgrowing the linear term, the local blow-up
-    mechanism) returns the bracket edge on the side where g has the
-    wrong sign, hi first.
-
-    The arrays hold a few dozen nodes, so the number of numpy calls per
-    step sets the cost, not the arithmetic: each test is one mask, the
-    bisection and the lengthened steps are built only in a step where
-    some node needs them, the edges only where some node failed, and the
-    selection of the live nodes' steps only once some node has stopped.
-    Opens no `np.errstate`: the caller ignores invalid operations,
-    overflow and division by zero.
-
-    Returns
-    -------
-    (t, failed) : ndarray roots (or steps) and the mask of nodes without
-    sign change
+    `g(t)` gives g on the node array t.  A node whose bracket has the
+    wrong sign at an end moves that end outward by a doubling step (2, 4,
+    ..., 2^60), at most 60 times.  Returns (lo, hi, failed, edge): failed
+    marks the nodes where no sign change was found (f outgrowing the
+    linear term, the local blow-up mechanism), and edge is their bracket
+    end on the side where g has the wrong sign, hi first, or None where
+    no node failed.  Opens no `np.errstate`: the caller ignores invalid
+    operations, overflow and division by zero.
     """
-    count = np.count_nonzero
     span = 1.0
     # 60 widenings, each followed by a check
     for k in range(61):
         bad_lo = g(lo) > 0
         bad_hi = g(hi) < 0
         failed = bad_lo | bad_hi
-        n_failed = count(failed)
+        n_failed = np.count_nonzero(failed)
         if k == 60 or not n_failed:
             break
         span *= 2.0
         lo = np.where(bad_lo, lo - span, lo)
         hi = np.where(bad_hi, hi + span, hi)
-    edge = np.where(bad_hi, hi, lo) if n_failed else None
-    t = np.minimum(np.maximum(t0, lo), hi)
-    live = ~failed
-    for k in range(rounds - 1, -1, -1):    # k rounds follow this one
-        n_live = count(live)
-        if not n_live:
-            break
-        gt, dg = g(t, dt=True) if first is None else first
-        first = None
-        up = gt > 0.0
-        hi = np.where(up, t, hi)
-        lo = np.where(up, lo, t)
-        root = gt == 0.0
-        step = gt / dg
-        step[root] = 0.0
-        tn = t - step
-        # off an exact root, an infinite or zero slope (e.g. (pow t g),
-        # g < 1, at t = 0) gives no Newton step: bisect instead
-        newton = (tn >= lo) & (tn <= hi) & np.isfinite(step) \
-            & (np.isfinite(dg) | root)
-        if count(newton) < newton.size:
-            tn = np.where(newton, tn, 0.5 * (lo + hi))
-        if k:
-            h = _STEP_TOL * (1.0 + np.abs(t))
-            go_on = ~(root | (hi - lo <= 2.0 * h))
-            # a step below rounding level is no proof of a root (a huge
-            # slope far from it gives one too): step h toward the root,
-            # which closes the bracket if the root is that near; t is a
-            # bracket end and the other end is over 2 h away
-            short = (np.abs(tn - t) < h) & go_on
-            if count(short):
-                tn = np.where(short, np.where(up, t - h, t + h), tn)
-        t = tn if n_live == live.size else np.where(live, tn, t)
-        if k:
-            live &= go_on
-    return (np.where(failed, edge, t) if n_failed else t), failed
+    return lo, hi, failed, np.where(bad_hi, hi, lo) if n_failed else None
+
+
+def _local_solve(g, lo, hi, t0, first):
+    """One safeguarded Newton step on g(t) = 0, one equation per node.
+
+    `_bracket` widens [lo, hi] first, which must hold t0; `first` is the
+    pair (g, dg/dt) at t0 the caller already has, so g itself is
+    evaluated only for the bracket checks.  The sign of g(t0) moves one
+    bracket end to t0, and the step is the Newton point when it is
+    finite, inside the bracket (its ends count as inside) and comes from
+    a finite slope, else the bisection midpoint, and t0 itself where
+    g(t0) = 0.  A node where no sign change was found returns its
+    bracket edge (`_bracket`).  The arrays hold a few dozen nodes, so the
+    number of numpy calls sets the cost: the midpoints are built only
+    where some node needs them.  Opens no `np.errstate`.
+
+    Returns
+    -------
+    (t, failed) : ndarray steps and the mask of nodes without sign change
+    """
+    lo, hi, failed, edge = _bracket(g, lo, hi)
+    gt, dg = first
+    up = gt > 0.0
+    hi = np.where(up, t0, hi)
+    lo = np.where(up, lo, t0)
+    root = gt == 0.0
+    step = gt / dg
+    step[root] = 0.0
+    t = t0 - step
+    # off an exact root, an infinite or zero slope (e.g. (pow t g), g < 1,
+    # at t = 0) gives no Newton step: bisect instead
+    newton = (t >= lo) & (t <= hi) & np.isfinite(step) \
+        & (np.isfinite(dg) | root)
+    if np.count_nonzero(newton) < newton.size:
+        t = np.where(newton, t, 0.5 * (lo + hi))
+    return (t if edge is None else np.where(failed, edge, t)), failed
+
+
+def _equation(f, apm, p2, eps2, coefs):
+    """g(t) = 2 t - apm + eps^2 f(x, t) / p2, the implicit update's
+    scalar equation at a set of nodes (1-D arrays, coefs their
+    coefficient values)."""
+    return lambda t: 2.0 * t - apm + eps2 * f.eval_nodes(t, coefs) / p2
 
 
 class _Group(NamedTuple):
@@ -314,8 +290,8 @@ class _Sweeper:
     brackets each node's root at its own value u0 +- 1, takes one Newton
     step from u0 and counts the nodes where no sign change is found.
     Given `node`, one node's index tuple, the table is that node's alone
-    (`local_update`), the floor and the coefficients are taken there
-    only, and the implicit update is solved to the root.
+    and the floor and the coefficients are taken there only, which
+    `local_update` reads.
     """
 
     def __init__(self, domain, f, stencil, opts, node=None):
@@ -336,9 +312,6 @@ class _Sweeper:
                                          for c in zip(*colors)))
             cut = colors[0][0].size
         self.bracket_failures = 0
-        # one Newton step per node and sweep; one node's update
-        # (`local_update`) is solved to the root
-        self.rounds = 1 if node is None else _ROOT_ROUNDS
         self.ne_flat = np.flatnonzero(domain.nonexterior)
         self.eps = stencil._eps
         self.eps_sq = self.eps ** 2
@@ -395,45 +368,34 @@ class _Sweeper:
         """Candidate values at a group's nodes from the update's data
         (the first seven entries of `_steep`'s tuple): the closed form
         (apm - E / p2) / 2 for x-only f, from the group's E table, else
-        `_implicit` with `self.rounds` Newton steps (one in a sweep, to
-        the root for `local_update`)."""
+        `_implicit`'s one Newton step from the values u0, in the bracket
+        u0 +- 1."""
         u0, apm, k, pick, p2, fx, dfx = data[:7]
         if not self.f.depends_on_t:
             return (apm - grp.E.take(pick) / p2) / 2.0
         t, failed = self._implicit(u0, apm, p2, self.eps.take(k), grp.coefs,
-                                   u0 - 1.0, u0 + 1.0, (fx, dfx),
-                                   self.rounds)
+                                   u0 - 1.0, u0 + 1.0, (fx, dfx))
         self.bracket_failures += int(np.count_nonzero(failed))
         return t
 
-    def _implicit(self, u0, apm, p2, eps_s, coefs, lo, hi, f0=None,
-                  rounds=_ROOT_ROUNDS):
+    def _implicit(self, u0, apm, p2, eps_s, coefs, lo, hi, f0):
         """Implicit local update at a set of nodes (1-D arrays).
 
-        Solves 2 t - apm + eps^2 f(x, t) / p2 = 0 by `_local_solve`
-        from the bracket [lo, hi], warm-started at the current values u0,
-        with the gradient floor in p2 frozen at the incoming value; at a
+        Takes one safeguarded Newton step (`_local_solve`) on the
+        `_equation` 2 t - apm + eps^2 f(x, t) / p2 = 0 from the current
+        values u0, inside the bracket [lo, hi] (which holds u0), with the
+        gradient floor in p2 frozen at the incoming value; at a
         Gauss-Seidel fixed point the frozen floor equals the current one,
-        so fp_residual vanishes there.  `rounds` caps the Newton steps:
-        the default solves to the root, and a sweep takes one step.
-        `f0`, the pair (f, df/dt) at u0 that `_steep` found (u0 inside
-        [lo, hi]), makes the first Newton step's g and g' without a
+        so fp_residual vanishes there.  `f0` is the pair (f, df/dt) at u0
+        that `_steep` found, which gives the step's g and g' without a
         second evaluation of f.  Returns (t, failed) as `_local_solve`
         does.
         """
-        f = self.f
         eps2 = eps_s ** 2
-
-        def pair(t, ft, dft):
-            return 2.0 * t - apm + eps2 * ft / p2, 2.0 + eps2 * dft / p2
-
-        def g(t, dt=False):
-            if not dt:
-                return 2.0 * t - apm + eps2 * f.eval_nodes(t, coefs) / p2
-            return pair(t, *f.eval_nodes(t, coefs, dt=True))
-
-        first = None if f0 is None else pair(u0, *f0)
-        return _local_solve(g, lo, hi, u0, first, rounds)
+        fx, dfx = f0
+        first = 2.0 * u0 - apm + eps2 * fx / p2, 2.0 + eps2 * dfx / p2
+        return _local_solve(_equation(self.f, apm, p2, eps2, coefs), lo, hi,
+                            u0, first)
 
     def fp_residual(self, values, grp=None):
         """Sup-norm of the regularized residual S * phat2_eff - f.
@@ -544,19 +506,32 @@ def local_update(node, u, f, s):
 
     Returns the value t with (u+ - 2t + u-) * phat^2 / eps^2 = f(x, t),
     where phat is frozen from the current iterate.  Gathers that node
-    alone, solves an implicit update to the root (a sweep takes one
-    Newton step there), and raises ValueError where the bracket search
-    finds no sign change.
+    alone.  An x-only f has the sweeps' closed form.  For a t-dependent f
+    `_bracket` widens u0 +- 1, u0 the node's value, until the `_equation`
+    changes sign there (a ValueError where it finds none), and Brent's
+    method (`scipy.optimize.brentq`) finds the root in that bracket, to
+    4 eps (1 + |t|); a sweep takes one Newton step there instead.
     """
     node = tuple(node)
     if u.domain.mask[node] != INTERIOR:
         raise ValueError("local_update needs an interior node")
     sw = _Sweeper(u.domain, f, s, SolveOptions(), node=node)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        t = float(sw._candidate(sw.all, sw._steep(u.values, sw.all))[0])
-    if sw.bracket_failures:
-        raise ValueError("bracket failure in local update")
-    return t
+        data = sw._steep(u.values, sw.all)
+        if not f.depends_on_t:
+            return float(sw._candidate(sw.all, data)[0])
+        u0, apm, k, _, p2 = data[:5]
+        g = _equation(f, apm, p2, sw.eps.take(k) ** 2, sw.all.coefs)
+        lo, hi, failed, _ = _bracket(g, u0 - 1.0, u0 + 1.0)
+        if failed[0]:
+            raise ValueError("bracket failure in local update")
+        from scipy.optimize import brentq
+        tol = 4.0 * np.finfo(float).eps
+        # Brent's method takes at most the square of the bisection count,
+        # and a bisection needs 113 halvings to close a 2^62-wide bracket
+        # (60 widenings) to 4 eps
+        return brentq(lambda t: float(g(np.full(1, t))[0]), lo[0], hi[0],
+                      xtol=tol, rtol=tol, maxiter=113 ** 2)
 
 
 def _tol(opts, b):
@@ -625,30 +600,30 @@ def _newton(sw, vals, tol, budget, alarm):
     """Damped Newton on the 1-D system F(u) = 0 of an x-only f.
 
     F is the residual `fp_residual` bounds, so a converged Newton solve
-    carries the same certificate as a Gauss-Seidel one.  Each round takes
+    carries the same certificate as a Gauss-Seidel one.  Each iteration takes
     one `_newton_step`; where it finds no step, up to _FALLBACK_SWEEPS
     Gauss-Seidel sweeps move the iterate instead.  Newton steps plus
     sweeps stay within `budget`, and `sw.diverged` is tested after every
     step and sweep (alarm None for no alarm).
 
     Returns (status, steps, sweeps, residual); status is None when
-    _NEWTON_ROUNDS rounds ended without a verdict.
+    _NEWTON_ROUNDS iterations ended without a verdict.
     """
     order = np.argsort(sw.all.tab.flat)
     flat = sw.all.tab.flat[order]
     link = np.diff(flat) == 1
     F, ab = sw.newton_system(vals, order, link)
     steps = sweeps = 0
-    for rounds in range(_NEWTON_ROUNDS + 1):
+    for it in range(_NEWTON_ROUNDS + 1):
         res = float(np.abs(F).max())
         # after a step; a fallback burst has tested its own sweeps
-        if rounds and sw.diverged(vals, res, alarm):
+        if it and sw.diverged(vals, res, alarm):
             return "diverged_past_alarm", steps, sweeps, res
         if res <= tol:
             return "converged", steps, sweeps, res
         if steps + sweeps >= budget:
             return "max_sweeps_reached", steps, sweeps, res
-        if rounds == _NEWTON_ROUNDS:
+        if it == _NEWTON_ROUNDS:
             break
         step = _newton_step(sw, vals, flat, order, link, F, ab)
         if step is not None:
@@ -702,7 +677,7 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
     In 1-D with an x-only f the discrete system F(u) = S p2 - f = 0 has
     one direction pair and a tridiagonal Jacobian, and both the f == 0
     start and the solve use `_newton`, handing over to Gauss-Seidel
-    sweeps after _NEWTON_ROUNDS rounds.  `newton_steps` and `sweeps` then
+    sweeps after _NEWTON_ROUNDS iterations.  `newton_steps` and `sweeps` then
     count the start's steps and sweeps too, and all of them together stay
     within `max_sweeps`; `damping` shapes only the sweeps.
     Everywhere else (2-D, 3-D, or f depending on t) the solve is the
@@ -751,7 +726,7 @@ def solve_dirichlet(d, f, b, opts=None, params=None, initial_guess=None):
             sweeps += j
     u = ScalarField(d, vals)
     rep = SolveReport(status, sweeps, res_sup, u.sup(), u.inf(),
-                      monotone=False, bracket_failures=sw.bracket_failures,
+                      bracket_failures=sw.bracket_failures,
                       newton_steps=steps, start_sweeps=start_sweeps)
     return u, rep
 
@@ -783,7 +758,7 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
     cap = super_.values if super_ is not None else None
     sw = _Sweeper(d, f, stencil, opts)
     _check_start(sw, vals, opts.alarm_bound, "sub")
-    clipped, monotone, ascent = False, True, True
+    clipped, ascent = False, True
 
     def sweep(vals, head):
         # Phase 1 is the sup-over-sub-solutions construction, a pure
@@ -791,22 +766,21 @@ def perron_solve(d, f, b, sub, super_, opts=None, params=None):
         # division by the squared slope breaks it), so the ascent can lock
         # in an overshoot and stall above the fixed point; once its upward
         # motion dies out, clamped sweeps finish inside [sub, super].
-        nonlocal clipped, monotone, ascent
-        old = vals.take(sw.ne_flat)
-        clipped = sw.full_sweep(vals, head, only_up=ascent, cap=cap)
+        nonlocal clipped, ascent
         if ascent:
+            old = vals.take(sw.ne_flat)
+            clipped = sw.full_sweep(vals, head, only_up=True, cap=cap)
             ascent = not np.abs(vals.take(sw.ne_flat) - old).max() < tol
         else:
+            clipped = sw.full_sweep(vals, head, cap=cap)
             np.maximum(vals, sub.values, out=vals)
-            monotone &= not (vals.take(sw.ne_flat) < old - 1e-12).any()
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         status, sweeps, res_sup = _iterate(sw, vals, tol, opts.max_sweeps,
                                            opts.alarm_bound, sweep)
     u = ScalarField(d, vals)
     rep = SolveReport(status, sweeps, res_sup, u.sup(), u.inf(),
-                      monotone=monotone, clipped=clipped,
-                      bracket_failures=sw.bracket_failures)
+                      clipped=clipped, bracket_failures=sw.bracket_failures)
     return u, rep
 
 

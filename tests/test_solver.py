@@ -20,14 +20,14 @@ from inflap import (
     residual_field,
     solve_dirichlet,
 )
-from inflap.solver import _Sweeper
-from inflap.solver import _local_solve as _bare_local_solve
+from inflap.solver import _bracket, _local_solve, _Sweeper
 
 
-def _local_solve(g, lo, hi, t0):
-    """`solver._local_solve` inside the errstate block its callers open."""
+def _one_step(g, lo, hi, t0):
+    """`solver._local_solve`, given g(t0, dt=True), inside the errstate
+    block its callers open."""
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        return _bare_local_solve(g, lo, hi, t0)
+        return _local_solve(g, lo, hi, t0, g(t0, dt=True))
 
 
 class TestSolveDirichlet:
@@ -300,88 +300,81 @@ class TestLocalUpdate:
 
 
 class TestLocalSolve:
-    """The safeguarded Newton local solve behind the implicit update."""
+    """The bracket search and the one safeguarded Newton step behind the
+    implicit update, and `local_update`'s root in that bracket."""
 
     @staticmethod
-    def _g(f, c0, A, k):
-        def g(t, dt=False):
-            if not dt:
-                return 2.0 * c0 * t - A + k * f.eval_nodes(t, {})
-            ft, dft = f.eval_nodes(t, {}, dt=True)
-            return 2.0 * c0 * t - A + k * ft, 2.0 * c0 + k * dft
-        return g
+    def _node_g(u, f, s, node):
+        """The node's scalar equation g(t) = 2 t - apm + k f(t), k =
+        eps^2 / p2, from its steepest-pair data, and k."""
+        sw = _Sweeper(u.domain, f, s, SolveOptions(), node=node)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            _, apm, k, _, p2 = sw._steep(u.values, sw.all)[:5]
+        apm, k = float(apm[0]), float(sw.eps[k[0]] ** 2 / p2[0])
+        return (lambda t: 2.0 * t - apm + k * float(f.eval_nodes(t, {}))), k
 
     @pytest.mark.parametrize("expr", ["(exp t)", "(neg (exp t))"])
-    def test_matches_brentq(self, expr):
-        # g = 2 c0 t - A + k f(t): increasing for f = e^t, concave for
-        # f = -e^t, where the root sought is the lower one, below the
-        # maximum at t* = ln(2 c0 / k); some nodes need bracket expansion
-        rng = np.random.default_rng(11)
-        n = 40
-        c0 = rng.uniform(0.5, 1.0, n)
-        k = rng.uniform(0.01, 0.3, n)
-        concave = expr.startswith("(neg")
-        A = rng.uniform(-1.0, 0.0, n) if concave else rng.uniform(-3, 3, n)
+    def test_matches_brentq(self, small_ball8, expr):
+        # `local_update` at every interior node against brentq to 1e-15
+        # on the node's g: increasing for f = e^t, concave for f = -e^t,
+        # where the root sought is the lower one, below the maximum at
+        # t* = ln(2 / k); some nodes need bracket expansion
+        d = small_ball8
+        s = Stencil(d, SchemeParams())
+        vals = np.random.default_rng(11).uniform(-3.0, 3.0, d.dims)
+        u = ScalarField(d, np.where(d.nonexterior, vals, np.nan))
         f = RhsSpec(expr)
-        t, failed = _local_solve(self._g(f, c0, A, k), np.full(n, -0.5),
-                                 np.full(n, 0.5), rng.uniform(-0.5, 0.5, n))
-        assert not failed.any()
-        for i in range(n):
-            gi = lambda x: 2.0 * c0[i] * x - A[i] \
-                + k[i] * float(f.eval_nodes(x, {}))
-            top = np.log(2.0 * c0[i] / k[i]) if concave else 50.0
-            ref = brentq(gi, -50.0, top, xtol=1e-15, rtol=1e-15)
-            assert abs(t[i] - ref) <= 1e-12 * (1.0 + abs(ref))
+        widened = 0
+        for node in map(tuple, np.argwhere(d.interior)):
+            g, k = self._node_g(u, f, s, node)
+            top = np.log(2.0 / k) if expr.startswith("(neg") else 50.0
+            ref = brentq(g, -50.0, top, xtol=1e-15, rtol=1e-15)
+            got = local_update(node, u, f, s)
+            assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
+            widened += abs(ref - u.values[node]) > 1.0
+        assert widened > 0
 
     @pytest.mark.parametrize("expr,t0", [
         ("(add (const 1) (pow t 0.5))", 0.0),
         ("(add (const 1) (pow t 0.5))", -1e-300),
         ("(cospow 0.5)", np.pi),
     ])
-    def test_infinite_slope_start(self, expr, t0):
+    def test_infinite_slope_start(self, small_ball8, expr, t0):
         # df/dt is infinite at t0 (|t|^(g-1) at 0, (1 + cos t)^(g-1) at
-        # pi), so the Newton step there is 0; the solve must bisect on,
-        # not stop at t0 where g != 0
+        # pi), the node's value; `local_update` must still find the root.
+        # The field's slope keeps k small, so that g is increasing
+        # (|f'| <= 2^(-1/2) for the cospow) and its root unique
+        d = small_ball8
+        s = Stencil(d, SchemeParams())
         rng = np.random.default_rng(5)
-        n = 12
-        c0 = rng.uniform(0.5, 1.0, n)
-        k = rng.uniform(0.2, 1.0, n)
-        A = rng.uniform(-1.0, 1.0, n) + 2.0 * c0 * t0
         f = RhsSpec(expr)
-        g = self._g(f, c0, A, k)
-        t, failed = _local_solve(g, np.full(n, t0 - 1.0),
-                                 np.full(n, t0 + 1.0), np.full(n, t0))
-        assert not failed.any()
-        for i in range(n):
-            gi = lambda x: 2.0 * c0[i] * x - A[i] \
-                + k[i] * float(f.eval_nodes(x, {}))
-            ref = brentq(gi, t0 - 10.0, t0 + 10.0, xtol=1e-15, rtol=1e-15)
-            assert abs(t[i] - ref) <= 1e-12 * (1.0 + abs(ref))
+        for node in map(tuple, np.argwhere(d.interior)):
+            u = ScalarField.from_function(
+                d, lambda p: t0 + 0.5 * p[:, 0]
+                + 0.1 * rng.uniform(-1.0, 1.0, len(p)))
+            u.values[node] = t0
+            g, k = self._node_g(u, f, s, node)
+            assert k < 2.0
+            ref = brentq(g, t0 - 10.0, t0 + 10.0, xtol=1e-15, rtol=1e-15)
+            got = local_update(node, u, f, s)
+            assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
 
     def test_sign_change_on_last_widening(self):
         # the root 1.5 * 2^60 enters the bracket only with the 60th
-        # widening (hi = 2^61 - 1); it is found, not reported as failed
+        # widening (hi = 2^61 - 1); it is found, not reported as failed,
+        # and the step from 0 on this line lands on it
         root = 1.5 * 2.0 ** 60
 
         def g(t, dt=False):
             return (t - root, np.ones_like(t)) if dt else t - root
 
-        t, failed = _local_solve(g, np.array([-1.0]), np.array([1.0]),
-                                 np.array([0.0]))
+        lo, hi, failed, edge = _bracket(g, np.array([-1.0]),
+                                        np.array([1.0]))
+        assert not failed[0] and edge is None
+        assert lo[0] == -1.0 and hi[0] == 2.0 ** 61 - 1.0
+        t, failed = _one_step(g, np.array([-1.0]), np.array([1.0]),
+                              np.array([0.0]))
         assert not failed[0] and t[0] == root
-
-    def test_newton_cycle_is_broken(self):
-        # plain Newton on t^3 - 2t + 2 cycles 0 -> 1 -> 0; the shrinking
-        # bracket and the bisection fallback reach the root near -1.769
-        def g(t, dt=False):
-            val = t ** 3 - 2.0 * t + 2.0
-            return (val, 3.0 * t ** 2 - 2.0) if dt else val
-
-        t, failed = _local_solve(g, np.array([-3.0]), np.array([3.0]),
-                                 np.array([0.0]))
-        ref = brentq(lambda x: x ** 3 - 2.0 * x + 2.0, -3.0, 0.0,
-                     xtol=1e-15, rtol=1e-15)
-        assert not failed[0] and abs(t[0] - ref) <= 1e-14
 
     def test_no_sign_change_returns_edge(self):
         # node 0: g < 0 everywhere (concave, max below 0), so hi runs off;
@@ -392,9 +385,14 @@ class TestLocalSolve:
             der = np.array([2 - e[0], e[1], 1.0])
             return (val, der) if dt else val
 
-        t, failed = _local_solve(g, np.full(3, -1.0), np.full(3, 1.0),
-                                 np.zeros(3))
         reach = 2.0 ** 61 - 2.0   # 60 doubling steps 2 + 4 + ... + 2^60
+        lo, hi, failed, edge = _bracket(g, np.full(3, -1.0),
+                                        np.full(3, 1.0))
+        assert failed.tolist() == [True, True, False]
+        assert edge[0] == hi[0] == 1.0 + reach
+        assert edge[1] == lo[1] == -1.0 - reach
+        t, failed = _one_step(g, np.full(3, -1.0), np.full(3, 1.0),
+                              np.zeros(3))
         assert failed.tolist() == [True, True, False]
         assert t[0] == 1.0 + reach and t[1] == -1.0 - reach
         assert t[2] == 0.25
@@ -497,8 +495,7 @@ class TestOneStepSweeps:
         eps, p2 = np.full(3, 0.25), np.full(3, 0.0625)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             t, failed = sw._implicit(u0, apm, p2, eps, {}, u0 - 1.0,
-                                     u0 + 1.0, f.eval_nodes(u0, {}, dt=True),
-                                     rounds=1)
+                                     u0 + 1.0, f.eval_nodes(u0, {}, dt=True))
         assert not failed.any()
         assert t[:2].tobytes() == u0[:2].tobytes()
         assert t[2] != u0[2]
@@ -507,8 +504,7 @@ class TestOneStepSweeps:
         # node 0: the Newton point from 0 leaves the bracket [-3, 0] of
         # t^3 - 2t + 2, so the step is its midpoint; node 1: a line, whose
         # Newton point is its root; node 2: no sign change, the edge;
-        # node 3: a step far below rounding level is taken as it is (the
-        # lengthened step only serves a next round's stop test)
+        # node 3: a step far below rounding level is taken as it is
         def g(t, dt=False):
             e = np.exp(np.minimum(t, 700.0))
             val = np.array([t[0] ** 3 - 2 * t[0] + 2, t[1] - 0.375,
@@ -516,10 +512,8 @@ class TestOneStepSweeps:
             der = np.array([3 * t[0] ** 2 - 2, 1.0, e[2], 1.0])
             return (val, der) if dt else val
 
-        lo, hi, t0 = np.full(4, -3.0), np.full(4, 3.0), np.zeros(4)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            t, failed = _bare_local_solve(g, lo, hi, t0, g(t0, dt=True),
-                                          rounds=1)
+        t, failed = _one_step(g, np.full(4, -3.0), np.full(4, 3.0),
+                              np.zeros(4))
         assert failed.tolist() == [False, False, True, False]
         assert t[0] == -1.5 and t[1] == 0.375 and t[3] == 1e-300
         assert t[2] == -3.0 - (2.0 ** 61 - 2.0)
@@ -705,16 +699,6 @@ class TestPerron:
             with np.errstate(invalid="ignore", over="ignore",
                              divide="ignore"):
                 assert rep.residual == sw.fp_residual(u.values)[0]
-
-    def test_report_monotone_flag_honest(self, small_ball):
-        b = BoundaryTrace.constant(small_ball, 0.0)
-        f = RhsSpec("(const 1)")
-        sub = ScalarField.constant(small_ball, -1.0)
-        sup = ScalarField.constant(small_ball, 0.0)
-        u, rep = perron_solve(small_ball, f, b, sub, sup,
-                              SolveOptions(tol=1e-8))
-        assert rep.status == "converged"
-        assert isinstance(rep.monotone, bool)
 
 
 class TestProbe:

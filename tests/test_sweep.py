@@ -8,9 +8,11 @@ The reference below gathers once per group and once more for the residual,
 through frozen copies of the steepest-pair kernel as it was before its
 per-stencil constants were worked out once (`_ref_pair_arrays`,
 `_ref_select`, `_ref_steepest`, reading only `Stencil.pairs` and the
-`Stencil.gather` tables), and solves the implicit update with a frozen
-copy of the bracketed Newton solve (`_ref_local_solve`); every field,
-residual, status and count must match it bit for bit.
+`Stencil.gather` tables), and takes the implicit update's one Newton step
+with a frozen copy of the bracketed Newton solve (`_ref_local_solve`,
+one round); every field, residual, status and count must match it bit
+for bit.  The same copy, run to the root, is the reference
+`local_update` must match to 1e-12.
 """
 
 import math
@@ -29,6 +31,7 @@ from inflap import (
     Stencil,
     build_domain,
     inf_lap_field,
+    local_update,
     perron_solve,
     probe_nonexistence,
     solve_dirichlet,
@@ -163,7 +166,7 @@ class _RefSweeper:
         self.fx0 = f.eval_grid(d, np.zeros(d.dims))
         self.coefs = f.coef_grid(d)
 
-    def candidate(self, values, tab):
+    def candidate(self, values, tab, rounds=1):
         f = self.f
         arm_p, arm_m, c0, csum, eps = _ref_pair_arrays(self.st, values, tab)
         k, pick, phat = _ref_select(arm_p, arm_m, eps)
@@ -179,8 +182,8 @@ class _RefSweeper:
         p2 = _p2(phat, eps_s, f.eval_nodes(u0, coefs))
         g = _ref_g(f, coefs, A, p2, eps_s ** 2, c0_s)
         # every node brackets at its own value +- 1 and takes one
-        # safeguarded Newton step from it
-        t, failed = _ref_local_solve(g, u0 - 1.0, u0 + 1.0, u0, rounds=1)
+        # safeguarded Newton step from it (`rounds` of them)
+        t, failed = _ref_local_solve(g, u0 - 1.0, u0 + 1.0, u0, rounds)
         self.failures += int(failed.sum())
         return t
 
@@ -239,8 +242,7 @@ def _ref_dirichlet(d, f, b, opts, params):
             status, sweeps = "converged", it
             break
     return vals, dict(status=status, sweeps=sweeps, residual=res,
-                      monotone=False, clipped=False,
-                      bracket_failures=sw.failures)
+                      clipped=False, bracket_failures=sw.failures)
 
 
 def _ref_perron(d, f, b, sub, super_, opts, params):
@@ -251,7 +253,7 @@ def _ref_perron(d, f, b, sub, super_, opts, params):
     vals[d.boundary] = b.values[d.boundary]
     cap = super_.values if super_ is not None else None
     status, sweeps, res = "max_sweeps_reached", opts.max_sweeps, np.inf
-    clipped, monotone, ascent = False, True, True
+    clipped, ascent = False, True
     for it in range(1, opts.max_sweeps + 1):
         prev = vals.copy()
         if ascent:
@@ -259,8 +261,6 @@ def _ref_perron(d, f, b, sub, super_, opts, params):
         else:
             clipped = sw.sweep(vals, cap=cap)
             np.maximum(vals, sub.values, out=vals)
-            if (vals[ne] < prev[ne] - 1e-12).any():
-                monotone = False
         res = sw.residual(vals)
         if not math.isfinite(res) or (
                 opts.alarm_bound is not None
@@ -273,8 +273,7 @@ def _ref_perron(d, f, b, sub, super_, opts, params):
         if ascent and np.abs(vals[ne] - prev[ne]).max() < tol:
             ascent = False
     return vals, dict(status=status, sweeps=sweeps, residual=res,
-                      monotone=monotone, clipped=clipped,
-                      bracket_failures=sw.failures)
+                      clipped=clipped, bracket_failures=sw.failures)
 
 
 def _ball(R, N=2):
@@ -525,10 +524,10 @@ FAMILIES = [("(neg (exp t))", False, False),
 @pytest.mark.parametrize("expr, coef, at_zero", FAMILIES)
 def test_implicit_update_matches_frozen_solve(small_ball8, expr, coef,
                                               at_zero):
-    # the implicit update against the frozen solve on g built as before,
-    # with seeded random nodes; brackets at the range of u0 +- 1, at
-    # each node's own u0 +- 1 (the update's) and narrow ones that must
-    # widen
+    # the implicit update's one step against the frozen solve's first
+    # round on g built as before, with seeded random nodes; brackets at
+    # the range of u0 +- 1, at each node's own u0 +- 1 (the update's) and
+    # narrow ones that must widen
     f = _rhs(expr)
     sw = _Sweeper(small_ball8, f, Stencil(small_ball8, SchemeParams()),
                   SolveOptions())
@@ -548,9 +547,10 @@ def test_implicit_update_matches_frozen_solve(small_ball8, expr, coef,
                   (u0 - 1.0, u0 + 1.0),
                   (u0 - 1e-3, u0 + 1e-3)][trial % 3]
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            got = sw._implicit(u0, A, p2, eps, coefs, lo, hi)
+            f0 = f.eval_nodes(u0, coefs, dt=True)
+            got = sw._implicit(u0, A, p2, eps, coefs, lo, hi, f0)
         g = _ref_g(f, coefs, A, p2, eps ** 2, 1.0)
-        want = _ref_local_solve(g, lo, hi, u0)
+        want = _ref_local_solve(g, lo, hi, u0, rounds=1)
         _same_bits(got, want)
         failures += int(want[1].sum())
         widened += int(((want[0] < lo) | (want[0] > hi)).sum())
@@ -593,8 +593,8 @@ def _edges(t, dt=False):
 def test_local_solve_matches_frozen_solve(g, lo, hi, t0):
     args = [np.array(a) for a in (lo, hi, t0)]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        got = _local_solve(g, *args)
-    _same_bits(got, _ref_local_solve(g, *args))
+        got = _local_solve(g, *args, g(args[2], dt=True))
+    _same_bits(got, _ref_local_solve(g, *args, rounds=1))
 
 
 def _recorded(g):
@@ -607,25 +607,23 @@ def _recorded(g):
     return rec, log
 
 
-def _first_round_matches(g, lo, hi, t0):
-    # given g(t0, dt=True), the solve must return the reference's bits
-    # and evaluate g exactly where the reference does, less the
-    # reference's first evaluation with dg/dt, which is at t0 (t0 lies
-    # in the bracket, so the clip leaves it as it is)
+def _one_step_matches(g, lo, hi, t0):
+    # given g(t0, dt=True), the step must return the bits of the
+    # reference's first round and evaluate g only for the bracket checks,
+    # exactly where the reference does; the reference's one further
+    # evaluation, with dg/dt, is at t0 (t0 lies in the bracket, so its
+    # clip leaves it as it is), and there is none where every node failed
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         first = g(t0, dt=True)
         g_ref, ref_log = _recorded(g)
-        want = _ref_local_solve(g_ref, lo, hi, t0)
+        want = _ref_local_solve(g_ref, lo, hi, t0, rounds=1)
         g_new, new_log = _recorded(g)
         got = _local_solve(g_new, lo, hi, t0, first)
     _same_bits(got, want)
-    k = next((i for i, (dt, _) in enumerate(ref_log) if dt), None)
-    if k is None:
-        assert new_log == ref_log
-        return 0
-    assert ref_log[k] == (True, t0.tobytes())
-    assert new_log == ref_log[:k] + ref_log[k + 1:]
-    return 1
+    checks = [call for call in ref_log if not call[0]]
+    assert new_log == checks and len(checks) % 2 == 0
+    assert ref_log[len(checks):] == ([] if want[1].all()
+                                     else [(True, t0.tobytes())])
 
 
 @pytest.mark.parametrize("expr, coef, at_zero", FAMILIES)
@@ -634,7 +632,6 @@ def test_first_round_reuses_f_at_u0(small_ball8, expr, coef, at_zero):
     sw = _Sweeper(small_ball8, f, Stencil(small_ball8, SchemeParams()),
                   SolveOptions())
     rng = np.random.default_rng(sum(map(ord, expr)) + 1)
-    saved = 0
     for trial in range(24):
         n = int(rng.integers(1, 90))
         u0 = np.zeros(n) if at_zero else rng.uniform(-1.0, 1.0, n)
@@ -647,13 +644,12 @@ def test_first_round_reuses_f_at_u0(small_ball8, expr, coef, at_zero):
         A, p2 = A / c0, c0 * p2
         lo, hi = [(u0 - 1.0, u0 + 1.0), (u0 - 1e-3, u0 + 1e-3)][trial % 2]
         g = _ref_g(f, coefs, A, p2, eps ** 2, 1.0)
-        saved += _first_round_matches(g, lo, hi, u0)
+        _one_step_matches(g, lo, hi, u0)
         # the update's own path: f and df/dt at u0 as `_steep` has them
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             f0 = f.eval_nodes(u0, coefs, dt=True)
             got = sw._implicit(u0, A, p2, eps, coefs, lo, hi, f0)
-        _same_bits(got, _ref_local_solve(g, lo, hi, u0))
-    assert saved > 0
+        _same_bits(got, _ref_local_solve(g, lo, hi, u0, rounds=1))
 
 
 @pytest.mark.parametrize("g, lo, hi, t0", [
@@ -664,5 +660,41 @@ def test_first_round_reuses_f_at_u0(small_ball8, expr, coef, at_zero):
     (_edges, [-1.0] * 3, [1.0] * 3, [0.0] * 3),
     (_edges, [-1.0] * 3, [1.0] * 3, [-1.0, 1.0, 1.0])])
 def test_first_round_reuses_g_at_t0(g, lo, hi, t0):
-    args = [np.array(a) for a in (lo, hi, t0)]
-    assert _first_round_matches(g, *args) == 1
+    _one_step_matches(g, *[np.array(a) for a in (lo, hi, t0)])
+
+
+# FAMILIES, with every node's own value at 0 where the family says so,
+# and two more starts where df/dt is infinite: t^(1/2) at -1e-300 and
+# (1 + cos t)^(1/2) at pi
+ROOTS = [(e, c, 0.0 if z else None) for e, c, z in FAMILIES] + [
+    ("(add (const 1) (pow t 0.5))", False, -1e-300),
+    ("(cospow 0.5)", False, np.pi)]
+
+
+@pytest.mark.parametrize("expr, coef, start", ROOTS)
+def test_local_update_matches_frozen_root(small_ball8, expr, coef, start):
+    # `local_update` (Brent's method in the widened bracket) at every
+    # interior node of a seeded field against the frozen solve run to
+    # the root, on the equation the reference sweep builds; a node where
+    # the reference finds no sign change raises
+    d = small_ball8
+    f = _rhs(expr)
+    st = Stencil(d, SchemeParams())
+    ref = _RefSweeper(d, f, st, SolveOptions())
+    rng = np.random.default_rng(sum(map(ord, expr)) + 2)
+    vals = rng.uniform(-1.0, 1.0, d.dims)
+    vals[~d.nonexterior] = np.nan
+    for node in map(tuple, np.argwhere(d.interior)):
+        u = vals.copy()
+        if start is not None:
+            u[node] = start
+        failures = ref.failures
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            want = float(ref.candidate(u, st.gather(node), rounds=100)[0])
+        if ref.failures > failures:
+            with pytest.raises(ValueError, match="bracket failure"):
+                local_update(node, ScalarField(d, u), f, st)
+        else:
+            got = local_update(node, ScalarField(d, u), f, st)
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+    assert ref.failures > 0 or "1e4" not in expr
