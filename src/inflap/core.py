@@ -15,11 +15,9 @@ INTERIOR = 2
 
 SATURATE = 1e300
 
-# t lattice on which RhsSpec checks a declared sign or monotonicity
-_PROBE_T = np.linspace(-10.0, 10.0, 257)
-
-# 0, 1, ..., 4096: indices of rhs_range's t grid (see _t_grid)
-_T_GRID = np.arange(4097.0)
+# every finite t: the range over which RhsSpec proves a declared sign or
+# monotonicity, and the solver that f is never NaN
+_FINITE_T = (-float(np.finfo(float).max), float(np.finfo(float).max))
 
 # growth constant of the cone solution: Delta_inf (SIGMA |x|^(4/3)) = 1
 SIGMA = 3.0 ** (4.0 / 3.0) / 4.0
@@ -460,10 +458,13 @@ class RhsSpec:
         Coefficient name -> scalar, callable(points) or grid-shaped array.
     sign : {"nonneg", "nonpos", "mixed"}, optional
     monotone_in_t : {"nondecreasing", "nonincreasing", "none"}, optional
-        Declared attributes are validated on a probe lattice; a declared
-        but violated attribute raises ValueError.  A callable coefficient
-        has no points to probe until a domain is known, so with one the
-        check runs in `coef_grid`, on the domain's non-exterior nodes.
+        Declared attributes are proved by the enclosure of f over every
+        finite t (`_enclose`), each coefficient over its values: a sign
+        from the ends of f, a monotonicity from those of df/dt where f is
+        never NaN.  A declaration the enclosure cannot prove raises
+        ValueError.  A callable coefficient has no values
+        until a domain is known, so with one the check runs in
+        `coef_grid`, on the domain's non-exterior nodes.
 
     Attributes
     ----------
@@ -475,12 +476,13 @@ class RhsSpec:
         Whether the tree has a t, pow, exp or cospow node.  The solver
         takes the closed-form local update when it is False.
     bound : float
-        An upper bound on |f| wherever f is a number, from the tree alone
-        (`_bound`; inf when there is none).  It does not show that f is
-        finite: a clip passes NaN on, so (clip (pow t -1) 5) has bound 5
-        and is NaN at t = 0 (`_finite_bound` tells the two apart).  Where
-        it is at most SATURATE, `eval_nodes` has nothing to clamp and
-        skips the test (a NaN is not clamped either way).
+        An upper bound on |f| wherever f is a number: the larger |end| of
+        the enclosure over every t, +-inf too, with every coefficient
+        unbounded (inf when there is none).  It does not show that f is
+        a number: a clip passes NaN on, so (clip (pow t -1) 5) has bound
+        5 and is NaN at t = 0.  Where it is at most SATURATE,
+        `eval_nodes` has nothing to clamp and skips the test (a NaN is
+        not clamped either way).
     """
 
     def __init__(self, expression, coefs=None, sign=None, monotone_in_t=None):
@@ -498,8 +500,8 @@ class RhsSpec:
         self.coef_names = {n[1] for n in _nodes(self.tree) if n[0] == "coef"}
         self.depends_on_t = any(n[0] in ("t", "pow", "exp", "cospow")
                                 for n in _nodes(self.tree))
-        self._separable = _split_separable(self.tree)
-        self.bound = _bound(self.tree)
+        lo, hi, _ = _enclose(self.tree, None, -math.inf, math.inf)[0]
+        self.bound = max(abs(lo), abs(hi))
         for name in sorted(self.coef_names):
             if name not in self.coefs:
                 raise ValueError("missing coefficient samples for %r" % name)
@@ -508,37 +510,32 @@ class RhsSpec:
             self._validate(self.coefs)
 
     def _validate(self, samples):
-        """Check the declared attributes on the probe lattice.
+        """Prove the declared attributes by the enclosure over every finite
+        t, each coefficient over its values in `samples` (a scalar or an
+        array).  A coefficient that is NaN at x makes f NaN there for
+        every t, which breaks no monotonicity, so it sets no flag here.
 
-        `samples` maps each coefficient to its values (scalar or array);
-        t runs over the probe range, and each coefficient over its finite
-        extremes and up to about 16 more of its values.
+        A monotonicity needs f never NaN: f is then continuous in t, but
+        for the jump of (pow t 0) at 0, whose df/dt encloses every slope.
+        df/dt as evaluated can be NaN (0 * inf in the product rule) only
+        at isolated t, where f is +-inf, or where a factor is 0 for every
+        t, and none of these hides a slope of the wrong sign, so its flag
+        is not read.
         """
-        t = _PROBE_T
-        coef_vals = {}
-        for name, val in samples.items():
-            arr = np.asarray(val, dtype=float).ravel()
-            arr = arr[np.isfinite(arr)]
-            coef_vals[name] = arr if arr.size else np.array([0.0])
-        combos = [{}]
-        for name, vals in coef_vals.items():
-            sub = np.unique(np.concatenate(
-                [[vals.min(), vals.max()], vals[:: max(1, len(vals) // 16)]]))
-            combos = [dict(c, **{name: v}) for c in combos for v in sub]
-        for combo in combos:
-            y = _eval_tree(self.tree, combo, t)
-            if self.sign == "nonneg" and (y < -1e-12).any():
-                raise ValueError("declared nonneg but probe found f < 0")
-            if self.sign == "nonpos" and (y > 1e-12).any():
-                raise ValueError("declared nonpos but probe found f > 0")
-            if self.monotone_in_t == "nondecreasing" \
-                    and (np.diff(y) < -1e-9).any():
-                raise ValueError("declared nondecreasing in t but probe "
-                                 "found a decrease")
-            if self.monotone_in_t == "nonincreasing" \
-                    and (np.diff(y) > 1e-9).any():
-                raise ValueError("declared nonincreasing in t but probe "
-                                 "found an increase")
+        spans = {name: _span(val)[:2] + (False,)
+                 for name, val in samples.items()}
+        (lo, hi, nan), (dlo, dhi, _) = _enclose(self.tree, spans, *_FINITE_T)
+        if self.sign == "nonneg" and lo < 0 or self.sign == "nonpos" \
+                and hi > 0:
+            raise ValueError("declared %s but the enclosure of f is [%r, %r]"
+                             % (self.sign, lo, hi))
+        down = self.monotone_in_t == "nonincreasing"
+        if self.monotone_in_t in ("nondecreasing", "nonincreasing") and (
+                nan or (dhi > 0 if down else dlo < 0)):
+            raise ValueError("declared %s in t but the enclosure of df/dt is "
+                             "[%r, %r]%s" % (self.monotone_in_t, dlo, dhi,
+                                             ", and f may be NaN" if nan
+                                             else ""))
 
     def depends_on_x(self):
         return bool(self.coef_names)
@@ -613,13 +610,14 @@ class RhsSpec:
         Returns
         -------
         f, or the pair (f, df/dt).  Values beyond +/-1e300 are clamped,
-        and df/dt is 0 where f is clamped.  A tree whose `bound` is at
-        most SATURATE cannot get there, and the clamp test is skipped.
+        and df/dt is 0 where f is clamped, so |f| <= SATURATE wherever f
+        is a number.  A tree whose `bound` is at most SATURATE cannot get
+        there, and the clamp test is skipped.
         """
         out = _eval_tree(self.tree, coefs, np.asarray(t, dtype=float), dt)
         y, dy = out if dt else (out, None)
         y = np.asarray(y, dtype=float)
-        if not self.bound <= SATURATE:      # NaN: no bound either
+        if self.bound > SATURATE:
             big = np.abs(y) > SATURATE
             if np.count_nonzero(big):
                 y = np.clip(y, -SATURATE, SATURATE)
@@ -688,122 +686,160 @@ def _eval_tree(tree, combo, t, dt=False):
     raise ValueError("bad tree node %r" % (op,))
 
 
-def _bound(tree):
-    """An upper bound on |f| over every x and t where f is a number, from
-    the tree alone.  It does not show f finite: clip passes NaN on, so
-    (clip e C) has bound C even where e, and with it f, is NaN (see
-    `_finite_bound`).
-
-    exp is capped at SATURATE, const is |c|, neg passes its child's
-    bound on and clip caps it at C (a negative C clips everything to
-    +-C), cospow with 0 <= g < 996 is at most 2^g (below SATURATE), add
-    sums its children's bounds and mul multiplies them; t, coef and pow
-    have none (inf), nor has a product of inf and 0 (NaN).  Rounding is
-    monotone, so the sums and products of the evaluation stay within the
-    same sums and products of the bounds.
-    """
-    op = tree[0]
-    if op == "exp":
-        return SATURATE
-    if op == "const":
-        return abs(tree[1])
-    if op == "cospow":
-        return 2.0 ** tree[1] if 0 <= tree[1] < 996 else math.inf
-    if op == "neg":
-        return _bound(tree[1])
-    if op == "clip":
-        C = tree[2]
-        return min(_bound(tree[1]), C) if C >= 0 else -C
-    if op == "add":
-        return sum(_bound(c) for c in tree[1])
-    if op == "mul":
-        return math.prod(_bound(c) for c in tree[1])
-    return math.inf
-
-
-def _finite_bound(tree):
-    """`_bound`, where it also shows that f is finite at every finite t,
-    else inf.
-
-    clip passes NaN on, and a subtree without a bound can be NaN at a
-    finite t ((pow t g) with g < 0 at t = 0, a NaN coefficient), so a
-    clip of one may be NaN where `_bound` gives C.  Every other node of
-    finite bound is finite at finite t, and so is a tree whose clips all
-    have children of finite bound.
-    """
-    if any(n[0] == "clip" and not _bound(n[1]) < math.inf
-           for n in _nodes(tree)):
-        return math.inf
-    return _bound(tree)
-
-
 def eval_rhs(f, x, t):
     """Evaluate f(x, t) at a single point, clamped as `eval_nodes` clamps."""
     combo = f.coef_value_at(np.atleast_1d(x)) if f.coefs else {}
     return float(f.eval_nodes(float(t), combo))
 
 
-def _split_separable(tree):
-    """Split the tree as (x-part, t-part) when it is a pure product, else None.
+# the enclosure of 0, of a constant's and a coefficient's df/dt
+_ZERO = (0.0, 0.0, False)
 
-    Returns (coef_tree_list, t_tree_list) where the full f is the product
-    of all listed factors, each depending on x only or on t only.
+
+def _out(a, b, nan=False):
+    """The enclosure [a, b], one ulp wider at each end that is not 0: exp,
+    pow and cos may round otherwise in numpy.  0 stays, as 0 ** g, exp
+    of -inf and 1 + cos t at -1 are exact."""
+    return (math.nextafter(a, -math.inf) if a else a,
+            math.nextafter(b, math.inf) if b else b, nan)
+
+
+def _add(x, y):
+    """The enclosure of x + y, from the sums of the ends, rounded as the
+    evaluation rounds them; inf - inf is NaN."""
+    a, b = x[0] + y[0], x[1] + y[1]
+    nan = x[2] or y[2] or x[1] == math.inf and y[0] == -math.inf \
+        or x[0] == -math.inf and y[1] == math.inf
+    return a if a == a else -math.inf, b if b == b else math.inf, nan
+
+
+def _mul(x, y):
+    """The enclosure of x * y, from the products of the ends.  0 * inf is
+    NaN, also where 0 lies inside one of the two; where every product of
+    the ends is, one of the two is exactly 0, and so is x * y wherever it
+    is a number."""
+    p = [u * v for u in x[:2] for v in y[:2]]
+    p = [u for u in p if u == u]
+    nan = x[2] or y[2] \
+        or x[0] <= 0.0 <= x[1] and (y[0] == -math.inf or y[1] == math.inf) \
+        or y[0] <= 0.0 <= y[1] and (x[0] == -math.inf or x[1] == math.inf)
+    return (min(p), max(p), nan) if p else (0.0, 0.0, True)
+
+
+def _pwr(x, g):
+    """x ** g for x >= 0 as numpy has it: inf on overflow and for 0 ** g,
+    g < 0."""
+    try:
+        return x ** g
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _power(x, g):
+    """The enclosure of x ** g over the enclosure x of numbers >= 0."""
+    a, b = _pwr(x[0], g), _pwr(x[1], g)
+    return _out(min(a, b), max(a, b), x[2])
+
+
+def _enclose(tree, coefs, lo, hi):
+    """Enclosures of f and of df/dt over t in [lo, hi], by interval
+    arithmetic (Moore, *Interval Analysis*, 1966).
+
+    An enclosure is a triple (a, b, nan): every value of the expression
+    that is a number lies in [a, b] (+-inf allowed), and it can be NaN
+    only if nan is set.  `coefs` maps each coefficient name to the
+    enclosure of its values (`_span`), or is None when every coefficient
+    may take any value.  Returns the pair (that of f, that of df/dt as
+    `_eval_tree(dt=True)` computes it: flat where a clip clips and at the
+    exp cap).
+
+    The walk mirrors `_eval_tree` op by op, with the same float
+    operations in the same order: add sums left to right from 0 and mul
+    is a left fold.  Rounding is monotone, so each evaluated sum or
+    product stays within the same sum or product of the ends.  exp, pow
+    and cos move their ends out by one ulp (`_out`), exp's never past its
+    cap SATURATE.  cospow takes the multiples of pi in [lo, hi], where
+    cos t is +-1; an infinite end makes cos t NaN.  0 * inf and
+    inf - inf set the flag, and so does a NaN coefficient.  Where t
+    occurs once in the tree the ends are those of f to rounding;
+    elsewhere they are outer bounds.
     """
-    xp, tp = [], []
-    todo = [tree]
-    while todo:
-        fct = todo.pop()
-        if fct[0] == "mul":
-            todo.extend(reversed(fct[1]))
-        elif fct[0] == "neg":
-            todo.extend([fct[1], ("const", -1.0)])
-        elif fct[0] == "coef":
-            xp.append(fct)
-        elif any(n[0] == "coef" for n in _nodes(fct)):
-            return None
+    op = tree[0]
+    if op == "const":
+        return (tree[1], tree[1], False), _ZERO
+    if op == "coef":
+        v = (-math.inf, math.inf, False) if coefs is None \
+            else coefs[tree[1]]
+        return v, _mul(_ZERO, v)
+    if op == "t":
+        return (lo, hi, False), (1.0, 1.0, False)
+    if op == "pow":
+        g = tree[1]
+        mag = (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 \
+            else (0.0, max(-lo, hi))
+        d = _mul((g, g, False), _power(mag + (False,), g - 1.0))
+        if g == 0 and lo <= 0.0 <= hi:      # sign(t) jumps at 0
+            d = (-math.inf, math.inf, True)
+        if g < 0 and lo <= 0.0 <= hi:       # sign(0) |0|^g is 0 * inf
+            return (-math.inf, math.inf, True), d
+        # sign(t) |t|^g is monotone on either side of 0
+        a, b = (math.copysign(_pwr(abs(t), g), t) if t else 0.0
+                for t in (lo, hi))
+        return _out(min(a, b), max(a, b)), d
+    if op == "exp":
+        a, b, _ = _out(math.exp(min(lo, 700.0)), math.exp(min(hi, 700.0)))
+        a, b = min(a, SATURATE), min(b, SATURATE)
+        return (a, b, False), (a if b < SATURATE else 0.0, b, False)
+    if op == "cospow":
+        g = tree[1]
+        nan = not (math.isfinite(lo) and math.isfinite(hi))
+        if nan:
+            c = (0.0, 2.0, True)
         else:
-            tp.append(fct)
-    return xp, tp
+            k0, k1 = math.ceil(lo / math.pi), math.floor(hi / math.pi)
+            ca, cb = math.cos(lo), math.cos(hi)
+            a, b, _ = _out(min(ca, cb), max(ca, cb))
+            # an odd multiple of pi inside: cos t = -1, an even one: 1
+            if k0 < k1 or k0 == k1 and k0 % 2:
+                a = -1.0
+            if k0 < k1 or k0 == k1 and not k0 % 2:
+                b = 1.0
+            c = (1.0 + max(a, -1.0), 1.0 + min(b, 1.0), False)
+        d = _mul(_mul((-g, -g, False), _power(c, g - 1.0)),
+                 (-1.0, 1.0, nan))
+        return _power(c, g), d
+    if op == "neg":
+        (a, b, nan), (da, db, dnan) = _enclose(tree[1], coefs, lo, hi)
+        return (-b, -a, nan), (-db, -da, dnan)
+    if op == "clip":
+        C = tree[2]
+        (a, b, nan), (da, db, dnan) = _enclose(tree[1], coefs, lo, hi)
+        return ((min(max(a, -C), C), min(max(b, -C), C), nan),
+                (min(da, 0.0), max(db, 0.0), dnan))
+    parts = [_enclose(c, coefs, lo, hi) for c in tree[1]]
+    if op == "add":
+        v = d = _ZERO
+        for pv, pd in parts:
+            v, d = _add(v, pv), _add(d, pd)
+        return v, d
+    if op == "mul":
+        v, d = parts[0]
+        for pv, pd in parts[1:]:
+            v, d = _mul(v, pv), _add(_mul(d, pv), _mul(v, pd))
+        return v, d
+    raise ValueError("bad tree node %r" % (op,))
 
 
-def _t_grid(out, lo, hi):
-    """Write np.linspace(lo, hi, 4097) into out, by linspace's arithmetic."""
-    n = _T_GRID.size
-    step = (hi - lo) / (n - 1)
-    if step == 0:
-        np.divide(_T_GRID, n - 1, out=out)
-        out *= hi - lo
-    else:
-        np.multiply(_T_GRID, step, out=out)
-    out += lo
-    out[-1] = hi
-
-
-def _t_range(trees, combo, lo, hi):
-    """Range of a product of t-only factors on [lo, hi] by candidate points.
-
-    The samples are the 4097-point grid of `_t_grid` and the candidates
-    (both ends, the multiples of pi where cospow has its extrema, and 0),
-    in one buffer.  Constant factors multiply in as floats, in order.
-    """
-    cands = [lo, hi]
-    k0 = math.ceil(lo / math.pi)
-    k1 = math.floor(hi / math.pi)
-    if k1 - k0 < 64:
-        cands.extend(math.pi * k for k in range(k0, k1 + 1))
-    cands.append(0.0) if lo <= 0.0 <= hi else None
-    n = _T_GRID.size
-    t = np.empty(n + len(cands))
-    _t_grid(t[:n], lo, hi)
-    t[n:] = cands
-    np.clip(t, lo, hi, out=t)
-    y = 1.0
-    for tree in trees:
-        y = y * (tree[1] if tree[0] == "const"
-                 else _eval_tree(tree, combo, t))
-    if isinstance(y, float):
-        return y, y
-    return float(y.min()), float(y.max())
+def _span(val):
+    """The enclosure of a coefficient's values (a scalar or an array):
+    their min and max where they are not NaN, and whether one is NaN."""
+    arr = np.asarray(val, dtype=float)
+    lo, hi = arr.min(), arr.max()
+    if lo == lo:
+        return float(lo), float(hi), False
+    arr = arr[arr == arr]
+    return (float(arr.min()), float(arr.max()), True) if arr.size \
+        else (0.0, 0.0, True)
 
 
 def rhs_range(f, interval, domain=None):
@@ -815,57 +851,26 @@ def rhs_range(f, interval, domain=None):
     interval : (lo, hi)
         Bounded t-interval.
     domain : GridDomain, optional
-        Needed when f has coefficient factors.
+        Needed when f has a grid or callable coefficient.
 
     Returns
     -------
     (inf, sup)
-        For separable specs (a product of x-only and t-only factors) the
-        factor ranges combined by interval arithmetic, each t-only range
-        sampled on np.linspace(lo, hi, 4097) plus the ends, 0 and the
-        multiples of pi; otherwise sampled on a probe lattice.  Both are
-        estimates: the t-samples can miss an interior extremum.
+        The ends of the enclosure of f over t in I (`_enclose`), each
+        coefficient over its values at the domain's non-exterior nodes:
+        outer bounds, and the range of f to rounding where t occurs once
+        in the tree.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
         raise ValueError("rhs_range needs a bounded interval")
-    if f._separable is not None:
-        xp, tp = f._separable
-        glo, ghi = _t_range(tp, {}, lo, hi)
-        alo, ahi = 1.0, 1.0
-        for cf in xp:
-            vals = f.coefs[cf[1]]
-            if callable(vals):
-                if domain is None:
-                    raise ValueError("coefficient range needs a domain")
-                arr = np.asarray(vals(domain.points(domain.nonexterior)),
-                                 float)
-            elif np.isscalar(vals):
-                arr = np.asarray([vals], float)
-            else:
-                arr = np.asarray(vals, float)
-                if domain is not None and arr.shape == domain.dims:
-                    arr = arr[domain.nonexterior]
-                arr = arr[np.isfinite(arr)]
-            prods = [alo * arr.min(), alo * arr.max(),
-                     ahi * arr.min(), ahi * arr.max()]
-            alo, ahi = min(prods), max(prods)
-        prods = [alo * glo, alo * ghi, ahi * glo, ahi * ghi]
-        return min(prods), max(prods)
-    # non-separable: sampled estimate over a probe lattice
-    t = np.linspace(lo, hi, 513)
-    if domain is not None and f.depends_on_x():
-        # coefficients resolved (and a declared sign checked) once, then
-        # one t value at a time: a stack of all 513 is slower
+    coefs = {name: f.coefs[name] for name in f.coef_names}
+    if domain is not None and coefs:
         ne = domain.nonexterior
         coefs = {name: val[ne] if np.ndim(val) else val
                  for name, val in f.coef_grid(domain).items()}
-        ys = (f.eval_nodes(np.broadcast_to(tv, ne.sum()), coefs) for tv in t)
-        ext = np.array([(y.min(), y.max()) for y in ys])
-        return float(ext[:, 0].min()), float(ext[:, 1].max())
-    # scalar coefficients need no domain
-    coefs = {name: f.coefs[name] for name in f.coef_names}
-    if not all(np.isscalar(v) for v in coefs.values()):
+    elif not all(np.isscalar(v) for v in coefs.values()):
         raise ValueError("coefficient range needs a domain")
-    y = _eval_tree(f.tree, {k: float(v) for k, v in coefs.items()}, t)
-    return float(np.min(y)), float(np.max(y))
+    y_lo, y_hi, _ = _enclose(f.tree, {name: _span(coefs[name])
+                                      for name in f.coef_names}, lo, hi)[0]
+    return y_lo, y_hi

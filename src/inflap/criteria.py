@@ -2,7 +2,11 @@
 
 All limit-type conditions are decided from finite probe schedules and may
 return `undetermined`; a verdict never claims a criterion applies unless
-its hypothesis check passed on the probes.
+its hypothesis check passed on the probes.  The sup of f+ and the inf of
+f- over Omega x I that the criteria read come from `rhs_range`, which
+bounds f by interval arithmetic over its expression tree: outer bounds,
+so a sufficient condition that holds on them holds for f, and the range
+of f to rounding where t occurs once in the tree.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +34,9 @@ def c_eta(f, ell, L, eta, domain=None):
     max{(sup of f+ on Omega x [ell-eta, ell])^(1/3),
         (-inf of f- on Omega x [L, L+eta])^(1/3)}.
 
-    The ranges come from `rhs_range`.
+    The sup and the inf come from `rhs_range`, outer bounds (exact to
+    rounding where t occurs once in f's tree), so C(eta) is at least the
+    amplitude the cone construction needs.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")

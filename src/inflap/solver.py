@@ -32,34 +32,32 @@ of the residual is taken only where it can change the outcome (see
 `_iterate`): where color 0's part is at most tol or not finite, where
 the alarm trips, at the budget's last sweep, and where max |u| is above
 a bound up to which color 1's part is certainly finite (the certificate,
-`_safe_top`, from the stencil's least arm length, the largest slope
-floor and a bound on |f|).  Everywhere else the residual is above tol
-and finite whatever color 1's part is, so every result is the one the
-residual over the whole table gives.  A t-dependent f without such a
-bound (one with a coefficient, a bare t or a power of it, or a clip of
-such a subtree) gets no certificate, and its loop reads the residual
-over the whole table after every sweep instead, in one pass, whose
-color 0 rows the next sweep reads: two kernel passes per sweep.  What
-the update and the residual read at the picked pair k is worked out
-once per solve: eps and eps^2 per pair, and for x-only f two tables
-over nodes and pairs, the slope floor and the numerator E = eps_k^2 f_i
-of the closed form (apm - E / p2) / 2, apm the sum of the two arm
-values, so that a sweep only picks their entries: the same operations
-on the same operands as working them out per sweep.  An undamped update
-(theta 1) skips the relaxation product.  The kernel and the local
-update, the implicit one's `_bracket` and `_local_solve` too, open no
-`np.errstate` of their own, a few microseconds per call: `solve_dirichlet`,
-`perron_solve` and `local_update` each open one block that ignores
-invalid operations, overflow and division by zero.  Every sweep runs
-in one loop, `_iterate` (sweep, residual, max |u|, divergence test,
-tolerance test, within a budget): the f == 0 start, the solve,
-`_newton`'s fallback bursts and `perron_solve`, whose ascent and
-clamped phases are the sweep it passes in.  One rule,
-`_Sweeper.diverged`, also tested after each Newton step, ends a run as
-diverged: a residual that is not finite, or max |u| over the
-non-exterior nodes (the boundary ones too) above `alarm_bound`.  The
-alarm bounds |u|, so it must exceed sup|b|, and a start (`sub`, or
-`initial_guess`) above it is an error too (`_tol`, `_check_start`).
+`_safe_top`, from the stencil's least arm length and the largest slope
+floor, given that f is never NaN).  Everywhere else the residual is
+above tol and finite whatever color 1's part is, so every result is the
+one the residual over the whole table gives.  An f that may be NaN at a
+finite t (by the enclosure of `core._enclose`, or a NaN among an x-only
+f's values) gets no certificate, and its loop reads color 1's part after
+every sweep.  What the update and the residual read at the picked pair k
+is worked out once per solve: eps and eps^2 per pair, and for x-only f
+two tables over nodes and pairs, the slope floor and the numerator
+E = eps_k^2 f_i of the closed form (apm - E / p2) / 2, apm the sum of
+the two arm values, so that a sweep only picks their entries: the same
+operations on the same operands as working them out per sweep.  An
+undamped update (theta 1) skips the relaxation product.  The kernel and
+the local update, the implicit one's `_bracket` and `_local_solve` too,
+open no `np.errstate` of their own, a few microseconds per call:
+`solve_dirichlet`, `perron_solve` and `local_update` each open one block
+that ignores invalid operations, overflow and division by zero.  Every
+sweep runs in one loop, `_iterate` (sweep, residual, max |u|, divergence
+test, tolerance test, within a budget): the f == 0 start, the solve,
+`_newton`'s fallback bursts and `perron_solve`, whose ascent and clamped
+phases are the sweep it passes in.  One rule, `_Sweeper.diverged`, also
+tested after each Newton step, ends a run as diverged: a residual that
+is not finite, or max |u| over the non-exterior nodes (the boundary ones
+too) above `alarm_bound`.  The alarm bounds |u|, so it must exceed
+sup|b|, and a start (`sub`, or `initial_guess`) above it is an error too
+(`_tol`, `_check_start`).
 
 In 1-D with an x-only f there is one direction pair, and the residual
 F = S * p2 - f is piecewise smooth in the values with a tridiagonal
@@ -78,8 +76,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (INTERIOR, SATURATE, SIGMA, RhsSpec, ScalarField,
-                   _finite_bound)
+from .core import (_FINITE_T, INTERIOR, SATURATE, SIGMA, RhsSpec,
+                   ScalarField, _enclose, _span)
 from .scheme import SchemeParams, Stencil, _pick, _second_diff
 
 # the least squared slope the update divides by, whatever f is
@@ -155,27 +153,29 @@ def _bracket(g, lo, hi):
     g(hi).
 
     `g(t)` gives g on the node array t.  A node whose bracket has the
-    wrong sign at an end moves that end outward by a doubling step (2, 4,
-    ..., 2^60), at most 60 times.  Returns (lo, hi, failed, edge): failed
-    marks the nodes where no sign change was found (f outgrowing the
-    linear term, the local blow-up mechanism), and edge is their bracket
-    end on the side where g has the wrong sign, hi first, or None where
-    no node failed.  Opens no `np.errstate`: the caller ignores invalid
-    operations, overflow and division by zero.
+    wrong sign at an end, or NaN there, which is no sign, moves that end
+    outward by a doubling step (2, 4, ..., 2^60), at most 60 times.
+    Returns (lo, hi, failed, edge): failed marks the nodes where no sign
+    change was found (f outgrowing the linear term, the local blow-up
+    mechanism, or g NaN), and edge is their bracket end on the side
+    where g has the wrong sign, hi first, or None where no node failed.
+    Opens no `np.errstate`: the caller ignores invalid operations,
+    overflow and division by zero.
     """
     span = 1.0
     # 60 widenings, each followed by a check
     for k in range(61):
-        bad_lo = g(lo) > 0
-        bad_hi = g(hi) < 0
-        failed = bad_lo | bad_hi
+        g_lo, g_hi = g(lo), g(hi)
+        ok = g_lo <= 0
+        ok &= g_hi >= 0
+        failed = ~ok
         n_failed = np.count_nonzero(failed)
         if k == 60 or not n_failed:
             break
         span *= 2.0
-        lo = np.where(bad_lo, lo - span, lo)
-        hi = np.where(bad_hi, hi + span, hi)
-    return lo, hi, failed, np.where(bad_hi, hi, lo) if n_failed else None
+        lo = np.where(g_lo <= 0, lo, lo - span)
+        hi = np.where(g_hi >= 0, hi, hi + span)
+    return lo, hi, failed, np.where(g_hi >= 0, lo, hi) if n_failed else None
 
 
 def _local_solve(g, lo, hi, t0, first):
@@ -245,28 +245,33 @@ def _floor(eps, fx):
                       _DELTA_REG)
 
 
-def _safe_top(stencil, f, fx):
+def _safe_top(stencil, f, grp):
     """The certificate: a max |u| over the non-exterior nodes up to which
     every entry of the residual S * p2 - f is finite, or -inf for none.
 
-    B bounds |f|: max |fx| for an x-only f (fx its values at the table's
-    nodes), `core._finite_bound` of a t-dependent one (`f.bound` where
-    that also shows f finite at every finite t), and there is no
-    certificate unless B <= SATURATE.  No gathered value, apm, second
-    difference S or slope phat at a node exceeds q M, M the max |u| over
-    the nodes it reads and q the gain 4 max(1, eps_min^-2) from the
-    stencil's least arm length (|apm - 2 u| <= 4 M, and 4 = 2 + 2 is the
-    sum of the arm weights and the centre weight).  p2 = max(phat^2,
-    floor) with floor at most F = `_floor`(eps_max, B), so
-    q M <= min(_ROOM^(1/3), _ROOM / F) keeps
-    every factor and |S * p2| within _ROOM, a quarter of the largest
-    double, which leaves room for rounding and for f.
+    `eval_nodes` clamps every number to +-SATURATE, so |f| <= SATURATE
+    wherever f is a number, and the certificate needs only that f is
+    never NaN at the nodes of `grp`, the whole table: no NaN in its fx
+    for an x-only f, and for a t-dependent one an enclosure over every
+    finite t (`core._enclose`, each coefficient over its values at the
+    nodes) that shows none.  No gathered value, apm, second difference S
+    or slope phat at a node exceeds q M, M the max |u| over the nodes it
+    reads and q the gain 4 max(1, eps_min^-2) from the stencil's least
+    arm length (|apm - 2 u| <= 4 M, and 4 = 2 + 2 is the sum of the arm
+    weights and the centre weight).  p2 = max(phat^2, floor) with floor
+    at most F = `_floor`(eps_max, SATURATE), so
+    q M <= min(_ROOM^(1/3), _ROOM / F) keeps every factor and |S * p2|
+    within _ROOM, a quarter of the largest double, which leaves room for
+    rounding and for f.
     """
-    B = _finite_bound(f.tree) if f.depends_on_t \
-        else np.abs(fx).max(initial=0.0)
-    F = _floor(stencil._eps.max(), B) if B <= SATURATE else math.inf
-    if not F < math.inf:
+    if f.depends_on_t:
+        nan = _enclose(f.tree, {k: _span(v) for k, v in grp.coefs.items()},
+                       *_FINITE_T)[0][2]
+    else:
+        nan = np.isnan(grp.fx).any()
+    if nan:
         return -math.inf
+    F = _floor(stencil._eps.max(), SATURATE)
     q = 4.0 * max(1.0, stencil._eps.min() ** -2.0)
     return float(_ROOM ** (1.0 / 3.0) * min(1.0, _ROOM ** (2.0 / 3.0) / F)
                  / q)
@@ -277,14 +282,14 @@ class _Sweeper:
 
     One gather table covers the interior with the two colors laid end to
     end in sweep order, color 0 then color 1.  `groups` are its parts
-    (`_Table.part`, each copied to contiguous indices once per solve).
-    `fp_residual` reads the whole table, or one group, in one
-    `pair_arrays` pass and hands color 0 the data its update reads
-    (`full_sweep(values, head)`).  With a certificate, `safe`, the max
-    |u| up to which color 1's part is certainly finite (`_safe_top`),
-    color 0's part is taken after every sweep and color 1's only where
-    it can change the outcome (`_iterate` says where); without one, the
-    whole table after every sweep.  The per-pair constants the update
+    (`_Table.part`, each copied to contiguous indices once per solve),
+    and `all` is the whole table.  `fp_residual` reads one of these in
+    one `pair_arrays` pass and hands color 0 the data its update reads
+    (`full_sweep(values, head)`).  Color 0's part is taken after every
+    sweep and color 1's only where it can change the outcome (`_iterate`
+    says where), given `safe`, the max |u| up to which color 1's part is
+    certainly finite (`_safe_top`; -inf where f may be NaN, which reads
+    color 1 after every sweep).  The per-pair constants the update
     and the residual read at the picked pair, eps and eps^2, are arrays
     over the pairs, worked out once per solve.  The implicit update
     brackets each node's root at its own value u0 +- 1, takes one Newton
@@ -331,7 +336,7 @@ class _Sweeper:
     def safe(self):
         """`_safe_top` of this solve, worked out when a sweep first asks
         (a 1-D Newton solve never does)."""
-        return _safe_top(self.stencil, self.f, self.all.fx)
+        return _safe_top(self.stencil, self.f, self.all)
 
     def _part(self, a, b):
         """The group of the table's nodes a..b-1."""
@@ -397,7 +402,7 @@ class _Sweeper:
         return _local_solve(_equation(self.f, apm, p2, eps2, coefs), lo, hi,
                             u0, first)
 
-    def fp_residual(self, values, grp=None):
+    def fp_residual(self, values, grp):
         """Sup-norm of the regularized residual S * phat2_eff - f.
 
         This is the residual of the equation the local update actually
@@ -405,25 +410,18 @@ class _Sweeper:
         where the discrete gradient degenerates (e.g. interior extrema,
         where the raw S * phat^2 residual cannot go below |f|).
 
-        Taken over the whole table, or at the nodes of one update group
-        `grp` (0 for an empty one): `_iterate` takes color 0's part after
-        every sweep and color 1's only when it can change the outcome,
-        or, with no certificate, the whole table after every sweep.
-        Returns (residual, head): head is the update's data (the first
-        seven entries of `_steep`'s tuple) at `grp`'s nodes, or at color
-        0's for the whole table, whose first rows they are; at color 0
-        it is the `head` of the next `full_sweep` on these values.
+        Taken at the nodes of the group `grp` (0 for an empty one), one
+        update group or `all`, the whole table: `_iterate` takes color
+        0's part after every sweep and color 1's only when it can change
+        the outcome.  Returns (residual, head): head is the update's data
+        (the first seven entries of `_steep`'s tuple) at `grp`'s nodes;
+        at color 0 it is the `head` of the next `full_sweep` on these
+        values.
         """
-        data = self._steep(values, self.all if grp is None else grp)
+        data = self._steep(values, grp)
         u, apm, k, _, p2, fx, _, _ = data
         F = _second_diff(u, apm, self.eps_sq.take(k)) * p2 - fx
-        head = data[:7]
-        if grp is None:
-            n = self.groups[0].tab.flat.size
-            u, apm, k, pick, p2, fx, dfx = head
-            head = (u[:n], apm[:n], k[:n], pick[:n], p2[:n], fx[:n],
-                    dfx[:n] if self.f.depends_on_t else dfx)
-        return float(np.abs(F, out=F).max(initial=0.0)), head
+        return float(np.abs(F, out=F).max(initial=0.0)), data[:7]
 
     def top(self, values):
         """max |u| over the non-exterior nodes, the boundary ones too."""
@@ -572,23 +570,20 @@ def _iterate(sw, vals, tol, budget, alarm, sweep=None):
     budget's last, or max |u| is above `sw.safe`, up to which color 1's
     part is certainly finite.  Elsewhere the residual is above tol and
     finite whatever color 1's part is, so the run goes on as it would.
-    A solve without a certificate (`sw.safe` -inf) would read color 1
-    after every sweep, and reads the whole table in one pass instead.
+    A solve without a certificate (`sw.safe` -inf, where f may be NaN)
+    reads color 1 after every sweep.
     """
     sweep = sweep or sw.full_sweep
     first, second = sw.groups
     safe = sw.safe
-    res, head, top = np.inf, None, None
+    res, head = np.inf, None
     for it in range(1, budget + 1):
         sweep(vals, head)
-        if safe == -math.inf:
-            res, head = sw.fp_residual(vals)
-        else:
-            res, head = sw.fp_residual(vals, first)
-            top = sw.top(vals)
-            if not (tol < res and top <= safe
-                    and (alarm is None or top <= alarm)) or it == budget:
-                res = float(np.max((res, sw.fp_residual(vals, second)[0])))
+        res, head = sw.fp_residual(vals, first)
+        top = sw.top(vals)
+        if not (tol < res and top <= safe
+                and (alarm is None or top <= alarm)) or it == budget:
+            res = float(np.max((res, sw.fp_residual(vals, second)[0])))
         if sw.diverged(vals, res, alarm, top):
             return "diverged_past_alarm", it, res
         if res <= tol:

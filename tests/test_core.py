@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from inflap import (BOUNDARY, EXTERIOR, INTERIOR, BoundaryTrace, GridDomain,
                     RhsSpec, ScalarField, build_domain, eval_rhs, load_mask,
                     rhs_range, save_mask)
-from inflap.core import (SATURATE, _eval_tree, _split_separable, _t_grid,
-                         _t_range)
+from inflap.core import _FINITE_T, SATURATE, _enclose, _eval_tree, _span
 
 
 class TestDomains:
@@ -174,6 +173,19 @@ class TestRhsSpec:
         with pytest.raises(ValueError, match="nondecreasing"):
             h.eval_grid(ball2d, np.zeros(ball2d.dims))
 
+    def test_monotone_proved_for_every_t(self):
+        # t - 1e-6 t^3 falls on [-10, 10], where a probe lattice used to
+        # look, and rises for |t| > 577
+        with pytest.raises(ValueError, match="nonincreasing"):
+            RhsSpec("(add (neg t) (mul (const 1e-6) (pow t 3)))",
+                    monotone_in_t="nonincreasing")
+        RhsSpec("(add (neg t) (mul (const -1e-6) (pow t 3)))",
+                monotone_in_t="nonincreasing")
+        # (pow t 0), sign(t), jumps at 0; (pow t -1) is NaN there
+        for expr in ("(pow t 0)", "(pow t -1)"):
+            with pytest.raises(ValueError, match="nonincreasing"):
+                RhsSpec(expr, monotone_in_t="nonincreasing")
+
     def test_monotone_value_checked(self):
         with pytest.raises(ValueError):
             RhsSpec("t", monotone_in_t=True)
@@ -197,6 +209,13 @@ class TestRhsSpec:
         f = RhsSpec("(add (pow t 3) (neg (exp t)))")
         lo, hi = rhs_range(f, (-5.0, 5.0))
         assert lo - 1e-9 <= eval_rhs(f, None, t) <= hi + 1e-9
+
+    def test_range_is_an_outer_bound(self):
+        # t occurs twice: the sup of e^t (1 + cos t)^2 on [0, 3] lies
+        # between the points of a 4097-point sampler, which fell short of
+        # the 6.470817652494 a dense grid finds
+        _, hi = rhs_range(RhsSpec("(mul (exp t) (cospow 2))"), (0.0, 3.0))
+        assert hi >= 6.470817652494
 
 
 def _coef_kinds(d):
@@ -265,7 +284,7 @@ _DOMAINS = [
 
 def _grid_points(d, nodes):
     """Coordinates of the selected nodes from `grid_coords`, as
-    `from_function`, `coef_grid` and `rhs_range` took them before
+    `from_function` and `coef_grid` took them before
     `GridDomain.points`."""
     return np.stack([g[nodes] for g in d.grid_coords()], axis=-1)
 
@@ -273,44 +292,6 @@ def _grid_points(d, nodes):
 def _wavy(p):
     """A coordinate function that every last bit of p shows in."""
     return np.sin(7.0 * p[:, 0]) * np.exp(p.sum(axis=1)) + p[:, -1] ** 3
-
-
-def _rhs_range_frozen(f, interval, domain=None):
-    """`rhs_range` before `GridDomain.points`, kept as reference."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if f._separable is not None:
-        xp, tp = f._separable
-        glo, ghi = _t_range(tp, {}, lo, hi)
-        alo, ahi = 1.0, 1.0
-        for cf in xp:
-            vals = f.coefs[cf[1]]
-            if callable(vals):
-                grids = domain.grid_coords()
-                ne = domain.nonexterior
-                pts = np.stack([g[ne] for g in grids], axis=-1)
-                arr = np.asarray(vals(pts), float)
-            elif np.isscalar(vals):
-                arr = np.asarray([vals], float)
-            else:
-                arr = np.asarray(vals, float)
-                if domain is not None and arr.shape == domain.dims:
-                    arr = arr[domain.nonexterior]
-                arr = arr[np.isfinite(arr)]
-            prods = [alo * arr.min(), alo * arr.max(),
-                     ahi * arr.min(), ahi * arr.max()]
-            alo, ahi = min(prods), max(prods)
-        prods = [alo * glo, alo * ghi, ahi * glo, ahi * ghi]
-        return min(prods), max(prods)
-    t = np.linspace(lo, hi, 513)
-    if domain is not None and f.depends_on_x():
-        best_lo, best_hi = np.inf, -np.inf
-        for tv in t:
-            y = f.eval_grid(domain, tv)[domain.nonexterior]
-            best_lo = min(best_lo, float(y.min()))
-            best_hi = max(best_hi, float(y.max()))
-        return best_lo, best_hi
-    y = _eval_tree(f.tree, {}, t)
-    return float(np.min(y)), float(np.max(y))
 
 
 @pytest.mark.parametrize("spec, h", _DOMAINS)
@@ -343,111 +324,95 @@ class TestPointsFrozen:
         ref = _wavy(_grid_points(d, every)).reshape(d.dims)
         assert f.coef_grid(d)["a"].tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("expr", [
-        "(mul (coef a) (exp t))", "(add (mul (coef a) t) (cospow 2))",
-        "(clip (add (coef a) (pow t 3)) 4)"])
-    def test_rhs_range(self, spec, h, expr):
-        # the product is separable; the sum and the clip are sampled
-        d = build_domain(spec, h)
-        grid = np.where(d.nonexterior, _wavy(_grid_points(
-            d, np.ones(d.dims, dtype=bool))).reshape(d.dims), 1e6)
-        # a declared sign is probed on the domain's coefficient values
-        for coef, sign, interval in [
-                (_wavy, None, (-3.0, 7.0)), (_wavy, "mixed", (0.25, 0.25)),
-                (grid, None, (-3.0, 7.0)), (-1.5, None, (-1.0, 0.5))]:
-            f = RhsSpec(expr, coefs={"a": coef}, sign=sign)
-            assert repr(rhs_range(f, interval, d)) \
-                == repr(_rhs_range_frozen(f, interval, d))
+
+# every op, with each pow and cospow exponent kind and a clip of either
+# sign, the FAMILIES of tests/test_sweep.py and the trees of TestRhsBound
+_ENCLOSED = [
+    "(const -2.5)", "(coef a)", "t", "(pow t 3)", "(pow t 2)", "(pow t 0.5)",
+    "(pow t 0)", "(pow t -1)", "(pow t -0.5)", "(pow t 400)", "(exp t)",
+    "(cospow 2)", "(cospow 0.5)", "(cospow 0)", "(cospow -0.5)",
+    "(cospow 1000)", "(neg t)", "(clip t 2)", "(clip t -2)",
+    "(add t (neg t))", "(mul t t)", "(mul (coef a) t)",
+    "(add (coef a) (mul (coef a) (pow t 3)))",
+    "(clip (mul (coef a) (exp t)) 1.5)",
+    "(mul (add (coef a) (const -1)) (pow t -1))",
+    "(add (pow t 400) (neg (pow t 400)))",
+    "(mul (exp t) (cospow 2))", "(add (neg t) (mul (const 1e-6) (pow t 3)))",
+    # FAMILIES
+    "(neg (exp t))", "(mul (coef a) (neg (exp t)))", "(clip (exp t) 1.5)",
+    "(add (const 1) (pow t 0.5))", "(mul (const -1e4) (exp t))",
+    # TestRhsBound
+    "(const 0)", "(neg (const -3))", "(clip (const 0.5) 2)",
+    "(clip (const 0) -5)", "(cospow 995.5)", "(cospow 996)",
+    "(add (const 1) (cospow 3) (neg (const 2)))",
+    "(mul (const -0.5) (exp t) (cospow 2))", "(mul (const 1e-300) (exp t))",
+    "(add (exp t) t)", "(mul (const 2) (pow t 0.5))",
+    "(add (const 1) (neg (exp t)))", "(mul (const 1e10) (exp t))",
+    "(add (exp t) (exp t))", "(mul (const 0) t)", "(mul (const 0) (pow t 2))",
+    "(clip (pow t -1) 5)"]
+
+# t at 0, the largest doubles, the exp cap, multiples of pi and anywhere
+_T = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 700.0, -700.0, 709.0]
+                    + [k * np.pi for k in range(-4, 5)]),
+    st.floats(-20.0, 20.0), st.floats(allow_nan=False, allow_infinity=False))
 
 
-def _t_range_reference(trees, lo, hi, n=4097):
-    """min/max of the factor product over the sorted, deduplicated sample
-    set: the grid, both ends, multiples of pi and 0 inside [lo, hi]."""
-    cands = [lo, hi] + [np.pi * k for k in range(int(np.ceil(lo / np.pi)),
-                                                int(np.floor(hi / np.pi)) + 1)]
-    if lo <= 0.0 <= hi:
-        cands.append(0.0)
-    t = np.unique(np.clip(np.concatenate([np.linspace(lo, hi, n), cands]),
-                          lo, hi))
-    y = np.ones_like(t)
-    for tree in trees:
-        y = y * _eval_tree(tree, {}, t)
-    return y.min(), y.max()
+def _within(x, ends):
+    """x lies in [ends[0], ends[1]] where it is a number, and is NaN only
+    where ends[2] allows it."""
+    x = np.asarray(x, dtype=float)
+    nan = np.isnan(x)
+    assert ends[2] or not nan.any()
+    assert (ends[0] <= x[~nan]).all() and (x[~nan] <= ends[1]).all()
 
 
-class TestTRange:
-    @pytest.mark.parametrize("expr, lo, hi", [
-        ("(mul (pow t 3) (cospow 2))", -10.0, 10.0),
-        ("(mul t (cospow 1))", 0.0, 3.0 * np.pi),
-        ("(cospow 3)", -np.pi, 2.0 * np.pi),
-        ("(neg (mul (exp t) (cospow 2)))", -0.5, 7.0),
-        ("(pow t 2)", -3.0, 2.0),
-        ("(pow t 0.5)", 0.0, 0.0),
-        ("(exp t)", 1.0, 1.0 + 1e-9)])
-    def test_matches_sorted_unique_samples(self, expr, lo, hi):
-        trees = _split_separable(RhsSpec(expr).tree)[1]
-        assert _t_range(trees, {}, lo, hi) == _t_range_reference(trees, lo, hi)
+class TestEnclosure:
+    """`core._enclose` against the evaluation: f from `eval_nodes` within
+    the (clamped) ends, df/dt from `_eval_tree(dt=True)` within the dt
+    ends, and NaN only where the flag is set."""
 
-
-def _t_range_frozen(trees, combo, lo, hi, n=4097):
-    """`_t_range` as it was before the one-buffer sampler, kept as reference:
-    np.linspace and the candidates concatenated, and the product started
-    from ones with each constant factor broadcast to an array."""
-    cands = [lo, hi]
-    k0 = int(np.ceil(lo / np.pi))
-    k1 = int(np.floor(hi / np.pi))
-    if k1 - k0 < 64:
-        cands.extend(np.pi * k for k in range(k0, k1 + 1))
-    cands.append(0.0) if lo <= 0.0 <= hi else None
-    t = np.clip(np.concatenate(
-        [np.linspace(lo, hi, n), np.asarray(cands, float)]), lo, hi)
-    y = np.ones_like(t)
-    for tree in trees:
-        y = y * _eval_tree(tree, combo, t)
-    return float(y.min()), float(y.max())
-
-
-def _seeded_intervals():
-    """Degenerate, tiny, zero-straddling and long intervals, seeded."""
-    rng = np.random.default_rng(23)
-    out = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, 5e-324),
-           (-5e-324, 0.0), (-300.0, 300.0), (-1e3, -10.0), (0.0, 1e3)]
-    for _ in range(40):
-        a = float(rng.normal() * 10.0 ** rng.uniform(-3.0, 3.0))
-        b = float(rng.normal() * 10.0 ** rng.uniform(-3.0, 3.0))
-        out += [(a, a), (a, a + 5e-324), (a, a + 1e-13),
-                (-abs(a), abs(b)), (min(a, b), max(a, b)),
-                (a, a + 64.5 * np.pi * (1.0 + abs(b)))]
-    return out
-
-
-# empty (pure-coef f), const-only, t, pow, cospow, clip, exp and neg
-_FACTOR_LISTS = ["(coef a)", "(mul (const 2.5) (neg (const 3)))", "t",
-                 "(mul (pow t 3) (const -0.5))", "(cospow 2.5)",
-                 "(clip (pow t 2) 7)", "(exp t)", "(neg (exp t))",
-                 "(mul (neg t) (mul (cospow 1) (exp t)))"]
-
-
-class TestTRangeFrozen:
-    @pytest.mark.parametrize("expr", _FACTOR_LISTS)
-    def test_matches_frozen_sampler(self, expr):
-        trees = _split_separable(RhsSpec(expr, coefs={"a": 1.0}).tree)[1]
+    @settings(max_examples=300, deadline=None)
+    @given(expr=st.sampled_from(_ENCLOSED),
+           kind=st.sampled_from(["scalar", "grid", "callable"]),
+           ends=st.lists(_T, min_size=2, max_size=2),
+           inside=st.lists(_T, max_size=6),
+           frac=st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_samples_within_the_ends(self, small_ball8, expr, kind, ends,
+                                     inside, frac):
+        lo, hi = sorted(ends)
+        d = small_ball8
+        f = RhsSpec(expr, coefs={"a": _coef_kinds(d)[kind]})
+        ne = d.nonexterior
+        coefs = {k: v[ne] if np.ndim(v) else v
+                 for k, v in f.coef_grid(d).items()}
+        v, d = _enclose(f.tree, {k: _span(c) for k, c in coefs.items()},
+                        lo, hi)
+        clamped = tuple(min(max(e, -SATURATE), SATURATE) for e in v[:2]) \
+            + v[2:]
+        # convex combinations, which cannot overflow as lo + q (hi - lo)
+        ts = [lo, hi] + [x for x in inside + [lo * (1.0 - q) + hi * q
+                                              for q in frac]
+                         if lo <= x <= hi]
         with np.errstate(all="ignore"):
-            for lo, hi in _seeded_intervals():
-                assert repr(_t_range(trees, {}, lo, hi)) \
-                    == repr(_t_range_frozen(trees, {}, lo, hi)), (lo, hi)
+            for t in ts:
+                t = np.full(np.count_nonzero(ne), t)
+                _within(f.eval_nodes(t, coefs), clamped)
+                y, dy = _eval_tree(f.tree, coefs, t, True)
+                _within(y, v)
+                _within(dy, d)
 
-    def test_factor_lists_cover_empty_and_const_only(self):
-        kinds = [[tr[0] for tr in _split_separable(RhsSpec(
-            e, coefs={"a": 1.0}).tree)[1]] for e in _FACTOR_LISTS[:2]]
-        assert kinds == [[], ["const", "const", "const"]]
-
-    def test_grid_is_linspace(self):
-        out = np.empty(4097)
-        for lo, hi in _seeded_intervals():
-            _t_grid(out, lo, hi)
-            assert out.tobytes() == np.linspace(lo, hi, 4097).tobytes(), \
-                (lo, hi)
+    @pytest.mark.parametrize("expr, nan", [
+        ("(pow t 3)", False), ("(add (const 1) t)", False),
+        ("(mul (coef a) (exp t))", False), ("(pow t -1)", True),
+        ("(mul (const 0) (pow t 2))", True), ("(clip (pow t -1) 5)", True),
+        ("(add (pow t 400) (neg (pow t 400)))", True)])
+    def test_flag_over_finite_t(self, expr, nan):
+        # the certificate's question: may f be NaN at a finite t?
+        tree = RhsSpec(expr, coefs={"a": 2.0}).tree
+        assert _enclose(tree, {"a": _span(2.0)}, *_FINITE_T)[0][2] is nan
+        assert _enclose(tree, {"a": _span([2.0, np.nan])},
+                        *_FINITE_T)[0][2] is (nan or "coef" in expr)
 
 
 def _central_difference(f, coefs, t):
@@ -527,29 +492,28 @@ class TestRhsBound:
         ("(clip (const 0.5) 2)", 0.5),
         ("(clip t 2)", 2.0),
         ("(clip (const 0) -5)", 5.0),       # clips everything to -5
-        ("(cospow 2)", 4.0),
-        ("(cospow 0)", 1.0),
-        ("(cospow 995.5)", 2.0 ** 995.5),
-        ("(cospow 996)", np.inf),
+        # pow and cos move their ends out by one ulp
+        ("(cospow 2)", np.nextafter(4.0, np.inf)),
+        ("(cospow 0)", np.nextafter(1.0, np.inf)),
+        ("(cospow 995.5)", np.nextafter(2.0 ** 995.5, np.inf)),
+        ("(cospow 996)", np.nextafter(2.0 ** 996, np.inf)),
         ("(cospow -0.5)", np.inf),          # infinite where cos t = -1
-        ("(add (const 1) (cospow 3) (neg (const 2)))", 11.0),
-        ("(mul (const -0.5) (exp t) (cospow 2))", 2e300),
+        ("(add (const 1) (cospow 3) (neg (const 2)))",
+         np.nextafter(8.0, np.inf) + 1.0 - 2.0),
+        ("(mul (const -0.5) (exp t) (cospow 2))",
+         0.5e300 * np.nextafter(4.0, np.inf)),
         ("(mul (const 1e-300) (exp t))", 1.0),
         ("t", np.inf),
         ("(coef a)", np.inf),
         ("(pow t 3)", np.inf),
-        ("(pow t 0)", np.inf),
+        ("(pow t 0)", np.nextafter(1.0, np.inf)),     # sign(t)
         ("(add (exp t) t)", np.inf),
         ("(mul (const 2) (pow t 0.5))", np.inf),
+        ("(mul (const 0) t)", 0.0),         # 0 where not inf * 0, NaN
     ])
     def test_bound_per_op(self, expr, bound):
         f = RhsSpec(expr, coefs={"a": 1.0})
         assert f.bound == bound
-
-    def test_zero_times_unbounded_has_no_bound(self):
-        # inf * 0 is NaN, which is not <= SATURATE: the clamp stays
-        f = RhsSpec("(mul (const 0) t)")
-        assert not f.bound <= SATURATE
 
     T = np.array([np.inf, -np.inf, np.nan, 700.0, -700.0, 1e308, -1e308,
                   0.0, -0.0] + [k * np.pi for k in range(-4, 5)])

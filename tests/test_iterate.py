@@ -4,8 +4,10 @@ After each sweep `solver._iterate` takes the residual at color 0, whose
 data the next sweep's first update reads, and at color 1 only where that
 part can change the outcome; the certificate `_Sweeper.safe` (from
 `solver._safe_top`) bounds max |u| so that a color 1 part it skips is
-finite, and a solve without one reads the whole table every sweep.  The frozen loop below reads the residual over the whole table
-after every sweep, as the loop did before the split, and every status,
+finite, and a solve without one, where f may be NaN, reads color 1
+after every sweep.  The frozen loop below reads the residual over the
+whole table after every sweep, as the loop did before the split, and
+every status,
 sweep count, residual, count and field must match it bit for bit: on
 blow-ups with and without an alarm, overflowing starts, a cycling solve,
 w = 1 and 3-D stencils, trees with and without a bound on |f|, Perron's
@@ -42,7 +44,7 @@ def _frozen_iterate(sw, vals, tol, budget, alarm, sweep=None):
     res, head = np.inf, None
     for it in range(1, budget + 1):
         sweep(vals, head)
-        res, data = sw.fp_residual(vals)
+        res, data = sw.fp_residual(vals, sw.all)
         head = tuple(a[:n] if np.ndim(a) else a for a in data)
         if sw.diverged(vals, res, alarm):
             return "diverged_past_alarm", it, res
@@ -168,7 +170,8 @@ CASES = {
     "spike-1e200": _spike,
     "cospow": _solve(_ball(1.0, 1 / 8), "(cospow 2)", 0.0,
                      max_sweeps=400),
-    # no bound on |f|: no certificate, the whole table every sweep
+    # (pow t -1) may be NaN: no certificate, color 1 every sweep; (pow t 3)
+    # and a coefficient tree have one
     "pow-data": _pow_data,
     "coef-exp": _solve(_ball(0.5, 1 / 8), "(mul (coef a) (neg (exp t)))",
                        0.0, coefs={"a": lambda p: 1.0 + p[:, 0] ** 2}),
@@ -260,12 +263,18 @@ SOUND = [
     (2, 1 / 16, SchemeParams(w=3), "(mul (const 2) (clip (exp t) 5))"),
     (2, 1 / 8, SchemeParams(w=3), "(cospow 3)"),
     (3, 1 / 4, SchemeParams(w=2), "(const 1e300)"),
+    # f is never NaN at a finite t, with a = 2
+    (2, 1 / 8, SchemeParams(), "(add (const 1) t)"),
+    (2, 1 / 8, SchemeParams(), "(mul (coef a) (exp t))"),
+    (2, 1 / 8, SchemeParams(), "(add (clip (coef a) 1) (neg (exp t)))"),
+    (2, 1 / 8, SchemeParams(), "(pow t 3)"),
 ]
 
 
 def _sweeper(N, h, params, expr):
     d = _ball(1.0, h, N)
-    return d, _Sweeper(d, RhsSpec(expr), Stencil(d, params), SolveOptions())
+    return d, _Sweeper(d, RhsSpec(expr, coefs={"a": 2.0}), Stencil(d, params),
+                       SolveOptions())
 
 
 def _signs(d, top, seed):
@@ -287,12 +296,12 @@ def test_certificate_sound(N, h, params, expr):
     for vals in _signs(d, sw.safe, 3):
         assert sw.top(vals) == sw.safe
         with np.errstate(over="raise", invalid="raise"):
-            for grp in sw.groups + [None]:
+            for grp in sw.groups + [sw.all]:
                 assert np.isfinite(sw.fp_residual(vals, grp)[0])
     # the bound is not loose: a thousand times above it the residual
     # overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = [sw.fp_residual(vals)[0]
+        bad = [sw.fp_residual(vals, sw.all)[0]
                for vals in _signs(d, 1e3 * sw.safe, 3)]
     assert not all(np.isfinite(bad))
 
@@ -304,8 +313,8 @@ def _reads(sw, vals):
     reads = []
     whole = sw.fp_residual
 
-    def counted(values, grp=None):
-        reads.append("all" if grp is None else str(sw.groups.index(grp)))
+    def counted(values, grp):
+        reads.append("all" if grp is sw.all else str(sw.groups.index(grp)))
         return whole(values, grp)
 
     sw.fp_residual = counted
@@ -332,22 +341,20 @@ def test_certificate_refuses_above_safe(N, h, params, expr):
 
 
 @pytest.mark.parametrize("expr, coefs", [
-    ("(pow t -1)", None), ("(add (const 1) t)", None),
-    ("(mul (coef a) (exp t))", {"a": 2.0}),
+    ("(pow t -1)", None),
     ("(mul (const 0) (pow t 2))", None),
-    ("(clip (pow t -1) 5)", None),
-    ("(add (clip (coef a) 1) (neg (exp t)))", {"a": 2.0})])
+    ("(clip (pow t -1) 5)", None)])
 def test_no_certificate_without_a_bound(small_ball8, expr, coefs):
-    # a t-dependent tree with no bound on |f| (inf, or NaN for 0 * inf),
-    # or one that clips a subtree without a bound, which may be NaN at a
-    # finite t, reads the whole table every sweep, however small u is
+    # a t-dependent tree that may be NaN at a finite t (0 * inf, or a
+    # clip of such a subtree, which passes NaN on) reads color 1 after
+    # every sweep, however small u is
     d = small_ball8
     sw = _Sweeper(d, RhsSpec(expr, coefs=coefs), Stencil(d, SchemeParams()),
                   SolveOptions())
     assert sw.safe == -np.inf
     vals = np.random.default_rng(4).uniform(0.5, 1.0, d.dims)
     vals[~d.nonexterior] = np.nan
-    assert _reads(sw, vals) == ["all", "all"]
+    assert _reads(sw, vals) == ["0", "1", "0", "1"]
 
 
 def test_x_only_bound_is_the_largest_f(small_ball8):

@@ -8,7 +8,7 @@ the evaluator reads, so a parser change that alters a tree shows here.
 import pytest
 
 from inflap import RhsSpec
-from inflap.core import _nodes, _parse_rhs, _split_separable
+from inflap.core import _nodes, _parse_rhs
 
 TREES = [
     ("t", ("t",)),
@@ -114,11 +114,3 @@ def test_attributes(expr, names, on_t):
     assert f.depends_on_x() == bool(names)
     assert f.depends_on_t is on_t
 
-
-def test_separable_split_kept_in_order():
-    f = RhsSpec("(neg (mul (coef a) (exp t) (neg (cospow 2))))",
-                coefs={"a": 2.0})
-    assert f._separable == _split_separable(f.tree) == (
-        [("coef", "a")],
-        [("const", -1.0), ("exp",), ("const", -1.0), ("cospow", 2.0)])
-    assert RhsSpec("(add (coef a) t)", coefs={"a": 1.0})._separable is None

@@ -425,6 +425,22 @@ class TestLocalSolve:
             local_update(node, ScalarField.constant(d, 0.0), f,
                          Stencil(d, SchemeParams()))
 
+    def test_nan_end_is_a_bracket_failure(self, small_ball8):
+        # f = t^400 - t^400 is inf - inf, NaN, past |t| = 5.9: g NaN at a
+        # bracket end is no sign change, so the end widens, and a node
+        # where it stays NaN fails (it used to count as a sign change)
+        d = small_ball8
+        f = RhsSpec("(add (pow t 400) (neg (pow t 400)))")
+        u = ScalarField.from_function(d, lambda p: 10.0 + p[:, 0])
+        node = tuple(np.argwhere(d.interior)[0])
+        with pytest.raises(ValueError,
+                           match="bracket failure in local update"):
+            local_update(node, u, f, Stencil(d, SchemeParams()))
+        b = BoundaryTrace.from_function(d, lambda p: 10.0 + p[:, 0])
+        _, rep = solve_dirichlet(d, f, b, SolveOptions(max_sweeps=5),
+                                 initial_guess=u)
+        assert rep.bracket_failures > 0
+
     def test_blow_up_stays_local(self, monkeypatch):
         # f = -300 e^t on the unit ball: some nodes find no sign change
         # and take their bracket edge (~1e18), but each node brackets at
@@ -698,7 +714,7 @@ class TestPerron:
             sw = _Sweeper(d, f, Stencil(d, SchemeParams()), opts)
             with np.errstate(invalid="ignore", over="ignore",
                              divide="ignore"):
-                assert rep.residual == sw.fp_residual(u.values)[0]
+                assert rep.residual == sw.fp_residual(u.values, sw.all)[0]
 
 
 class TestProbe:
